@@ -128,6 +128,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_whitehead(args) -> int:
+    cfg = _config_from(args)
+    if args.rank > cfg.max_rank:
+        raise ValueError("rank %d outside the whitehead guard [1, %d]" % (args.rank, cfg.max_rank))
     w = freegroup.Word.from_string(args.rank, args.word)
     if w.is_trivial():
         raise ValueError("the trivial word has no simplicity verdict")
@@ -158,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Partition calculus for splittings relative to a rose.",
     )
     parser.add_argument("--max-rank", type=int, default=None,
-                        help="enumeration rank ceiling (env FREESPLIT_MAX_RANK)")
+                        help="rank ceiling for enumeration and whitehead queries (env FREESPLIT_MAX_RANK)")
     parser.add_argument("--workers", type=int, default=None,
                         help="worker count for sharded scans (env FREESPLIT_WORKERS)")
     parser.add_argument("--seed", type=int, default=0, help="seed for sampled scans")

@@ -41,13 +41,31 @@ def cyclic_reduce_letters(letters: Sequence[int]) -> Tuple[int, ...]:
     return tuple(letters[i:j])
 
 
+def _bit(letter: int) -> int:
+    """Vertex index of a letter: 2i-2 for xi and 2i-1 for Xi, in letter_key order."""
+    return 2 * letter - 2 if letter > 0 else -2 * letter - 1
+
+
+def _letter(bit: int) -> int:
+    return bit // 2 + 1 if bit % 2 == 0 else -(bit // 2 + 1)
+
+
 def canonical_cycle(letters: Sequence[int]) -> Tuple[int, ...]:
-    """Lexicographically least rotation of a cyclically reduced word."""
-    if not letters:
-        return ()
+    """Lexicographically least rotation of a cyclically reduced word.
+
+    Rotations are compared as slices of the doubled list of letter keys
+    (the _bit indices); only rotations that start with the least key are
+    candidates.
+    """
+    letters = tuple(letters)
     n = len(letters)
-    rotations = (tuple(letters[k:]) + tuple(letters[:k]) for k in range(n))
-    return min(rotations, key=lambda rot: [letter_key(l) for l in rot])
+    if not n:
+        return ()
+    keys = [2 * l - 2 if l > 0 else -2 * l - 1 for l in letters]
+    least = min(keys)
+    keys += keys
+    k = min((k for k in range(n) if keys[k] == least), key=lambda k: keys[k:k + n])
+    return letters[k:] + letters[:k]
 
 
 _TOKEN = re.compile(r"([xX])(\d+)")
@@ -141,15 +159,6 @@ class CyclicWord:
 
     def as_word(self) -> Word:
         return Word(self.rank, self.letters)
-
-
-def reduce(w: Word) -> Word:
-    """Identity on Word values (reduction is a construction invariant)."""
-    return Word.make(w.rank, w.letters)
-
-
-def cyclic_reduce(w: Word) -> Word:
-    return w.cyclic_reduce()
 
 
 def is_conjugate(u: Word, v: Word) -> bool:
@@ -410,44 +419,39 @@ def connected_no_cutvertex(g: WhiteheadGraph) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _wh_letter_maps(rank: int) -> Tuple[Tuple[Tuple, Tuple[Tuple[int, Tuple[int, ...]], ...]], ...]:
-    """All nonidentity Whitehead letter substitutions with canonical encodings.
+def _wh_moves(rank: int) -> Tuple[Tuple[int, int], ...]:
+    """Every nonidentity Whitehead move (A, a) as (mask of A, bit of a).
 
-    Each entry is (encoding, ((letter, image letters), ...)) sorted by
-    encoding; the encoding orders moves for deterministic tie-breaking.
+    Bit b of a mask stands for the letter with vertex index b (see _bit).
+    Moves are sorted by their encoding, (bit of a, sorted bits of A - {a}),
+    which orders them for deterministic tie-breaking.
     """
-    letters = sorted(
-        (l for i in range(1, rank + 1) for l in (i, -i)), key=letter_key
-    )
     moves = []
-    for a in letters:
-        others = [l for l in letters if abs(l) != abs(a)]
+    for a in range(2 * rank):
+        others = [b for b in range(2 * rank) if b // 2 != a // 2]
         for size in range(1, len(others) + 1):
             for combo in itertools.combinations(others, size):
-                A = frozenset(combo) | {a}
-                if -a in A:
-                    continue
-                table = []
-                for g in range(1, rank + 1):
-                    img = _wh_image(g, A, a)
-                    table.append((g, img))
-                    table.append((-g, tuple(-x for x in reversed(img))))
-                enc = (letter_key(a), tuple(sorted(letter_key(l) for l in combo)))
-                moves.append((enc, tuple(table)))
-    moves.sort(key=lambda item: item[0])
-    return tuple(moves)
+                moves.append(((a, combo), sum(1 << b for b in combo) | 1 << a))
+    moves.sort()
+    return tuple((mask, a) for (a, _), mask in moves)
 
 
-def _apply_letter_map(table, letters: Sequence[int]) -> Tuple[int, ...]:
-    mapping = dict(table)
-    out: List[int] = []
-    for l in letters:
-        for x in mapping[l]:
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
-    return tuple(out)
+def _cut_capacities(mult: List[List[int]]) -> List[int]:
+    """cap[A] for every vertex mask A: the multiplicity of edges leaving A.
+
+    Adding a vertex v above every vertex of S gives
+    cap(S + v) = cap(S) + deg(v) - 2 * mult(v, S); ``into`` holds
+    mult(v, S) for every S below v.
+    """
+    cap = [0]
+    for v, row in enumerate(mult):
+        into = [0]
+        for u in range(v):
+            m = row[u]
+            into += [x + m for x in into]
+        deg = sum(row)
+        cap += [c + deg - 2 * x for c, x in zip(cap, into)]
+    return cap
 
 
 def _cyclic_canon(letters: Sequence[int]) -> Tuple[int, ...]:
@@ -457,25 +461,32 @@ def _cyclic_canon(letters: Sequence[int]) -> Tuple[int, ...]:
 def whitehead_minimize(w: Word) -> CyclicWord:
     """Greedy cyclic-length minimization under Whitehead moves.
 
-    At each step every move is evaluated; among the moves achieving the
-    largest strict decrease, the lexicographically least encoding wins.
-    Cyclic length strictly decreases, so the loop halts.
+    At each step every move (A, a) is scored from the Whitehead graph of
+    the current word: the change in cyclic length is cap(A, A') - deg(a)
+    (Higgins-Lyndon).  Among the moves achieving the largest strict
+    decrease, the lexicographically least encoding wins, and only that move
+    rewrites the word.  Cyclic length strictly decreases, so the loop halts.
     """
     if w.is_trivial():
         raise ValueError("cannot minimize the trivial word")
-    moves = _wh_letter_maps(w.rank)
+    rank = w.rank
+    moves = _wh_moves(rank)
     current = _cyclic_canon(w.letters)
     while True:
-        best_len = len(current)
-        best_image = None
-        for _, table in moves:
-            image = _cyclic_canon(_apply_letter_map(table, current))
-            if len(image) < best_len:
-                best_len = len(image)
-                best_image = image
-        if best_image is None:
-            return CyclicWord(w.rank, current)
-        current = best_image
+        mult = [[0] * (2 * rank) for _ in range(2 * rank)]
+        for u, v in zip(current[-1:] + current, current):
+            i, j = _bit(u), _bit(-v)  # the edge {u, v^-1}
+            mult[i][j] += 1
+            mult[j][i] += 1
+        cap = _cut_capacities(mult)
+        deg = [sum(row) for row in mult]
+        best = min(moves, key=lambda move: cap[move[0]] - deg[move[1]], default=None)
+        if best is None or cap[best[0]] - deg[best[1]] >= 0:
+            return CyclicWord(rank, current)
+        mask, a = best
+        A = frozenset(_letter(b) for b in range(2 * rank) if mask >> b & 1)
+        images = tuple(Word(rank, _wh_image(g, A, _letter(a))) for g in range(1, rank + 1))
+        current = _cyclic_canon(_substitute(images, Word(rank, current)).letters)
 
 
 def is_simple(w: Word) -> bool:

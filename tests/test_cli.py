@@ -4,6 +4,7 @@ import sys
 
 from jsonschema import validate
 
+from freesplit import freegroup
 from freesplit.cli import main
 
 from conftest import load_schema
@@ -123,6 +124,20 @@ def test_whitehead_simple(capsys):
     code, out, _ = run_cli(capsys, "whitehead", "simple", "--rank", "2",
                            "--word", "x1x2")
     assert json.loads(out)["simple"] is True
+
+
+def test_whitehead_rank_guard(capsys):
+    built = freegroup._wh_moves.cache_info().misses
+    code, out, err = run_cli(capsys, "whitehead", "simple", "--rank", "9", "--word", "x1x2")
+    assert code == 2
+    assert out == ""
+    assert "guard" in err
+    # refused before any move list was built
+    assert freegroup._wh_moves.cache_info().misses == built
+    code, _, err = run_cli(capsys, "--max-rank", "3", "whitehead", "simple",
+                           "--rank", "4", "--word", "x1x2")
+    assert code == 2
+    assert "guard" in err
 
 
 def test_kgraph(capsys):

@@ -23,11 +23,23 @@ from freesplit.freegroup import (
     whitehead_graph,
     whitehead_minimize,
 )
-from whitehead_oracle import all_cyclically_reduced, oracle_is_simple, letter_moves
+from whitehead_oracle import (
+    _canon,
+    all_cyclically_reduced,
+    letter_moves,
+    oracle_is_simple,
+    reference_minimize,
+    whitehead_moves,
+)
 
 
 def W(rank, text):
     return Word.from_string(rank, text)
+
+
+def canonical_words(rank, max_len):
+    """Every canonical cyclic word of length at most max_len, by the oracle's definition."""
+    return [w for w in all_cyclically_reduced(rank, max_len) if _canon(w) == w]
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +70,12 @@ def test_cyclic_reduction_and_canonical_form():
     assert w.cyclic_reduce().letters == (2,)
     assert canonical_cycle((2, 1)) == (1, 2)
     assert CyclicWord.of(W(2, "x2x1")) == CyclicWord.of(W(2, "x1x2"))
+
+
+def test_canonical_cycle_is_the_least_rotation():
+    for rank, max_len in ((2, 8), (3, 6)):
+        for letters in all_cyclically_reduced(rank, max_len):
+            assert canonical_cycle(letters) == _canon(letters), letters
 
 
 def test_conjugacy():
@@ -226,6 +244,22 @@ def test_graph_of_trivial_word_is_undefined():
         whitehead_graph(Word.identity(2))
 
 
+def test_length_change_is_cut_capacity_minus_degree():
+    # Higgins-Lyndon with this module's {u, v^-1} edge convention: the move
+    # (A, a) changes the cyclic length by the multiplicity of edges leaving
+    # A, minus the degree of a.
+    for rank, max_len in ((2, 6), (3, 4)):
+        moves = [(cut, a, whitehead_automorphism(rank, cut, a))
+                 for cut, a in whitehead_moves(rank)]
+        for letters in canonical_words(rank, max_len):
+            w = Word(rank, letters)
+            graph = whitehead_graph(w)
+            for cut, a, phi in moves:
+                cap = sum(count for (u, v), count in graph.edges if (u in cut) != (v in cut))
+                change = len(CyclicWord.of(phi.apply(w))) - len(w)
+                assert change == cap - graph.degree(a), (rank, letters, sorted(cut), a)
+
+
 def test_two_distinct_edges_at_the_stable_letter():
     # For g in the factor product not conjugate into the factor, the stable
     # letter has edges to the inverse of the first letter of w and to the
@@ -262,6 +296,51 @@ def test_basis_image_of_x1x2_via_a_single_nielsen_move():
 def test_minimization_reaches_single_letters_on_primitives():
     assert len(whitehead_minimize(W(2, "x1x2"))) == 1
     assert len(whitehead_minimize(W(2, "x1x2X1X2"))) == 4
+
+
+def test_minimizer_matches_the_rewrite_every_move_reference():
+    # Exact forms, not only lengths: this pins the tie-break and so the
+    # ``minimized`` string that ``freesplit whitehead simple`` prints.
+    checked = 0
+    for rank, max_len in ((2, 8), (3, 5)):
+        moves = letter_moves(rank)
+        for letters in canonical_words(rank, max_len):
+            expected = CyclicWord(rank, reference_minimize(letters, rank, moves))
+            assert whitehead_minimize(Word(rank, letters)) == expected, (rank, letters)
+            checked += 1
+    assert checked == 2254
+
+
+def pushed_words(rank, length, count, seed):
+    """Cyclic words of exactly ``length`` letters in the orbits of short words.
+
+    Each start uses every generator twice with random signs and order; random
+    Whitehead moves that do not shorten it push it up to ``length`` letters.
+    """
+    rng = random.Random(seed)
+    moves = letter_moves(rank)
+    out = []
+    while len(out) < count:
+        start = [i * rng.choice((1, -1)) for i in range(1, rank + 1) for _ in range(2)]
+        rng.shuffle(start)
+        word = _canon(start)
+        for _ in range(400):
+            table = rng.choice(moves)
+            image = _canon([x for l in word for x in table[l]])
+            if len(word) <= len(image) <= length:
+                word = image
+            if len(word) == length:
+                out.append(word)
+                break
+    return out
+
+
+def test_minimizer_matches_the_reference_on_long_words():
+    for rank, count in ((4, 3), (5, 2)):
+        moves = letter_moves(rank)
+        for letters in pushed_words(rank, 24, count, seed=rank):
+            expected = CyclicWord(rank, reference_minimize(letters, rank, moves))
+            assert whitehead_minimize(Word(rank, letters)) == expected, (rank, letters)
 
 
 def test_simplicity_invariance_rank2_words():
