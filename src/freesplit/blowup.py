@@ -15,16 +15,16 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .partitions import (
-    Direction,
     Partition,
     SplittingClass,
-    all_directions,
+    bit_positions,
     class_of,
     classes_compatible,
-    corner_sets,
+    corner_masks,
     crosses,
+    direction_bit,
+    full_mask,
     is_ideal,
-    side_key,
 )
 
 
@@ -219,87 +219,6 @@ class GraphOfGroups:
 # ---------------------------------------------------------------------------
 
 
-class _Tree:
-    """Mutable dual tree of a compatible family of thick partitions.
-
-    Vertices hold disjoint direction sets whose union is all 2N directions;
-    each partition is an edge, and cutting the edge splits the directions
-    exactly into the partition's two sides.
-    """
-
-    def __init__(self, rank: int):
-        self.rank = rank
-        self.dirs: Dict[int, set] = {0: set(all_directions(rank))}
-        self.ends: Dict[str, Tuple[int, int]] = {}
-        self.adj: Dict[int, set] = {0: set()}
-        self._next = 1
-
-    def _far_dirs(self, label: str, vid: int) -> set:
-        """Directions in the component on the far side of ``label`` from ``vid``."""
-        u, v = self.ends[label]
-        start = v if u == vid else u
-        seen = {start}
-        stack = [start]
-        while stack:
-            cur = stack.pop()
-            for lab in self.adj[cur]:
-                if lab == label:
-                    continue
-                a, b = self.ends[lab]
-                nxt = b if a == cur else a
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        out: set = set()
-        for w in seen:
-            out |= self.dirs[w]
-        return out
-
-    def insert(self, part: Partition, label: str) -> None:
-        s1 = part.side1
-        host = None
-        far_cache: Dict[str, set] = {}
-        for vid in self.dirs:
-            ok = True
-            for lab in self.adj[vid]:
-                far = self._far_dirs(lab, vid)
-                if far & part.side1 and far & part.side2:
-                    ok = False
-                    break
-                far_cache[(vid, lab)] = far
-            if ok:
-                if host is not None:
-                    raise IncompatibleFamilyError(
-                        "partition {%s} is already an edge of the tree" % part.encode()
-                    )
-                host = vid
-                host_far = {lab: far_cache[(vid, lab)] for lab in self.adj[vid]}
-        if host is None:
-            raise IncompatibleFamilyError(
-                "partition {%s} crosses the existing family" % part.encode()
-            )
-        new = self._next
-        self._next += 1
-        self.dirs[new] = {d for d in self.dirs[host] if d in s1}
-        self.dirs[host] -= self.dirs[new]
-        self.adj[new] = set()
-        for lab in list(self.adj[host]):
-            if host_far[lab] <= s1:
-                a, b = self.ends[lab]
-                self.ends[lab] = (new, b) if a == host else (a, new)
-                self.adj[host].discard(lab)
-                self.adj[new].add(lab)
-        self.ends[label] = (new, host)
-        self.adj[new].add(label)
-        self.adj[host].add(label)
-
-    def locate(self, d: Direction) -> int:
-        for vid, ds in self.dirs.items():
-            if d in ds:
-                return vid
-        raise KeyError(d)
-
-
 class _UnionFind:
     def __init__(self, items: Iterable[int]):
         self.parent = {i: i for i in items}
@@ -339,19 +258,31 @@ def blow_up(family: Iterable[SplittingClass], rank: int) -> GraphOfGroups:
                 "family members cross: {%s} and {%s}" % (a.encode(), b.encode())
             )
 
-    tree = _Tree(rank)
-    for c in fam:
-        if c.kind == "thick":
-            tree.insert(c.representative, c.encode())
+    # The dual tree of the thick members is their laminar family of side1
+    # masks: canonical side1s never hold x1+, so those of a compatible
+    # family are nested or disjoint.  A vertex is a member mask (or the
+    # root, ``full``) holding its directions minus its children's, and each
+    # member's edge joins it to its smallest strict superset or the root.
+    full = full_mask(rank)
+    thick = {c.representative.mask: c for c in fam if c.kind == "thick"}
+    dirs = {m: m for m in thick}
+    dirs[full] = full
+    ends: Dict[SplittingClass, Tuple[int, int]] = {}
+    for m, c in thick.items():
+        parent = min((o for o in thick if o != m and not m & ~o),
+                     key=int.bit_count, default=full)
+        dirs[parent] &= ~m
+        ends[c] = (m, parent)
 
+    owner = {1 << b: vid for vid, own in dirs.items() for b in bit_positions(own)}
     petal_ends = {
-        i: (tree.locate(Direction(i, 1)), tree.locate(Direction(i, -1)))
+        i: (owner[direction_bit(i, 1)], owner[direction_bit(i, -1)])
         for i in range(1, rank + 1)
     }
     kept_petals = {c.petal_index for c in fam if c.kind == "petal"}
 
-    uf = _UnionFind(tree.dirs)
-    extra_rank = {vid: 0 for vid in tree.dirs}
+    uf = _UnionFind(dirs)
+    extra_rank = {vid: 0 for vid in dirs}
     for i in range(1, rank + 1):
         if i in kept_petals:
             continue
@@ -362,32 +293,23 @@ def blow_up(family: Iterable[SplittingClass], rank: int) -> GraphOfGroups:
             root = uf.union(u, v)
             other = v if root == u else u
             extra_rank[root] += extra_rank.pop(other)
-            tree.dirs[root] |= tree.dirs.pop(other)
+            dirs[root] |= dirs.pop(other)
 
     edge_records = []
     for c in fam:
-        if c.kind == "thick":
-            u, v = tree.ends[c.encode()]
-        else:
-            u, v = petal_ends[c.petal_index]
+        u, v = ends[c] if c.kind == "thick" else petal_ends[c.petal_index]
         edge_records.append((c.encode(), uf.find(u), uf.find(v)))
 
-    incident: Dict[int, List[str]] = {uf.find(v): [] for v in tree.dirs}
+    incident: Dict[int, List[str]] = {root: [] for root in dirs}
     for label, u, v in edge_records:
         incident[u].append(label)
         if v != u:
             incident[v].append(label)
 
-    keys = {}
-    for vid in tree.dirs:
-        root = uf.find(vid)
-        if root in keys:
-            continue
-        ds = tree.dirs[root]
-        if ds:
-            keys[root] = (0, side_key(ds))
-        else:
-            keys[root] = (1, tuple(sorted(incident[root])))
+    keys = {
+        root: (0, bit_positions(own)) if own else (1, tuple(sorted(incident[root])))
+        for root, own in dirs.items()
+    }
     names = {
         root: "v%d" % n
         for n, root in enumerate(sorted(keys, key=lambda r: keys[r]))
@@ -531,8 +453,8 @@ def boundary_classes(p: Partition, q: Partition) -> Tuple[SplittingClass, ...]:
     if not crosses(p, q):
         raise ValueError("boundary splittings are defined for crossing pairs")
     seen = []
-    for corner in corner_sets(p, q).as_tuple():
-        cls = class_of(Partition.of(p.rank, corner))
+    for corner in corner_masks(p, q):
+        cls = class_of(Partition.from_mask(p.rank, corner))
         if cls not in seen:
             seen.append(cls)
     return tuple(sorted(seen, key=lambda c: c.key))

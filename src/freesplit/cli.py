@@ -20,30 +20,18 @@ from .partitions import Partition, class_of, parse_class
 @dataclass(frozen=True)
 class Config:
     max_rank: int = partitions.MAX_RANK
-    workers: int = 1
     fmt: str = "json"
-    seed: int = 0
 
     def __post_init__(self):
-        if self.workers < 1:
-            raise ValueError("worker count must be >= 1")
         if self.max_rank > partitions.MAX_RANK:
             raise ValueError("rank ceiling cannot exceed %d" % partitions.MAX_RANK)
 
 
 def _config_from(args) -> Config:
     max_rank = int(os.environ.get("FREESPLIT_MAX_RANK", partitions.MAX_RANK))
-    workers = int(os.environ.get("FREESPLIT_WORKERS", 1))
     if getattr(args, "max_rank", None) is not None:
         max_rank = args.max_rank
-    if getattr(args, "workers", None) is not None:
-        workers = args.workers
-    return Config(
-        max_rank=max_rank,
-        workers=workers,
-        fmt=getattr(args, "format", "json") or "json",
-        seed=getattr(args, "seed", 0) or 0,
-    )
+    return Config(max_rank=max_rank, fmt=getattr(args, "format", "json") or "json")
 
 
 def _emit(payload) -> None:
@@ -162,9 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--max-rank", type=int, default=None,
                         help="rank ceiling for enumeration and whitehead queries (env FREESPLIT_MAX_RANK)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker count for sharded scans (env FREESPLIT_WORKERS)")
-    parser.add_argument("--seed", type=int, default=0, help="seed for sampled scans")
     sub = parser.add_subparsers(dest="command", required=True)
 
     enum_p = sub.add_parser("enum", help="list the ideal partitions at a rank")

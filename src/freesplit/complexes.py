@@ -203,18 +203,12 @@ def is_rose_family(classes: Iterable[SplittingClass], rank: int) -> bool:
 
 def rose_vertices(rank: int, graph: Optional[SplittingGraph] = None,
                   limit: Optional[int] = None) -> List[RoseVertex]:
-    """All N-subsets of universe classes forming an N-rose.
+    """All N-subsets of universe classes forming an N-rose, at rank 3 or 4.
 
-    Exhaustive at rank 3.  At rank 4 the scan is truncated to the first
-    ``limit`` candidate cliques in deterministic order (the universe is too
-    large for an exhaustive desk-scale sweep).
+    The scan is exhaustive unless the caller passes ``limit``, which keeps
+    only the first ``limit`` candidate N-cliques in lexicographic order.
     """
-    if rank == 3:
-        pass
-    elif rank == 4:
-        if limit is None:
-            limit = 20000
-    else:
+    if rank not in (3, 4):
         raise ValueError("rose vertices are enumerated at ranks 3 and 4 only")
     if graph is None:
         graph = build_star_graph(rank, mode="ens")

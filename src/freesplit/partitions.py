@@ -1,10 +1,13 @@
-"""Direction-set partition calculus for splittings relative to a fixed rose.
+"""Side-mask partition calculus for splittings relative to a fixed rose.
 
 The vertex of an N-petal rose carries 2N half-edge germs, called
 *directions* and written ``x1+, x1-, ..., xN+, xN-``.  A splitting disjoint
-from the rose is described by a two-sided partition of the direction set,
-and every pairwise predicate used downstream (thick, ideal, crossing, rose
-compatible, cagey) reduces to finite set arithmetic on the two sides.
+from the rose is described by a two-sided partition of the direction set.
+A side is stored as an int over 2N bits, ``xi+`` at bit 2i-2 and ``xi-`` at
+bit 2i-1, so bit order is the sort order x1+ < x1- < x2+ < ... and every
+pairwise predicate (thick, ideal, crossing, rose compatible, cagey) is a
+handful of bit operations.  :class:`Direction` and frozensets of directions
+appear only where sides are parsed, encoded or handed out as sets.
 
 All values are immutable and hashable; every operation is a pure function,
 so exhaustive scans can be evaluated concurrently without shared state.
@@ -14,12 +17,57 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional, NamedTuple, Tuple
 
 #: Inclusive bounds accepted by the exhaustive enumerators.  The universe
 #: holds 2**(2N-1) - 1 bipartitions, which stops being desk scale past 7.
 MIN_RANK = 3
 MAX_RANK = 7
+
+
+def direction_bit(index: int, sign: int) -> int:
+    """The mask bit of ``x_index^sign``: bit 2*index-2 for +, 2*index-1 for -."""
+    return 1 << (2 * index - 2 + (sign < 0))
+
+
+def full_mask(rank: int) -> int:
+    """The mask holding all 2N directions."""
+    return (1 << 2 * rank) - 1
+
+
+@lru_cache(maxsize=1 << 10)
+def bit_positions(mask: int) -> Tuple[int, ...]:
+    """The set bits of a mask in increasing order; sorting by it sorts sides
+    in the direction order x1+ < x1- < x2+ < ...
+
+    Cached because sorting and labelling ask for the same few masks over and
+    over; 2**10 entries hold every mask up to rank 5 and bound the memory.
+    """
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _separates(side: int, rank: int) -> bool:
+    """True iff ``side`` holds exactly one of xi+, xi- for some i.
+
+    ``full_mask(rank) // 3`` has the plus bits 0, 2, 4, ... set.
+    """
+    return bool((side ^ (side >> 1)) & full_mask(rank) // 3)
+
+
+@lru_cache(maxsize=None)
+def _bit_name(bit: int) -> str:
+    """``x<i><sign>`` for one bit; the cache holds one entry per bit index."""
+    return "x%d%s" % (bit // 2 + 1, "-" if bit & 1 else "+")
+
+
+def _names(mask: int) -> Tuple[str, ...]:
+    return tuple(map(_bit_name, bit_positions(mask)))
 
 
 class Direction(NamedTuple):
@@ -58,61 +106,78 @@ def all_directions(rank: int) -> frozenset:
     return frozenset(Direction(i, s) for i in range(1, rank + 1) for s in (1, -1))
 
 
-def sorted_directions(side: Iterable[Direction]) -> Tuple[Direction, ...]:
-    return tuple(sorted(side, key=lambda d: d.key))
+def _side_mask(side: Iterable[Direction]) -> int:
+    """The mask of a set of directions."""
+    mask = 0
+    for d in side:
+        mask |= direction_bit(d.index, d.sign)
+    return mask
 
 
-def side_key(side: Iterable[Direction]) -> Tuple[Tuple[int, int], ...]:
-    """Canonical comparable encoding of a direction set."""
-    return tuple(d.key for d in sorted_directions(side))
+@lru_cache(maxsize=1 << 10)
+def _side_directions(mask: int) -> frozenset:
+    """The set of directions of a mask.
+
+    Cached so that reading ``side1``/``side2`` in a loop, as reference
+    checks do, costs a lookup rather than building the set again.
+    """
+    return frozenset(Direction(b // 2 + 1, -1 if b & 1 else 1) for b in bit_positions(mask))
 
 
 def encode_side(side: Iterable[Direction]) -> Tuple[str, ...]:
-    return tuple(d.encode() for d in sorted_directions(side))
-
-
-def separates_pair(side: frozenset, index: int) -> bool:
-    """True iff exactly one of ``x_index^+``, ``x_index^-`` lies in ``side``."""
-    return (Direction(index, 1) in side) != (Direction(index, -1) in side)
-
-
-def separated_pairs(side: frozenset, rank: int) -> Tuple[int, ...]:
-    return tuple(i for i in range(1, rank + 1) if separates_pair(side, i))
+    return _names(_side_mask(side))
 
 
 def separates_some_pair(side: frozenset, rank: int) -> bool:
-    return any(separates_pair(side, i) for i in range(1, rank + 1))
+    """True iff some pair {xi+, xi-} has exactly one direction in ``side``."""
+    return _separates(_side_mask(side), rank)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Partition:
-    """A two-block split of the 2N directions.
+    """A two-block split of the 2N directions, stored as ``(rank, mask)``.
 
-    Canonical orientation: ``side1`` is the side *not* containing ``x1+``;
-    passing the sides the other way round swaps them on construction, so
-    equality and hashing see the partition as an unordered pair of sides.
+    ``mask`` is the canonical side1, the side *not* containing ``x1+``, so
+    bit 0 is always clear; passing the sides the other way round swaps them
+    on construction, so equality and hashing see the partition as an
+    unordered pair of sides.  ``side1`` and ``side2`` decode on access.
     """
 
     rank: int
-    side1: frozenset
-    side2: frozenset
+    mask: int
 
-    def __post_init__(self):
-        if self.rank < MIN_RANK:
-            raise ValueError("partition rank must be >= %d, got %d" % (MIN_RANK, self.rank))
-        side1 = frozenset(self.side1)
-        side2 = frozenset(self.side2)
+    def __init__(self, rank: int, side1: Iterable[Direction], side2: Iterable[Direction]):
+        _check_rank(rank)
+        side1 = frozenset(side1)
+        side2 = frozenset(side2)
         if Direction(1, 1) in side1:
             side1, side2 = side2, side1
-        object.__setattr__(self, "side1", side1)
-        object.__setattr__(self, "side2", side2)
-        if not self.side1 or not self.side2:
+        if not side1 or not side2:
             raise ValueError("both sides of a partition must be nonempty")
-        dirs = all_directions(self.rank)
-        if self.side1 & self.side2:
+        if side1 & side2:
             raise ValueError("partition sides must be disjoint")
-        if (self.side1 | self.side2) != dirs:
-            raise ValueError("partition sides must cover all %d directions" % (2 * self.rank))
+        if (side1 | side2) != all_directions(rank):
+            raise ValueError("partition sides must cover all %d directions" % (2 * rank))
+        self._store(rank, _side_mask(side1))
+
+    def _store(self, rank: int, mask: int) -> None:
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "mask", mask)
+
+    @classmethod
+    def from_mask(cls, rank: int, mask: int) -> "Partition":
+        """Build the partition with the given mask as one side."""
+        _check_rank(rank)
+        full = full_mask(rank)
+        if not 0 <= mask <= full:
+            raise ValueError("partition sides must cover all %d directions" % (2 * rank))
+        if mask & 1:
+            mask ^= full
+        if not mask:
+            raise ValueError("both sides of a partition must be nonempty")
+        p = cls.__new__(cls)
+        p._store(rank, mask)
+        return p
 
     @classmethod
     def of(cls, rank: int, side: Iterable[Direction]) -> "Partition":
@@ -133,17 +198,30 @@ class Partition:
         return cls.of(rank, side)
 
     @property
+    def side1(self) -> frozenset:
+        return _side_directions(self.mask)
+
+    @property
+    def side2(self) -> frozenset:
+        return _side_directions(full_mask(self.rank) ^ self.mask)
+
+    @property
     def key(self) -> Tuple:
-        return (self.rank, side_key(self.side1))
+        return (self.rank, bit_positions(self.mask))
 
     def encode(self) -> str:
-        return ",".join(encode_side(self.side1))
+        return ",".join(_names(self.mask))
 
     def to_json(self) -> dict:
-        return {"rank": self.rank, "side1": list(encode_side(self.side1))}
+        return {"rank": self.rank, "side1": list(_names(self.mask))}
 
     def __repr__(self):
         return "Partition(%d, {%s})" % (self.rank, self.encode())
+
+
+def _check_rank(rank: int) -> None:
+    if rank < MIN_RANK:
+        raise ValueError("partition rank must be >= %d, got %d" % (MIN_RANK, rank))
 
 
 def _check_pair(p: Partition, q: Partition) -> None:
@@ -153,7 +231,7 @@ def _check_pair(p: Partition, q: Partition) -> None:
 
 def is_thick(p: Partition) -> bool:
     """True iff both sides hold at least two directions (a genuine blow-up edge)."""
-    return len(p.side1) >= 2 and len(p.side2) >= 2
+    return 2 <= p.mask.bit_count() <= 2 * p.rank - 2
 
 
 def is_ideal(p: Partition) -> bool:
@@ -162,7 +240,14 @@ def is_ideal(p: Partition) -> bool:
     Such partitions are exactly the ones determining nonseparating
     splittings; the singleton partitions are the (trivial) petal edges.
     """
-    return separates_some_pair(p.side1, p.rank)
+    return _separates(p.mask, p.rank)
+
+
+def corner_masks(p: Partition, q: Partition) -> Tuple[int, int, int, int]:
+    """The corner masks ``k_ij = side_i(p) & side_j(q)``: k11, k12, k21, k22."""
+    _check_pair(p, q)
+    a, b = p.mask, q.mask
+    return (a & b, a & ~b, b & ~a, full_mask(p.rank) ^ (a | b))
 
 
 @dataclass(frozen=True)
@@ -196,26 +281,33 @@ class CornerSets:
 
 def corner_sets(p: Partition, q: Partition) -> CornerSets:
     """The four corner sets of the pair, under canonical orientations."""
-    _check_pair(p, q)
-    return CornerSets(
-        k11=p.side1 & q.side1,
-        k12=p.side1 & q.side2,
-        k21=p.side2 & q.side1,
-        k22=p.side2 & q.side2,
-    )
+    return CornerSets(*map(_side_directions, corner_masks(p, q)))
 
 
 def crosses(p: Partition, q: Partition) -> bool:
-    """True iff all four corner sets are nonempty (the spheres meet in a circle)."""
+    """True iff all four corner sets are nonempty (the spheres meet in a circle).
+
+    Both side2s hold ``x1+``, so k22 is never empty and three ANDs decide.
+    """
     _check_pair(p, q)
-    return bool(
-        p.side1 & q.side1 and p.side1 & q.side2 and p.side2 & q.side1 and p.side2 & q.side2
-    )
+    a, b = p.mask, q.mask
+    return bool(a & b and a & ~b and b & ~a)
 
 
 def compatible(p: Partition, q: Partition) -> bool:
     """Negation of :func:`crosses`: some corner is empty, so the pair refines."""
     return not crosses(p, q)
+
+
+def _alignments(p: Partition, q: Partition) -> Tuple[Tuple[int, int], ...]:
+    _check_pair(p, q)
+    full = full_mask(p.rank)
+    return tuple(
+        (a, b)
+        for a in (p.mask, full ^ p.mask)
+        for b in (q.mask, full ^ q.mask)
+        if not a & b
+    )
 
 
 def all_alignments(p: Partition, q: Partition) -> Tuple[Tuple[frozenset, frozenset], ...]:
@@ -224,13 +316,9 @@ def all_alignments(p: Partition, q: Partition) -> Tuple[Tuple[frozenset, frozens
     Used to check alignment-independence of predicates; distinct compatible
     partitions admit exactly one such choice, an equal pair admits two.
     """
-    _check_pair(p, q)
-    pairs = []
-    for a in (p.side1, p.side2):
-        for b in (q.side1, q.side2):
-            if not (a & b):
-                pairs.append((a, b))
-    return tuple(pairs)
+    return tuple(
+        (_side_directions(a), _side_directions(b)) for a, b in _alignments(p, q)
+    )
 
 
 def aligned_sides(p: Partition, q: Partition) -> Optional[Tuple[frozenset, frozenset]]:
@@ -239,10 +327,11 @@ def aligned_sides(p: Partition, q: Partition) -> Optional[Tuple[frozenset, froze
     Tie-break: among valid choices, the lexicographically least pair of
     canonical side encodings.
     """
-    choices = all_alignments(p, q)
+    choices = _alignments(p, q)
     if not choices:
         return None
-    return min(choices, key=lambda ab: (side_key(ab[0]), side_key(ab[1])))
+    a, b = min(choices, key=lambda ab: (bit_positions(ab[0]), bit_positions(ab[1])))
+    return _side_directions(a), _side_directions(b)
 
 
 def _require_ideal(p: Partition, name: str) -> None:
@@ -255,19 +344,26 @@ def rose_compatible(p: Partition, q: Partition) -> bool:
 
     The pair must be compatible, and the union of the aligned disjoint
     sides must separate some pair {xi+, xi-}; otherwise the refinement is a
-    two-edge loop (circle splitting).  The verdict does not depend on which
-    valid alignment is chosen.
+    two-edge loop (circle splitting).  Distinct compatible partitions have
+    exactly one alignment, read off the empty corner: disjoint side1s, or
+    one side1 inside the other.
     """
     _check_pair(p, q)
     _require_ideal(p, "p")
     _require_ideal(q, "q")
     if p == q:
         raise ValueError("rose compatibility is defined for distinct partitions")
-    sides = aligned_sides(p, q)
-    if sides is None:
+    full = full_mask(p.rank)
+    a, b = p.mask, q.mask
+    if not a & b:
+        union = a | b
+    elif not a & ~b:
+        union = a | (full ^ b)
+    elif not b & ~a:
+        union = (full ^ a) | b
+    else:
         return False
-    a, b = sides
-    return separates_some_pair(a | b, p.rank)
+    return _separates(union, p.rank)
 
 
 def circle_compatible(p: Partition, q: Partition) -> bool:
@@ -282,18 +378,20 @@ def is_cagey(p: Partition, q: Partition) -> bool:
 
     Requires: the pair crosses, each corner set determines an ideal edge,
     and the union of every two distinct corner sets separates some pair.
+    With side1 masks ``a`` of p and ``b`` of q, the six unions are the two
+    sides of p, the two sides of q, ``a ^ b`` and its complement.  Separation
+    is invariant under complement and p, q are ideal, so ``a ^ b`` alone
+    decides the unions.
     """
     _check_pair(p, q)
     _require_ideal(p, "p")
     _require_ideal(q, "q")
-    if not crosses(p, q):
-        return False
-    corners = corner_sets(p, q).as_tuple()
+    corners = corner_masks(p, q)
     rank = p.rank
-    if not all(separates_some_pair(c, rank) for c in corners):
-        return False
-    return all(
-        separates_some_pair(a | b, rank) for a, b in itertools.combinations(corners, 2)
+    return (
+        all(corners)
+        and all(_separates(c, rank) for c in corners)
+        and _separates(p.mask ^ q.mask, rank)
     )
 
 
@@ -327,8 +425,8 @@ class SplittingClass:
             return (self.representative,)
         i, rank = self.petal_index, self.rank
         return (
-            Partition.of(rank, {Direction(i, 1)}),
-            Partition.of(rank, {Direction(i, -1)}),
+            Partition.from_mask(rank, direction_bit(i, 1)),
+            Partition.from_mask(rank, direction_bit(i, -1)),
         )
 
     @property
@@ -349,18 +447,20 @@ class SplittingClass:
 def petal_class(rank: int, index: int) -> SplittingClass:
     if not (1 <= index <= rank):
         raise ValueError("petal index %d out of range for rank %d" % (index, rank))
-    rep = Partition.of(rank, {Direction(index, 1)})
+    rep = Partition.from_mask(rank, direction_bit(index, 1))
     return SplittingClass("petal", index, rep)
 
 
 def class_of(p: Partition) -> SplittingClass:
-    """The splitting class of a partition (petal classes identified)."""
-    if len(p.side1) == 1:
-        (d,) = p.side1
-        return petal_class(p.rank, d.index)
-    if len(p.side2) == 1:
-        (d,) = p.side2
-        return petal_class(p.rank, d.index)
+    """The splitting class of a partition (petal classes identified).
+
+    A singleton side1 is one bit; a singleton side2 is ``{x1+}``.
+    """
+    size = p.mask.bit_count()
+    if size == 1:
+        return petal_class(p.rank, (p.mask.bit_length() + 1) // 2)
+    if size == 2 * p.rank - 1:
+        return petal_class(p.rank, 1)
     return SplittingClass("thick", None, p)
 
 
@@ -405,19 +505,14 @@ def enumerate_ideal_edges(rank: int, thick_only: bool = False,
                           max_rank: int = MAX_RANK) -> list:
     """All ideal partitions at the given rank, canonically oriented and sorted.
 
-    The base direction ``x1+`` is pinned to side2, so candidate side1 sets
-    range over the nonempty subsets of the remaining 2N-1 directions.
+    The base direction ``x1+`` is pinned to side2, so candidate side1 masks
+    are the nonzero even ints below ``2**(2N)``.
     """
     _check_rank_guard(rank, max_rank)
-    rest = sorted_directions(all_directions(rank) - {Direction(1, 1)})
     found = []
-    for size in range(1, len(rest) + 1):
-        for combo in itertools.combinations(rest, size):
-            p = Partition.of(rank, combo)
-            if not is_ideal(p):
-                continue
-            if thick_only and not is_thick(p):
-                continue
+    for mask in range(2, full_mask(rank), 2):
+        p = Partition.from_mask(rank, mask)
+        if is_ideal(p) and (not thick_only or is_thick(p)):
             found.append(p)
     found.sort(key=lambda p: p.key)
     return found

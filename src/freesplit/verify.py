@@ -16,12 +16,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import complexes, freegroup, partitions
 from .blowup import boundary_splitting, blow_up, classify_shape
 from .partitions import (
-    Direction,
     Partition,
     class_of,
     classes_cagey,
     classes_compatible,
     classes_rose_compatible,
+    direction_bit,
     enumerate_ideal_edges,
     enumerate_splitting_classes,
     is_cagey,
@@ -86,24 +86,25 @@ class _Recorder:
 # ---------------------------------------------------------------------------
 
 
+def _edge(rank: int, *side: Tuple[int, int]) -> Partition:
+    """The partition with the given (index, sign) directions as one side."""
+    return Partition.from_mask(rank, sum(direction_bit(i, sign) for i, sign in side))
+
+
 def chain_partition(rank: int, k: int) -> Partition:
     """The thick edge with side {x_k^-, x_{k+1}^+}, petal indices mod rank."""
-    nxt = k % rank + 1
-    return Partition.of(rank, {Direction(k, -1), Direction(nxt, 1)})
+    return _edge(rank, (k, -1), (k % rank + 1, 1))
 
 
 def interval_partition(rank: int, k: int) -> Partition:
     """The thick edge whose side collects x1- and the full pairs 2..k plus x_{k+1}^+."""
-    side = {Direction(1, -1), Direction(k + 1, 1)}
-    for i in range(2, k + 1):
-        side.add(Direction(i, 1))
-        side.add(Direction(i, -1))
-    return Partition.of(rank, side)
+    pairs = ((i, sign) for i in range(2, k + 1) for sign in (1, -1))
+    return _edge(rank, (1, -1), (k + 1, 1), *pairs)
 
 
 def sign_partition(rank: int) -> Partition:
     """The thick edge separating all minus directions from all plus directions."""
-    return Partition.of(rank, {Direction(i, -1) for i in range(1, rank + 1)})
+    return _edge(rank, *((i, -1) for i in range(1, rank + 1)))
 
 
 def rigid_blowup_family(rank: int):
@@ -121,11 +122,11 @@ def rigid_blowup_family(rank: int):
 def three_rose_data(rank: int):
     """The 3-rose family (two chain edges plus a petal) and its two companions."""
     if rank == 3:
-        tau1 = Partition.of(rank, {Direction(2, 1), Direction(3, -1)})
-        tau2 = Partition.of(rank, {Direction(1, 1), Direction(2, -1)})
+        tau1 = _edge(rank, (2, 1), (3, -1))
+        tau2 = _edge(rank, (1, 1), (2, -1))
     elif rank == 4:
-        tau1 = Partition.of(rank, {Direction(2, 1), Direction(4, -1)})
-        tau2 = Partition.of(rank, {Direction(3, 1), Direction(4, 1)})
+        tau1 = _edge(rank, (2, 1), (4, -1))
+        tau2 = _edge(rank, (3, 1), (4, 1))
     else:
         raise ValueError("the 3-rose configuration is built at ranks 3 and 4")
     sigmas = [
@@ -155,7 +156,7 @@ def verify_rigid_blowup(rank: int, mutated: bool = False) -> VerificationReport:
 
     petals, companions, tau = rigid_blowup_family(rank)
     if mutated:
-        broken = Partition.of(rank, {Direction(1, 1), Direction(2, -1)})
+        broken = _edge(rank, (1, 1), (2, -1))
         companions = [class_of(broken)] + companions[1:]
     family = petals + companions
 
@@ -208,7 +209,7 @@ def verify_three_rose(rank: int, mutated: bool = False) -> VerificationReport:
 
     sigmas, taus = three_rose_data(rank)
     if mutated:
-        taus = [class_of(Partition.of(rank, {Direction(2, 1), Direction(3, 1)})), taus[1]]
+        taus = [class_of(_edge(rank, (2, 1), (3, 1))), taus[1]]
 
     rose_graph = blow_up(sigmas, rank)
     shape = classify_shape(rose_graph)
@@ -251,8 +252,8 @@ def verify_clique_rank3(mutated: bool = False) -> VerificationReport:
     graph = complexes.build_star_graph(3, mode="ens")
     cliques = complexes.enumerate_cliques(graph, 4)
     if mutated:
-        tau1 = graph.index_of(class_of(Partition.of(3, {Direction(2, 1), Direction(3, -1)})))
-        sigma2 = graph.index_of(class_of(Partition.of(3, {Direction(2, -1), Direction(3, 1)})))
+        tau1 = graph.index_of(class_of(_edge(3, (2, 1), (3, -1))))
+        sigma2 = graph.index_of(class_of(_edge(3, (2, -1), (3, 1))))
         p1 = graph.index_of(petal_class(3, 1))
         p2 = graph.index_of(petal_class(3, 2))
         cliques = cliques + [tuple(sorted((tau1, sigma2, p1, p2)))]

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import pytest
 from jsonschema import validate
 
 from freesplit import freegroup
@@ -166,10 +167,10 @@ def test_output_bytes_repeat_across_invocations(capsys):
     assert outputs[0] == outputs[1]
 
 
-def test_worker_count_must_be_positive(capsys):
-    code, _, err = run_cli(capsys, "--workers", "0", "enum", "--rank", "3")
-    assert code == 2
-    assert "worker" in err
+def test_workers_flag_is_a_usage_error():
+    with pytest.raises(SystemExit) as exc:
+        main(["--workers", "1", "enum", "--rank", "3"])
+    assert exc.value.code == 2
 
 
 def test_env_override_for_rank_ceiling(monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from jsonschema import validate
@@ -153,3 +154,9 @@ def test_battery_covers_every_verifier_and_repeats_bytewise():
     first = battery_json(run_battery())
     second = battery_json(run_battery())
     assert first == second
+
+
+def test_battery_output_matches_the_benchmark_reference():
+    # The benchmark checks `freesplit verify battery` stdout against this file.
+    reference = Path(__file__).resolve().parents[1] / "bench" / "reference" / "battery.json"
+    assert battery_json(run_battery()).encode() == reference.read_bytes()
