@@ -14,12 +14,9 @@ from .partitions import (
     Direction,
     Partition,
     SplittingClass,
-    CornerSets,
-    all_directions,
-    aligned_sides,
     class_of,
     compatible,
-    corner_sets,
+    corner_masks,
     crosses,
     enumerate_ideal_edges,
     enumerate_splitting_classes,

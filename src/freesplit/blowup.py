@@ -454,7 +454,7 @@ def boundary_classes(p: Partition, q: Partition) -> Tuple[SplittingClass, ...]:
         raise ValueError("boundary splittings are defined for crossing pairs")
     seen = []
     for corner in corner_masks(p, q):
-        cls = class_of(Partition.from_mask(p.rank, corner))
+        cls = class_of(Partition(p.rank, corner))
         if cls not in seen:
             seen.append(cls)
     return tuple(sorted(seen, key=lambda c: c.key))

@@ -66,7 +66,8 @@ def _cmd_pair(args) -> int:
         "distinct_splittings": distinct,
         "crosses": crossing,
         "compatible": not crossing,
-        "corner_sets": partitions.corner_sets(p, q).to_json(),
+        "corner_sets": dict(zip(("k11", "k12", "k21", "k22"),
+                                map(partitions.side_names, partitions.corner_masks(p, q)))),
         "rose_compatible": None,
         "circle_compatible": None,
         "cagey": None,
@@ -87,7 +88,7 @@ def _cmd_blowup(args) -> int:
     cfg = _config_from(args)
     with open(args.family, "r", encoding="utf-8") as handle:
         specs = json.load(handle)
-    if not isinstance(specs, list):
+    if not isinstance(specs, list) or not all(isinstance(spec, str) for spec in specs):
         raise ValueError("family file must hold a JSON array of class specs")
     family = [parse_class(args.rank, spec) for spec in specs]
     graph = blowup.blow_up(family, args.rank)

@@ -58,14 +58,6 @@ class SplittingGraph:
     def has_edge(self, i: int, j: int) -> bool:
         return j in self.adjacency[i]
 
-    def edge_kind(self, i: int, j: int) -> Optional[str]:
-        if i > j:
-            i, j = j, i
-        for a, b, kind in self.edges:
-            if (a, b) == (i, j):
-                return kind
-        return None
-
     def to_json(self) -> dict:
         return {
             "rank": self.rank,
@@ -134,7 +126,7 @@ def maximal_cliques(g: SplittingGraph) -> List[Tuple[int, ...]]:
             out.append(tuple(sorted(clique)))
             return
         pool = candidates | excluded
-        pivot = min(sorted(pool), key=lambda v: (-len(adj[v] & candidates), v))
+        pivot = min(pool, key=lambda v: (-len(adj[v] & candidates), v))
         for v in sorted(candidates - adj[pivot]):
             expand(clique | {v}, candidates & adj[v], excluded & adj[v])
             candidates.remove(v)

@@ -6,8 +6,9 @@ from the rose is described by a two-sided partition of the direction set.
 A side is stored as an int over 2N bits, ``xi+`` at bit 2i-2 and ``xi-`` at
 bit 2i-1, so bit order is the sort order x1+ < x1- < x2+ < ... and every
 pairwise predicate (thick, ideal, crossing, rose compatible, cagey) is a
-handful of bit operations.  :class:`Direction` and frozensets of directions
-appear only where sides are parsed, encoded or handed out as sets.
+handful of bit operations.  ``Partition(rank, mask)`` is the one
+constructor; :class:`Direction` appears only where text is parsed
+(:meth:`Partition.parse`) and encoded (:func:`side_names`).
 
 All values are immutable and hashable; every operation is a pure function,
 so exhaustive scans can be evaluated concurrently without shared state.
@@ -15,10 +16,9 @@ so exhaustive scans can be evaluated concurrently without shared state.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, NamedTuple, Tuple
+from typing import Optional, NamedTuple, Tuple
 
 #: Inclusive bounds accepted by the exhaustive enumerators.  The universe
 #: holds 2**(2N-1) - 1 bipartitions, which stops being desk scale past 7.
@@ -66,23 +66,16 @@ def _bit_name(bit: int) -> str:
     return "x%d%s" % (bit // 2 + 1, "-" if bit & 1 else "+")
 
 
-def _names(mask: int) -> Tuple[str, ...]:
+def side_names(mask: int) -> Tuple[str, ...]:
+    """The directions of a side mask as text, in direction order."""
     return tuple(map(_bit_name, bit_positions(mask)))
 
 
 class Direction(NamedTuple):
-    """One half-edge germ at the rose vertex: a petal index and a sign."""
+    """One half-edge germ at the rose vertex, as read from text."""
 
     index: int
     sign: int
-
-    def opposite(self) -> "Direction":
-        return Direction(self.index, -self.sign)
-
-    @property
-    def key(self) -> Tuple[int, int]:
-        # Sort order used everywhere: x1+ < x1- < x2+ < x2- < ...
-        return (self.index, 0 if self.sign > 0 else 1)
 
     def encode(self) -> str:
         return "x%d%s" % (self.index, "+" if self.sign > 0 else "-")
@@ -101,89 +94,28 @@ class Direction(NamedTuple):
         return cls(index, 1 if text[-1] == "+" else -1)
 
 
-def all_directions(rank: int) -> frozenset:
-    """The full set of 2N directions at the vertex of the N-rose."""
-    return frozenset(Direction(i, s) for i in range(1, rank + 1) for s in (1, -1))
-
-
-def _side_mask(side: Iterable[Direction]) -> int:
-    """The mask of a set of directions."""
-    mask = 0
-    for d in side:
-        mask |= direction_bit(d.index, d.sign)
-    return mask
-
-
-@lru_cache(maxsize=1 << 10)
-def _side_directions(mask: int) -> frozenset:
-    """The set of directions of a mask.
-
-    Cached so that reading ``side1``/``side2`` in a loop, as reference
-    checks do, costs a lookup rather than building the set again.
-    """
-    return frozenset(Direction(b // 2 + 1, -1 if b & 1 else 1) for b in bit_positions(mask))
-
-
-def encode_side(side: Iterable[Direction]) -> Tuple[str, ...]:
-    return _names(_side_mask(side))
-
-
-def separates_some_pair(side: frozenset, rank: int) -> bool:
-    """True iff some pair {xi+, xi-} has exactly one direction in ``side``."""
-    return _separates(_side_mask(side), rank)
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Partition:
     """A two-block split of the 2N directions, stored as ``(rank, mask)``.
 
-    ``mask`` is the canonical side1, the side *not* containing ``x1+``, so
-    bit 0 is always clear; passing the sides the other way round swaps them
-    on construction, so equality and hashing see the partition as an
-    unordered pair of sides.  ``side1`` and ``side2`` decode on access.
+    ``mask`` is either side.  The stored mask is the canonical side1, the
+    side *not* containing ``x1+``: a mask holding bit 0 is flipped on
+    construction, so equality and hashing see the partition as an unordered
+    pair of sides.
     """
 
     rank: int
     mask: int
 
-    def __init__(self, rank: int, side1: Iterable[Direction], side2: Iterable[Direction]):
-        _check_rank(rank)
-        side1 = frozenset(side1)
-        side2 = frozenset(side2)
-        if Direction(1, 1) in side1:
-            side1, side2 = side2, side1
-        if not side1 or not side2:
+    def __post_init__(self):
+        _check_rank(self.rank)
+        full = full_mask(self.rank)
+        if not 0 <= self.mask <= full:
+            raise ValueError("partition sides must cover all %d directions" % (2 * self.rank))
+        if self.mask & 1:
+            object.__setattr__(self, "mask", self.mask ^ full)
+        if not self.mask:
             raise ValueError("both sides of a partition must be nonempty")
-        if side1 & side2:
-            raise ValueError("partition sides must be disjoint")
-        if (side1 | side2) != all_directions(rank):
-            raise ValueError("partition sides must cover all %d directions" % (2 * rank))
-        self._store(rank, _side_mask(side1))
-
-    def _store(self, rank: int, mask: int) -> None:
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "mask", mask)
-
-    @classmethod
-    def from_mask(cls, rank: int, mask: int) -> "Partition":
-        """Build the partition with the given mask as one side."""
-        _check_rank(rank)
-        full = full_mask(rank)
-        if not 0 <= mask <= full:
-            raise ValueError("partition sides must cover all %d directions" % (2 * rank))
-        if mask & 1:
-            mask ^= full
-        if not mask:
-            raise ValueError("both sides of a partition must be nonempty")
-        p = cls.__new__(cls)
-        p._store(rank, mask)
-        return p
-
-    @classmethod
-    def of(cls, rank: int, side: Iterable[Direction]) -> "Partition":
-        """Build the partition with the given set as one side."""
-        side = frozenset(side)
-        return cls(rank, side, all_directions(rank) - side)
 
     @classmethod
     def parse(cls, rank: int, text: str) -> "Partition":
@@ -195,25 +127,17 @@ class Partition:
         for d in side:
             if d.index > rank:
                 raise ValueError("direction %s exceeds rank %d" % (d.encode(), rank))
-        return cls.of(rank, side)
-
-    @property
-    def side1(self) -> frozenset:
-        return _side_directions(self.mask)
-
-    @property
-    def side2(self) -> frozenset:
-        return _side_directions(full_mask(self.rank) ^ self.mask)
+        return cls(rank, sum(direction_bit(d.index, d.sign) for d in side))
 
     @property
     def key(self) -> Tuple:
         return (self.rank, bit_positions(self.mask))
 
     def encode(self) -> str:
-        return ",".join(_names(self.mask))
+        return ",".join(side_names(self.mask))
 
     def to_json(self) -> dict:
-        return {"rank": self.rank, "side1": list(_names(self.mask))}
+        return {"rank": self.rank, "side1": list(side_names(self.mask))}
 
     def __repr__(self):
         return "Partition(%d, {%s})" % (self.rank, self.encode())
@@ -244,44 +168,14 @@ def is_ideal(p: Partition) -> bool:
 
 
 def corner_masks(p: Partition, q: Partition) -> Tuple[int, int, int, int]:
-    """The corner masks ``k_ij = side_i(p) & side_j(q)``: k11, k12, k21, k22."""
+    """The corner masks ``k_ij = side_i(p) & side_j(q)``: k11, k12, k21, k22.
+
+    The four masks partition the full mask; all four are nonzero exactly when
+    the pair crosses.
+    """
     _check_pair(p, q)
     a, b = p.mask, q.mask
     return (a & b, a & ~b, b & ~a, full_mask(p.rank) ^ (a | b))
-
-
-@dataclass(frozen=True)
-class CornerSets:
-    """The four intersections ``k_ij = side_i(p) & side_j(q)`` of a pair.
-
-    The four sets always partition the full direction set; all four are
-    nonempty exactly when the pair crosses.
-    """
-
-    k11: frozenset
-    k12: frozenset
-    k21: frozenset
-    k22: frozenset
-
-    def __post_init__(self):
-        corners = self.as_tuple()
-        for a, b in itertools.combinations(corners, 2):
-            if a & b:
-                raise ValueError("corner sets must be pairwise disjoint")
-
-    def as_tuple(self) -> Tuple[frozenset, frozenset, frozenset, frozenset]:
-        return (self.k11, self.k12, self.k21, self.k22)
-
-    def to_json(self) -> dict:
-        return {
-            name: list(encode_side(side))
-            for name, side in zip(("k11", "k12", "k21", "k22"), self.as_tuple())
-        }
-
-
-def corner_sets(p: Partition, q: Partition) -> CornerSets:
-    """The four corner sets of the pair, under canonical orientations."""
-    return CornerSets(*map(_side_directions, corner_masks(p, q)))
 
 
 def crosses(p: Partition, q: Partition) -> bool:
@@ -297,41 +191,6 @@ def crosses(p: Partition, q: Partition) -> bool:
 def compatible(p: Partition, q: Partition) -> bool:
     """Negation of :func:`crosses`: some corner is empty, so the pair refines."""
     return not crosses(p, q)
-
-
-def _alignments(p: Partition, q: Partition) -> Tuple[Tuple[int, int], ...]:
-    _check_pair(p, q)
-    full = full_mask(p.rank)
-    return tuple(
-        (a, b)
-        for a in (p.mask, full ^ p.mask)
-        for b in (q.mask, full ^ q.mask)
-        if not a & b
-    )
-
-
-def all_alignments(p: Partition, q: Partition) -> Tuple[Tuple[frozenset, frozenset], ...]:
-    """Every ordered choice (side of p, side of q) with empty intersection.
-
-    Used to check alignment-independence of predicates; distinct compatible
-    partitions admit exactly one such choice, an equal pair admits two.
-    """
-    return tuple(
-        (_side_directions(a), _side_directions(b)) for a, b in _alignments(p, q)
-    )
-
-
-def aligned_sides(p: Partition, q: Partition) -> Optional[Tuple[frozenset, frozenset]]:
-    """A choice of disjoint sides for a compatible pair, or None when crossing.
-
-    Tie-break: among valid choices, the lexicographically least pair of
-    canonical side encodings.
-    """
-    choices = _alignments(p, q)
-    if not choices:
-        return None
-    a, b = min(choices, key=lambda ab: (bit_positions(ab[0]), bit_positions(ab[1])))
-    return _side_directions(a), _side_directions(b)
 
 
 def _require_ideal(p: Partition, name: str) -> None:
@@ -425,8 +284,8 @@ class SplittingClass:
             return (self.representative,)
         i, rank = self.petal_index, self.rank
         return (
-            Partition.from_mask(rank, direction_bit(i, 1)),
-            Partition.from_mask(rank, direction_bit(i, -1)),
+            Partition(rank, direction_bit(i, 1)),
+            Partition(rank, direction_bit(i, -1)),
         )
 
     @property
@@ -447,7 +306,7 @@ class SplittingClass:
 def petal_class(rank: int, index: int) -> SplittingClass:
     if not (1 <= index <= rank):
         raise ValueError("petal index %d out of range for rank %d" % (index, rank))
-    rep = Partition.from_mask(rank, direction_bit(index, 1))
+    rep = Partition(rank, direction_bit(index, 1))
     return SplittingClass("petal", index, rep)
 
 
@@ -511,7 +370,7 @@ def enumerate_ideal_edges(rank: int, thick_only: bool = False,
     _check_rank_guard(rank, max_rank)
     found = []
     for mask in range(2, full_mask(rank), 2):
-        p = Partition.from_mask(rank, mask)
+        p = Partition(rank, mask)
         if is_ideal(p) and (not thick_only or is_thick(p)):
             found.append(p)
     found.sort(key=lambda p: p.key)

@@ -64,10 +64,15 @@ class _Recorder:
         self.failures: List[str] = []
         self.details: Dict[str, object] = {}
 
-    def check(self, ok: bool, witness: str) -> bool:
+    def check(self, ok: bool, witness: str, *args) -> bool:
+        """Count one case; on failure record ``witness % args``.
+
+        Callable arguments are called first, so labels that cost work to
+        build (``p.encode``, ``g.to_string``) are built only for failures.
+        """
         self.cases += 1
         if not ok:
-            self.failures.append(witness)
+            self.failures.append(witness % tuple(a() if callable(a) else a for a in args))
         return ok
 
     def report(self, lemma: str, rank: Optional[int], started: float) -> VerificationReport:
@@ -88,7 +93,7 @@ class _Recorder:
 
 def _edge(rank: int, *side: Tuple[int, int]) -> Partition:
     """The partition with the given (index, sign) directions as one side."""
-    return Partition.from_mask(rank, sum(direction_bit(i, sign) for i, sign in side))
+    return Partition(rank, sum(direction_bit(i, sign) for i, sign in side))
 
 
 def chain_partition(rank: int, k: int) -> Partition:
@@ -161,11 +166,11 @@ def verify_rigid_blowup(rank: int, mutated: bool = False) -> VerificationReport:
     family = petals + companions
 
     rec.check(len(set(family)) == 3 * rank - 3,
-              "family size %d != %d" % (len(set(family)), 3 * rank - 3))
+              "family size %d != %d", len(set(family)), 3 * rank - 3)
     for a, b in itertools.combinations(family, 2):
         rec.check(
             classes_compatible(a, b) and classes_rose_compatible(a, b),
-            "family pair not rose compatible: %s / %s" % (a.encode(), b.encode()),
+            "family pair not rose compatible: %s / %s", a.encode, b.encode,
         )
 
     universe = enumerate_splitting_classes(rank)
@@ -176,24 +181,22 @@ def verify_rigid_blowup(rank: int, mutated: bool = False) -> VerificationReport:
         adjacent_to_all = all(
             classes_compatible(cls, f) and classes_rose_compatible(cls, f) for f in family
         )
-        rec.check(not adjacent_to_all,
-                  "clique not maximal: %s extends it" % cls.encode())
+        rec.check(not adjacent_to_all, "clique not maximal: %s extends it", cls.encode)
 
     try:
         graph = blow_up(family, rank)
     except ValueError as exc:
-        rec.check(False, "family does not blow up: %s" % exc)
+        rec.check(False, "family does not blow up: %s", exc)
     else:
         report = classify_shape(graph)
         rec.check(set(report.vertex_ranks) == {0},
-                  "blow-up has nontrivial vertex ranks %r" % (report.vertex_ranks,))
+                  "blow-up has nontrivial vertex ranks %r", report.vertex_ranks)
 
     for p in petals:
         rec.check(classes_rose_compatible(tau, p),
-                  "sign edge not rose compatible with %s" % p.encode())
+                  "sign edge not rose compatible with %s", p.encode)
     for c in companions:
-        rec.check(classes_cagey(tau, c),
-                  "sign edge not cagey with %s" % c.encode())
+        rec.check(classes_cagey(tau, c), "sign edge not cagey with %s", c.encode)
 
     return rec.report("rigid-blowup", rank, started)
 
@@ -213,14 +216,14 @@ def verify_three_rose(rank: int, mutated: bool = False) -> VerificationReport:
 
     rose_graph = blow_up(sigmas, rank)
     shape = classify_shape(rose_graph)
-    rec.check(shape.rose == 3, "sigma family is not a 3-rose: %r" % (shape,))
+    rec.check(shape.rose == 3, "sigma family is not a 3-rose: %r", shape)
 
     rec.check(classes_rose_compatible(taus[0], taus[1]),
               "tau1/tau2 not rose compatible")
 
     for i in (0, 1):
         rec.check(classes_cagey(taus[i], sigmas[i]),
-                  "tau%d not cagey with sigma%d" % (i + 1, i + 1))
+                  "tau%d not cagey with sigma%d", i + 1, i + 1)
 
     circle_pairs = []
     for i in (0, 1):
@@ -228,17 +231,16 @@ def verify_three_rose(rank: int, mutated: bool = False) -> VerificationReport:
             if i == j:
                 continue
             pair = "tau%d/sigma%d" % (i + 1, j + 1)
-            ok = rec.check(classes_compatible(taus[i], sigmas[j]),
-                           "%s not compatible" % pair)
+            ok = rec.check(classes_compatible(taus[i], sigmas[j]), "%s not compatible", pair)
             if rank == 4:
                 rec.check(ok and classes_rose_compatible(taus[i], sigmas[j]),
-                          "%s not rose compatible" % pair)
+                          "%s not rose compatible", pair)
             elif ok and not classes_rose_compatible(taus[i], sigmas[j]):
                 circle_pairs.append(pair)
     if rank == 3:
         rec.details["circle_pairs"] = circle_pairs
         rec.check(circle_pairs == ["tau1/sigma2", "tau2/sigma1"],
-                  "unexpected circle-compatible pairs %r" % (circle_pairs,))
+                  "unexpected circle-compatible pairs %r", circle_pairs)
 
     return rec.report("three-rose", rank, started)
 
@@ -261,7 +263,6 @@ def verify_clique_rank3(mutated: bool = False) -> VerificationReport:
     shapes_seen = {"cage": 0, "theta_with_loop": 0}
     for indices in cliques:
         fam = [graph.vertices[i] for i in indices]
-        label = ",".join(c.encode() for c in fam)
         g = blow_up(fam, 3)
         report = classify_shape(g)
         is_cage4 = report.cage == 4
@@ -270,10 +271,13 @@ def verify_clique_rank3(mutated: bool = False) -> VerificationReport:
             shapes_seen["cage"] += 1
         if is_theta:
             shapes_seen["theta_with_loop"] += 1
-        rec.check(is_cage4 or is_theta,
-                  "4-clique has unexpected shape: %s" % label)
+
+        def label():
+            return ",".join(c.encode() for c in fam)
+
+        rec.check(is_cage4 or is_theta, "4-clique has unexpected shape: %s", label)
         rec.check(set(report.vertex_ranks) == {0},
-                  "4-clique has nontrivial vertex groups: %s" % label)
+                  "4-clique has nontrivial vertex groups: %s", label)
     rec.details["clique_count"] = len(cliques)
     rec.details["shape_census"] = dict(sorted(shapes_seen.items()))
     rec.check(shapes_seen["cage"] > 0 and shapes_seen["theta_with_loop"] > 0,
@@ -299,18 +303,17 @@ def verify_boundary_types(rank: int, mutated: bool = False) -> VerificationRepor
     rec = _Recorder()
     census: Dict[str, int] = {}
     for p, q in _crossing_thick_pairs(rank):
-        label = "{%s} vs {%s}" % (p.encode(), q.encode())
         try:
             boundary = boundary_splitting(p, q)
         except ValueError as exc:
-            rec.check(False, "%s: %s" % (label, exc))
+            rec.check(False, "{%s} vs {%s}: %s", p.encode, q.encode, exc)
             continue
         census[boundary.tag] = census.get(boundary.tag, 0) + 1
-        rec.check(boundary.edge_count in (3, 4),
-                  "%s: %d boundary edges" % (label, boundary.edge_count))
+        rec.check(boundary.edge_count in (3, 4), "{%s} vs {%s}: %d boundary edges",
+                  p.encode, q.encode, boundary.edge_count)
         if is_cagey(p, q):
-            rec.check(boundary.tag == "cage-3",
-                      "%s: cagey pair classified %s" % (label, boundary.tag))
+            rec.check(boundary.tag == "cage-3", "{%s} vs {%s}: cagey pair classified %s",
+                      p.encode, q.encode, boundary.tag)
     if mutated:
         p = chain_partition(rank, 1)
         q = chain_partition(rank, 2)
@@ -318,9 +321,9 @@ def verify_boundary_types(rank: int, mutated: bool = False) -> VerificationRepor
             boundary_splitting(p, q)
             rec.check(False, "mutated: compatible pair accepted")
         except ValueError as exc:
-            rec.check(False, "mutated: %s" % exc)
+            rec.check(False, "mutated: %s", exc)
     rec.details["census"] = dict(sorted(census.items()))
-    rec.check(len(census) <= 6, "observed %d > 6 boundary classes" % len(census))
+    rec.check(len(census) <= 6, "observed %d > 6 boundary classes", len(census))
     return rec.report("boundary-types", rank, started)
 
 
@@ -348,9 +351,8 @@ def verify_cagey_equivalence(rank: int = 3, mutated: bool = False) -> Verificati
         cagey_pairs += direct
         witnessed += direct and searched
         false_positives += searched and not direct
-        rec.check(direct == searched,
-                  "disagreement on %s / %s: direct=%s clique=%s"
-                  % (s.encode(), t.encode(), direct, searched))
+        rec.check(direct == searched, "disagreement on %s / %s: direct=%s clique=%s",
+                  s.encode, t.encode, direct, searched)
     rec.details["cagey_pairs"] = cagey_pairs
     rec.details["universe_witnessed"] = witnessed
     rec.details["clique_without_caginess"] = false_positives
@@ -382,15 +384,10 @@ def verify_whitehead_factor(a_rank: int = 2, w: Optional[freegroup.Word] = None,
     rec.details["max_len"] = max_len
     rec.details["elements"] = len(elements)
     for g in elements:
-        label = g.to_string()
-        if freegroup.conjugate_into_factor(g, factor_rank):
-            rec.check(True, label)
-            continue
-        if freegroup.is_conjugate(g, u):
-            rec.check(True, label)
-            continue
-        rec.check(not freegroup.is_simple(g),
-                  "simple element outside both alternatives: %s" % label)
+        ok = (freegroup.conjugate_into_factor(g, factor_rank)
+              or freegroup.is_conjugate(g, u)
+              or not freegroup.is_simple(g))
+        rec.check(ok, "simple element outside both alternatives: %s", g.to_string)
     return rec.report("whitehead-factor", a_rank + 1, started)
 
 

@@ -1,69 +1,116 @@
 """Frozenset reference predicates and dual-tree blow-up, independent of the mask kernel.
 
-Every verdict here is set arithmetic on the decoded sides (``p.side1``,
-``p.side2``) of library partitions: the four corner sets, the aligned
-disjoint sides, and the separation of a pair {xi+, xi-}.  ``blow_up``
-grows the dual tree one edge at a time, finding for each new partition
-the unique vertex that no existing edge's far side crosses.  The library
-computes the same verdicts and graphs from integer side masks and a
-laminar family; the differential tests compare the two exhaustively.
+Sides are decoded here from ``p.rank`` and ``p.mask`` (``xi+`` at bit
+2i-2, ``xi-`` at bit 2i-1) into frozensets of ``(index, sign)``
+directions, without the library's own decoder, and every verdict is set
+arithmetic on them: the four corner sets, the disjoint alignments, and the
+separation of a pair {xi+, xi-}.  ``blow_up`` grows the dual tree one edge
+at a time, finding for each new partition the unique vertex that no
+existing edge's far side crosses.  The library computes the same verdicts
+and graphs from integer side masks and a laminar family; the differential
+tests compare the two exhaustively.
 """
 
 import itertools
 
 from freesplit.blowup import GraphOfGroups
-from freesplit.partitions import Direction, SplittingClass, all_directions, petal_class
+from freesplit.partitions import Partition, SplittingClass, petal_class
 
 
-def _key(side):
-    return tuple(sorted(d.key for d in side))
+def all_directions(rank):
+    """The 2N directions in bit order: (1, 1), (1, -1), (2, 1), ..."""
+    return tuple((i, s) for i in range(1, rank + 1) for s in (1, -1))
 
 
-def separates_some_pair(side, rank):
-    return any(
-        (Direction(i, 1) in side) != (Direction(i, -1) in side) for i in range(1, rank + 1)
-    )
+def side(rank, mask):
+    """The directions whose bits are set in ``mask``."""
+    return frozenset(d for k, d in enumerate(all_directions(rank)) if mask >> k & 1)
+
+
+def side1(p):
+    return side(p.rank, p.mask)
+
+
+def side2(p):
+    return frozenset(all_directions(p.rank)) - side1(p)
+
+
+def partition_of(rank, directions):
+    """The library partition with the given set of directions as one side."""
+    return Partition(rank, sum(1 << k for k, d in enumerate(all_directions(rank))
+                               if d in directions))
+
+
+def _order(d):
+    # x1+ < x1- < x2+ < x2- < ...
+    return (d[0], d[1] < 0)
+
+
+def _key(directions):
+    return tuple(sorted(map(_order, directions)))
+
+
+def encode(directions):
+    """Text of a side, in direction order."""
+    return ",".join("x%d%s" % (i, "+" if s > 0 else "-")
+                    for i, s in sorted(directions, key=_order))
+
+
+def signed_permutations(rank):
+    """The 2^N * N! signed permutations of the petals, each as a map on partitions."""
+    maps = []
+    for perm in itertools.permutations(range(1, rank + 1)):
+        for flips in itertools.product((1, -1), repeat=rank):
+            def g(p, perm=perm, flips=flips):
+                return partition_of(p.rank, {(perm[i - 1], s * flips[i - 1])
+                                             for i, s in side1(p)})
+            maps.append(g)
+    return maps
+
+
+def separates_some_pair(directions, rank):
+    return any(((i, 1) in directions) != ((i, -1) in directions) for i in range(1, rank + 1))
 
 
 def is_thick(p):
-    return len(p.side1) >= 2 and len(p.side2) >= 2
+    return len(side1(p)) >= 2 and len(side2(p)) >= 2
 
 
 def is_ideal(p):
-    return separates_some_pair(p.side1, p.rank)
+    return separates_some_pair(side1(p), p.rank)
 
 
 def corner_sets(p, q):
     """(k11, k12, k21, k22), with ``k_ij = side_i(p) & side_j(q)``."""
-    return (p.side1 & q.side1, p.side1 & q.side2, p.side2 & q.side1, p.side2 & q.side2)
+    p1, p2, q1, q2 = side1(p), side2(p), side1(q), side2(q)
+    return (p1 & q1, p1 & q2, p2 & q1, p2 & q2)
 
 
 def crosses(p, q):
     return all(corner_sets(p, q))
 
 
-def aligned_sides(p, q):
-    choices = [
-        (a, b) for a in (p.side1, p.side2) for b in (q.side1, q.side2) if not (a & b)
-    ]
-    if not choices:
-        return None
-    return min(choices, key=lambda ab: (_key(ab[0]), _key(ab[1])))
+def all_alignments(p, q):
+    """Every ordered choice (side of p, side of q) with empty intersection."""
+    return tuple(
+        (a, b) for a in (side1(p), side2(p)) for b in (side1(q), side2(q)) if not (a & b)
+    )
 
 
 def rose_compatible(p, q):
-    sides = aligned_sides(p, q)
-    if sides is None:
+    """For distinct partitions, which have at most one alignment."""
+    alignments = all_alignments(p, q)
+    if not alignments:
         return False
-    a, b = sides
+    (a, b), = alignments
     return separates_some_pair(a | b, p.rank)
 
 
 def class_of(p):
-    for side in (p.side1, p.side2):
-        if len(side) == 1:
-            (d,) = side
-            return petal_class(p.rank, d.index)
+    for directions in (side1(p), side2(p)):
+        if len(directions) == 1:
+            ((index, _),) = directions
+            return petal_class(p.rank, index)
     return SplittingClass("thick", None, p)
 
 
@@ -126,19 +173,20 @@ class _Tree:
         return out
 
     def insert(self, part, label):
+        s1, s2 = side1(part), side2(part)
         hosts = []
         for vid in self.dirs:
             far = {lab: self._far_dirs(lab, vid) for lab in self.adj[vid]}
-            if not any(f & part.side1 and f & part.side2 for f in far.values()):
+            if not any(f & s1 and f & s2 for f in far.values()):
                 hosts.append((vid, far))
         assert len(hosts) == 1, "a compatible new edge has exactly one host vertex"
         host, host_far = hosts[0]
         new = len(self.dirs)
-        self.dirs[new] = {d for d in self.dirs[host] if d in part.side1}
+        self.dirs[new] = self.dirs[host] & s1
         self.dirs[host] -= self.dirs[new]
         self.adj[new] = set()
         for lab in list(self.adj[host]):
-            if host_far[lab] <= part.side1:
+            if host_far[lab] <= s1:
                 a, b = self.ends[lab]
                 self.ends[lab] = (new, b) if a == host else (a, new)
                 self.adj[host].discard(lab)
@@ -163,7 +211,7 @@ def blow_up(family, rank):
         if c.kind == "thick":
             tree.insert(c.representative, c.encode())
     petal_ends = {
-        i: (tree.locate(Direction(i, 1)), tree.locate(Direction(i, -1)))
+        i: (tree.locate((i, 1)), tree.locate((i, -1)))
         for i in range(1, rank + 1)
     }
     kept = {c.petal_index for c in fam if c.kind == "petal"}

@@ -20,9 +20,6 @@ from freesplit import complexes, verify
 from freesplit.blowup import blow_up
 from freesplit.freegroup import Word, canonical_cycle, is_simple
 from freesplit.partitions import (
-    Direction,
-    Partition,
-    all_directions,
     classes_compatible,
     crosses,
     enumerate_ideal_edges,
@@ -32,6 +29,7 @@ from freesplit.partitions import (
     is_thick,
     rose_compatible,
 )
+from partition_oracle import signed_permutations
 from whitehead_oracle import all_cyclically_reduced, letter_moves, oracle_is_simple
 
 
@@ -160,20 +158,11 @@ def test_criterion_8_property_suites():
     # Predicate equivariance under all 2^N * N! signed permutations, N=3.
     edges = enumerate_ideal_edges(3)
     pairs = list(itertools.combinations(edges, 2))
-    transforms = [
-        (perm, flips)
-        for perm in itertools.permutations((1, 2, 3))
-        for flips in itertools.product((1, -1), repeat=3)
-    ]
+    transforms = signed_permutations(3)
     assert len(transforms) == 48
-    for perm, flips in transforms:
-        relabel = {
-            d: Direction(perm[d.index - 1], d.sign * flips[d.index - 1])
-            for d in all_directions(3)
-        }
+    for g in transforms:
         for p, q in pairs:
-            gp = Partition.of(3, {relabel[d] for d in p.side1})
-            gq = Partition.of(3, {relabel[d] for d in q.side1})
+            gp, gq = g(p), g(q)
             assert crosses(gp, gq) == crosses(p, q)
             assert is_thick(gp) == is_thick(p)
             assert is_ideal(gp) == is_ideal(p)

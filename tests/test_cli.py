@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -9,6 +10,8 @@ from freesplit import freegroup
 from freesplit.cli import main
 
 from conftest import load_schema
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def run_cli(capsys, *argv):
@@ -59,6 +62,19 @@ def test_pair_compatible_verdicts(capsys):
     assert verdict["boundary_type"] is None
 
 
+@pytest.mark.parametrize("name, p, q", [
+    ("pair-crossing", "x2+,x3-", "x1-,x2+"),
+    ("pair-compatible", "x1-,x2+", "x2-,x3+"),
+    ("pair-non-ideal", "x1+,x1-", "x2+"),
+])
+def test_pair_stdout_is_byte_identical_to_the_golden_file(capsys, name, p, q):
+    # The files pin the whole verdict, corner sets included, byte for byte.
+    code, out, err = run_cli(capsys, "pair", "--rank", "3", "--p", p, "--q", q)
+    assert (code, err) == (0, "")
+    with open(os.path.join(GOLDEN, name + ".json"), encoding="utf-8") as handle:
+        assert out == handle.read()
+
+
 def test_pair_malformed_spec_is_a_usage_error(capsys):
     code, _, err = run_cli(capsys, "pair", "--rank", "3", "--p", "bogus", "--q", "x1-")
     assert code == 2
@@ -91,6 +107,16 @@ def test_blowup_incompatible_family_is_an_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "blowup", "--rank", "3", "--family", str(family))
     assert code == 2
     assert "cross" in err
+
+
+@pytest.mark.parametrize("entry", [5, ["x1-"]])
+def test_blowup_family_entry_that_is_not_a_string_is_a_usage_error(tmp_path, capsys, entry):
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps([entry]))
+    code, out, err = run_cli(capsys, "blowup", "--rank", "3", "--family", str(family))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_verify_passing_lemma_exits_zero(capsys):

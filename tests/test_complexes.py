@@ -50,7 +50,7 @@ def test_chain_edges_span_an_ens_edge(ens3):
     i = ens3.index_of(class_of(chain_partition(3, 1)))
     j = ens3.index_of(class_of(chain_partition(3, 2)))
     assert ens3.has_edge(i, j)
-    assert ens3.edge_kind(i, j) == "rose"
+    assert (i, j, "rose") in ens3.edges
 
 
 def test_mode_validation():

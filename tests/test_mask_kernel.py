@@ -14,12 +14,11 @@ import partition_oracle as oracle
 from freesplit.blowup import blow_up, boundary_classes
 from freesplit.partitions import (
     Partition,
-    aligned_sides,
     circle_compatible,
     class_of,
     classes_compatible,
     compatible,
-    corner_sets,
+    corner_masks,
     crosses,
     enumerate_ideal_edges,
     enumerate_splitting_classes,
@@ -34,8 +33,9 @@ from freesplit.partitions import (
 @pytest.mark.parametrize("rank", [3, 4])
 def test_single_partition_predicates_match_the_oracle(rank):
     for mask in range(2, full_mask(rank), 2):
-        p = Partition.from_mask(rank, mask)
-        assert Partition.of(rank, p.side1) == p
+        p = Partition(rank, mask)
+        assert p.encode() == oracle.encode(oracle.side1(p))
+        assert Partition.parse(rank, p.encode()) == p
         assert is_ideal(p) == oracle.is_ideal(p)
         assert is_thick(p) == oracle.is_thick(p)
         assert class_of(p) == oracle.class_of(p)
@@ -47,8 +47,8 @@ def test_pair_predicates_match_the_oracle_on_every_ordered_pair(rank):
     for p, q in itertools.product(edges, repeat=2):
         assert crosses(p, q) == oracle.crosses(p, q)
         assert compatible(p, q) != oracle.crosses(p, q)
-        assert corner_sets(p, q).as_tuple() == oracle.corner_sets(p, q)
-        assert aligned_sides(p, q) == oracle.aligned_sides(p, q)
+        corners = tuple(oracle.side(rank, k) for k in corner_masks(p, q))
+        assert corners == oracle.corner_sets(p, q)
         assert is_cagey(p, q) == oracle.is_cagey(p, q)
         if p != q:
             assert rose_compatible(p, q) == oracle.rose_compatible(p, q)

@@ -3,31 +3,36 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import partition_oracle as oracle
 from freesplit.partitions import (
     Direction,
     Partition,
-    aligned_sides,
-    all_alignments,
-    all_directions,
     class_of,
     compatible,
-    corner_sets,
+    corner_masks,
     count_splitting_classes,
     crosses,
+    direction_bit,
     enumerate_ideal_edges,
     enumerate_splitting_classes,
+    full_mask,
     is_cagey,
     is_ideal,
     is_thick,
     petal_class,
     rose_compatible,
-    separates_some_pair,
+    side_names,
 )
 from freesplit.verify import chain_partition, interval_partition, sign_partition
 
 
 def D(text):
     return Direction.parse(text)
+
+
+def S(*names):
+    """A side as the oracle's frozenset of (index, sign) directions."""
+    return frozenset(D(name) for name in names)
 
 
 def P(rank, text):
@@ -41,22 +46,30 @@ def P(rank, text):
 
 def test_constructor_rejects_empty_side():
     with pytest.raises(ValueError):
-        Partition.of(3, all_directions(3))
+        Partition(3, full_mask(3))
     with pytest.raises(ValueError):
-        Partition.of(3, frozenset())
+        Partition(3, 0)
+
+
+def test_constructor_rejects_masks_outside_the_directions():
+    with pytest.raises(ValueError):
+        Partition(3, full_mask(3) + 1)
+    with pytest.raises(ValueError):
+        Partition(3, -2)
 
 
 def test_constructor_rejects_low_rank():
     with pytest.raises(ValueError):
-        Partition(2, frozenset({Direction(1, -1)}),
-                  frozenset({Direction(1, 1), Direction(2, 1), Direction(2, -1)}))
+        Partition(2, direction_bit(1, -1))
 
 
 def test_canonical_orientation_swaps_on_construction():
-    side = frozenset({D("x1+"), D("x2+")})
-    p = Partition.of(3, side)
-    assert D("x1+") in p.side2
-    assert p == Partition.of(3, all_directions(3) - side)
+    side = direction_bit(1, 1) | direction_bit(2, 1)
+    p = Partition(3, side)
+    assert not p.mask & direction_bit(1, 1)
+    assert p.mask == full_mask(3) ^ side
+    assert p == Partition(3, full_mask(3) ^ side)
+    assert p.encode() == "x1-,x2-,x3+,x3-"
 
 
 def test_direction_parse_and_encode():
@@ -93,20 +106,20 @@ def test_sign_edge_crosses_interval_edge_rank6():
     tau = sign_partition(6)
     q2 = interval_partition(6, 2)
     assert crosses(tau, q2)
-    cs = corner_sets(tau, q2)
-    assert cs.k11 == frozenset({D("x1-"), D("x2-")})
-    assert cs.k12 == frozenset({D("x3-"), D("x4-"), D("x5-"), D("x6-")})
-    assert cs.k21 == frozenset({D("x2+"), D("x3+")})
-    assert cs.k22 == frozenset({D("x1+"), D("x4+"), D("x5+"), D("x6+")})
+    assert [side_names(k) for k in corner_masks(tau, q2)] == [
+        ("x1-", "x2-"),
+        ("x3-", "x4-", "x5-", "x6-"),
+        ("x2+", "x3+"),
+        ("x1+", "x4+", "x5+", "x6+"),
+    ]
 
 
 def test_self_pair_is_compatible():
     p = P(3, "x1-,x2+")
     assert not crosses(p, p)
-    cs = corner_sets(p, p)
-    empties = [c for c in cs.as_tuple() if not c]
-    assert len(empties) == 2
-    assert {cs.k11, cs.k22} == {p.side1, p.side2}
+    k11, k12, k21, k22 = corner_masks(p, p)
+    assert k12 == k21 == 0
+    assert (k11, k22) == (p.mask, full_mask(3) ^ p.mask)
 
 
 def test_chain_edges_pairwise_compatible():
@@ -116,25 +129,24 @@ def test_chain_edges_pairwise_compatible():
 
 
 def test_aligned_sides_of_the_two_chain_edges():
-    got = aligned_sides(chain_partition(3, 1), chain_partition(3, 2))
-    assert got == (frozenset({D("x1-"), D("x2+")}), frozenset({D("x2-"), D("x3+")}))
-    assert not (got[0] & got[1])
+    got = oracle.all_alignments(chain_partition(3, 1), chain_partition(3, 2))
+    assert got == ((S("x1-", "x2+"), S("x2-", "x3+")),)
 
 
 def test_aligned_sides_absent_for_crossing_pair():
-    assert aligned_sides(sign_partition(6), interval_partition(6, 2)) is None
+    assert oracle.all_alignments(sign_partition(6), interval_partition(6, 2)) == ()
 
 
 def test_aligned_sides_of_equal_partitions():
     p = P(3, "x1-,x2+")
-    a, b = aligned_sides(p, p)
-    assert {a, b} == {p.side1, p.side2}
+    a, b = S("x1-", "x2+"), S("x1+", "x2-", "x3+", "x3-")
+    assert oracle.all_alignments(p, p) == ((a, b), (b, a))
 
 
 def test_distinct_compatible_pairs_have_a_unique_alignment():
     edges = enumerate_ideal_edges(3)
     for p, q in itertools.combinations(edges, 2):
-        alignments = all_alignments(p, q)
+        alignments = oracle.all_alignments(p, q)
         if crosses(p, q):
             assert alignments == ()
         else:
@@ -145,8 +157,8 @@ def test_rose_compatibility_is_alignment_independent():
     # Evaluate the separating condition on every valid alignment.
     edges = enumerate_ideal_edges(3)
     for p, q in itertools.combinations(edges, 2):
-        for a, b in all_alignments(p, q):
-            assert separates_some_pair(a | b, 3) == rose_compatible(p, q)
+        for a, b in oracle.all_alignments(p, q):
+            assert oracle.separates_some_pair(a | b, 3) == rose_compatible(p, q)
 
 
 def test_rank_mismatch_raises():
@@ -215,7 +227,7 @@ def test_sign_edge_cagey_with_every_companion_rank6():
 
 def test_sign_edge_not_cagey_with_a_petal():
     tau = sign_partition(6)
-    petal = Partition.of(6, {Direction(1, 1)})
+    petal = P(6, "x1+")
     assert not crosses(tau, petal)
     assert not is_cagey(tau, petal)
 
@@ -237,7 +249,7 @@ def test_cagey_requires_ideal_inputs():
 
 def brute_force_counts(rank):
     """Independent enumeration over raw bitmasks of the direction set."""
-    dirs = sorted(all_directions(rank), key=lambda d: d.key)
+    dirs = oracle.all_directions(rank)
     n = len(dirs)
     seen = set()
     partitions = ideal = thick_ideal = 0
@@ -249,10 +261,7 @@ def brute_force_counts(rank):
             continue
         seen.add(pair)
         partitions += 1
-        split = any(
-            (Direction(i, 1) in side) != (Direction(i, -1) in side)
-            for i in range(1, rank + 1)
-        )
+        split = any(((i, 1) in side) != ((i, -1) in side) for i in range(1, rank + 1))
         if not split:
             continue
         ideal += 1
@@ -261,7 +270,7 @@ def brute_force_counts(rank):
             classes.add(pair)
         else:
             singleton = side if len(side) == 1 else frozenset(dirs) - side
-            classes.add(("petal", next(iter(singleton)).index))
+            classes.add(("petal", next(iter(singleton))[0]))
     return partitions, ideal, thick_ideal, len(classes)
 
 
@@ -301,8 +310,8 @@ def test_enumeration_rank_guard():
 
 def test_petal_identification():
     for i in (1, 2, 3):
-        plus = class_of(Partition.of(3, {Direction(i, 1)}))
-        minus = class_of(Partition.of(3, {Direction(i, -1)}))
+        plus = class_of(P(3, "x%d+" % i))
+        minus = class_of(P(3, "x%d-" % i))
         assert plus == minus == petal_class(3, i)
 
 
@@ -326,31 +335,23 @@ def test_symmetry_dichotomy_and_implications_rank3():
 
 def test_corner_sets_partition_the_directions_rank3():
     edges = enumerate_ideal_edges(3)
-    full = all_directions(3)
     for p, q in itertools.combinations(edges, 2):
-        corners = corner_sets(p, q).as_tuple()
-        assert frozenset().union(*corners) == full
+        corners = corner_masks(p, q)
+        # Pairwise disjoint and covering: the sum and the union are both full.
+        assert sum(corners) == full_mask(3)
+        assert corners[0] | corners[1] | corners[2] | corners[3] == full_mask(3)
         if compatible(p, q):
             assert sum(1 for c in corners if not c) == 1
 
 
-def signed_permutations(rank):
-    for perm in itertools.permutations(range(1, rank + 1)):
-        for flips in itertools.product((1, -1), repeat=rank):
-            yield lambda d, perm=perm, flips=flips: Direction(
-                perm[d.index - 1], d.sign * flips[d.index - 1]
-            )
-
-
 def test_equivariance_under_all_signed_permutations_rank3():
     edges = enumerate_ideal_edges(3)
-    maps = list(signed_permutations(3))
+    maps = oracle.signed_permutations(3)
     assert len(maps) == 48
     pairs = list(itertools.combinations(edges, 2))
     for g in maps:
         for p, q in pairs:
-            gp = Partition.of(3, {g(d) for d in p.side1})
-            gq = Partition.of(3, {g(d) for d in q.side1})
+            gp, gq = g(p), g(q)
             assert crosses(gp, gq) == crosses(p, q)
             assert is_thick(gp) == is_thick(p)
             assert is_ideal(gp) == is_ideal(p)
@@ -367,11 +368,9 @@ def test_equivariance_under_all_signed_permutations_rank3():
 @st.composite
 def partitions_pair(draw):
     rank = draw(st.integers(min_value=3, max_value=6))
-    dirs = sorted(all_directions(rank), key=lambda d: d.key)
 
     def one():
-        mask = draw(st.integers(min_value=1, max_value=2 ** len(dirs) - 2))
-        return Partition.of(rank, {d for k, d in enumerate(dirs) if mask >> k & 1})
+        return Partition(rank, draw(st.integers(min_value=1, max_value=full_mask(rank) - 1)))
 
     return one(), one()
 
@@ -381,12 +380,13 @@ def partitions_pair(draw):
 def test_pair_invariants_random_ranks(pair):
     p, q = pair
     assert crosses(p, q) == crosses(q, p)
-    corners = corner_sets(p, q).as_tuple()
-    assert frozenset().union(*corners) == all_directions(p.rank)
+    corners = corner_masks(p, q)
+    assert sum(corners) == full_mask(p.rank)
+    assert corners[0] | corners[1] | corners[2] | corners[3] == full_mask(p.rank)
     assert crosses(p, q) == all(bool(c) for c in corners)
     if is_ideal(p) and is_ideal(q) and p != q:
         assert rose_compatible(p, q) == rose_compatible(q, p)
         if rose_compatible(p, q):
-            a, b = aligned_sides(p, q)
+            ((a, b),) = oracle.all_alignments(p, q)
             assert not (a & b)
-            assert separates_some_pair(a | b, p.rank)
+            assert oracle.separates_some_pair(a | b, p.rank)
