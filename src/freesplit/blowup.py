@@ -64,12 +64,6 @@ class GraphOfGroups:
 
     # -- basic structure ---------------------------------------------------
 
-    def vertex_rank(self, vid: str) -> int:
-        for v, r in self.vertices:
-            if v == vid:
-                return r
-        raise KeyError(vid)
-
     def degree(self, vid: str) -> int:
         deg = 0
         for _, (u, v), _ in self.edges:
@@ -437,13 +431,6 @@ class BoundaryType:
     @property
     def edge_count(self) -> int:
         return len(self.family)
-
-    def to_json(self) -> dict:
-        return {
-            "tag": self.tag,
-            "edges": [c.encode() for c in self.family],
-            "graph": self.graph.to_json(),
-        }
 
 
 def boundary_classes(p: Partition, q: Partition) -> Tuple[SplittingClass, ...]:

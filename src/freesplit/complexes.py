@@ -3,7 +3,14 @@
 The vertices are the splitting classes of the universe at a fixed rank; an
 edge records either rose compatibility (mode "ens") or any compatibility
 between distinct splittings (mode "ns", where non-rose edges are circle
-edges).  Clique machinery is deterministic so verification logs reproduce.
+edges).  Adjacency is one int row per vertex, bit j of row i set iff {i, j}
+is an edge, and vertex sets are bitsets over the vertex indices.
+
+One lazy search, ``cliques_within``, yields the cliques of an exact size
+inside a candidate bitset in lexicographic order; exact enumeration, the
+clique characterization of caginess and rose vertices all use it.
+``maximal_cliques`` is pivoted Bron-Kerbosch on the same rows.  Both are
+deterministic so verification logs reproduce.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .blowup import blow_up, classify_shape
 from .partitions import (
@@ -42,39 +49,23 @@ class SplittingGraph:
                 raise ValueError("ens graphs carry only rose edges")
 
     @cached_property
-    def adjacency(self) -> Tuple[FrozenSet[int], ...]:
-        adj: List[set] = [set() for _ in self.vertices]
+    def adjacency(self) -> Tuple[int, ...]:
+        """One int row per vertex: bit j of row i is set iff {i, j} is an edge."""
+        rows = [0] * len(self.vertices)
         for i, j, _ in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return tuple(frozenset(s) for s in adj)
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+        return tuple(rows)
+
+    @cached_property
+    def _index(self) -> Dict[SplittingClass, int]:
+        return {cls: n for n, cls in enumerate(self.vertices)}
 
     def index_of(self, cls: SplittingClass) -> int:
         try:
-            return self.vertices.index(cls)
-        except ValueError:
+            return self._index[cls]
+        except KeyError:
             raise KeyError("class %s is not a vertex" % cls.encode()) from None
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return j in self.adjacency[i]
-
-    def to_json(self) -> dict:
-        return {
-            "rank": self.rank,
-            "mode": self.mode,
-            "vertices": [c.encode() for c in self.vertices],
-            "edges": [[i, j, kind] for i, j, kind in self.edges],
-        }
-
-    def to_dot(self) -> str:
-        lines = ["graph splittings {"]
-        for n, c in enumerate(self.vertices):
-            lines.append('  %d [label="%s"];' % (n, c.encode()))
-        for i, j, kind in self.edges:
-            style = "" if kind == "rose" else ' [style=dashed]'
-            lines.append("  %d -- %d%s;" % (i, j, style))
-        lines.append("}")
-        return "\n".join(lines)
 
 
 def build_star_graph(rank: int, mode: str = "ens", max_rank: int = MAX_RANK) -> SplittingGraph:
@@ -92,67 +83,70 @@ def build_star_graph(rank: int, mode: str = "ens", max_rank: int = MAX_RANK) -> 
     return SplittingGraph(rank=rank, mode=mode, vertices=classes, edges=tuple(edges))
 
 
-def enumerate_cliques(g: SplittingGraph, size: int) -> List[Tuple[int, ...]]:
-    """All cliques of exactly ``size`` vertices, in lexicographic index order."""
+def cliques_within(g: SplittingGraph, candidates: int, size: int) -> Iterator[Tuple[int, ...]]:
+    """The cliques of exactly ``size`` vertices inside the bitset ``candidates``.
+
+    Lazy, in lexicographic index order: each step takes the least candidate
+    and narrows the rest to its row, and a branch stops as soon as fewer
+    candidates remain than vertices are still needed.
+    """
     if size < 1:
         raise ValueError("clique size must be >= 1")
     adj = g.adjacency
-    out: List[Tuple[int, ...]] = []
 
-    def grow(chosen: Tuple[int, ...], candidates: Sequence[int]) -> None:
-        if len(chosen) == size:
-            out.append(chosen)
-            return
-        needed = size - len(chosen)
-        for pos, v in enumerate(candidates):
-            rest = [u for u in candidates[pos + 1:] if u in adj[v]]
-            if len(rest) + 1 >= needed:
-                grow(chosen + (v,), rest)
+    def grow(chosen: Tuple[int, ...], cand: int, needed: int) -> Iterator[Tuple[int, ...]]:
+        while cand.bit_count() >= needed:
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            if needed == 1:
+                yield chosen + (v,)
+                continue
+            rest = cand & adj[v]
+            if rest.bit_count() >= needed - 1:
+                yield from grow(chosen + (v,), rest, needed - 1)
 
-    grow((), tuple(range(len(g.vertices))))
-    return out
+    return grow((), candidates, size)
+
+
+def enumerate_cliques(g: SplittingGraph, size: int) -> List[Tuple[int, ...]]:
+    """All cliques of exactly ``size`` vertices, in lexicographic index order."""
+    return list(cliques_within(g, (1 << len(g.vertices)) - 1, size))
 
 
 def maximal_cliques(g: SplittingGraph) -> List[Tuple[int, ...]]:
-    """All maximal cliques (pivoted branch and bound), sorted for determinism.
+    """All maximal cliques (pivoted Bron-Kerbosch on bitsets), sorted for determinism.
 
     Pivot rule: largest candidate-neighborhood, ties to the smallest index.
     """
     adj = g.adjacency
     out: List[Tuple[int, ...]] = []
 
-    def expand(clique: set, candidates: set, excluded: set) -> None:
-        if not candidates and not excluded:
-            out.append(tuple(sorted(clique)))
+    def expand(clique: Tuple[int, ...], cand: int, excl: int) -> None:
+        if not cand:
+            if not excl:
+                out.append(tuple(sorted(clique)))
             return
-        pool = candidates | excluded
-        pivot = min(pool, key=lambda v: (-len(adj[v] & candidates), v))
-        for v in sorted(candidates - adj[pivot]):
-            expand(clique | {v}, candidates & adj[v], excluded & adj[v])
-            candidates.remove(v)
-            excluded.add(v)
+        best = -1
+        pool = cand | excl
+        while pool:
+            low = pool & -pool
+            pool ^= low
+            v = low.bit_length() - 1
+            n = (adj[v] & cand).bit_count()
+            if n > best:
+                best, pivot = n, v
+        todo = cand & ~adj[pivot]
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            v = low.bit_length() - 1
+            expand(clique + (v,), cand & adj[v], excl & adj[v])
+            cand ^= low
+            excl |= low
 
-    expand(set(), set(range(len(g.vertices))), set())
+    expand((), (1 << len(g.vertices)) - 1, 0)
     return sorted(out)
-
-
-def cliques_to_json(g: SplittingGraph, cliques: Iterable[Tuple[int, ...]]) -> list:
-    """Clique lists as arrays of class encodings, for export."""
-    return [[g.vertices[i].encode() for i in clique] for clique in cliques]
-
-
-def _exists_clique(adj: Tuple[FrozenSet[int], ...], candidates: FrozenSet[int], size: int) -> bool:
-    if size == 0:
-        return True
-    if len(candidates) < size:
-        return False
-    for v in sorted(candidates):
-        if _exists_clique(adj, candidates & adj[v], size - 1):
-            return True
-        candidates = candidates - {v}
-        if len(candidates) < size:
-            return False
-    return False
 
 
 def cagey_by_cliques(s: SplittingClass, t: SplittingClass,
@@ -166,9 +160,8 @@ def cagey_by_cliques(s: SplittingClass, t: SplittingClass,
         raise ValueError("caginess is defined for distinct splittings")
     if graph is None:
         graph = build_star_graph(s.rank, mode="ens")
-    i, j = graph.index_of(s), graph.index_of(t)
-    common = graph.adjacency[i] & graph.adjacency[j]
-    return _exists_clique(graph.adjacency, common, 3 * graph.rank - 4)
+    common = graph.adjacency[graph.index_of(s)] & graph.adjacency[graph.index_of(t)]
+    return any(cliques_within(graph, common, 3 * graph.rank - 4))
 
 
 @dataclass(frozen=True)
@@ -204,11 +197,9 @@ def rose_vertices(rank: int, graph: Optional[SplittingGraph] = None,
         raise ValueError("rose vertices are enumerated at ranks 3 and 4 only")
     if graph is None:
         graph = build_star_graph(rank, mode="ens")
-    cliques = enumerate_cliques(graph, rank)
-    if limit is not None:
-        cliques = cliques[:limit]
+    cliques = cliques_within(graph, (1 << len(graph.vertices)) - 1, rank)
     out = []
-    for indices in cliques:
+    for indices in itertools.islice(cliques, limit):
         fam = tuple(graph.vertices[i] for i in indices)
         if is_rose_family(fam, rank):
             out.append(RoseVertex(classes=fam))
@@ -222,9 +213,6 @@ class KLocalGraph:
     rank: int
     vertices: Tuple[RoseVertex, ...]
     edges: Tuple[Tuple[int, int], ...]
-
-    def degree(self, i: int) -> int:
-        return sum(1 for a, b in self.edges if i in (a, b))
 
     def to_json(self) -> dict:
         return {
@@ -252,14 +240,16 @@ def k_graph_local(rank: int) -> KLocalGraph:
     if rank != 3:
         raise ValueError("the local rose graph is built exhaustively at rank 3 only")
     graph = build_star_graph(rank, mode="ens")
+    adj = graph.adjacency
     roses = rose_vertices(rank, graph=graph)
-    edges = set()
+    members = [[graph.index_of(c) for c in r.classes] for r in roses]
+    masks = [sum(1 << i for i in m) for m in members]
+    edges = []
     for a, b in itertools.combinations(range(len(roses)), 2):
-        fa, fb = set(roses[a].classes), set(roses[b].classes)
-        union = fa | fb
-        if len(union) != rank + 1 or len(fa & fb) != rank - 1:
+        if (masks[a] & masks[b]).bit_count() != rank - 1:
             continue
-        idx = [graph.index_of(c) for c in union]
-        if all(graph.has_edge(i, j) for i, j in itertools.combinations(idx, 2)):
-            edges.add((a, b))
-    return KLocalGraph(rank=rank, vertices=tuple(roses), edges=tuple(sorted(edges)))
+        union = masks[a] | masks[b]
+        # A clique: every member's row, plus the member itself, covers the union.
+        if all(union & ~adj[i] == 1 << i for i in members[a] + members[b]):
+            edges.append((a, b))
+    return KLocalGraph(rank=rank, vertices=tuple(roses), edges=tuple(edges))

@@ -123,11 +123,14 @@ class Partition:
         items = [piece for piece in text.split(",") if piece.strip()]
         if not items:
             raise ValueError("empty partition side spec")
-        side = frozenset(Direction.parse(piece) for piece in items)
-        for d in side:
+        directions = [Direction.parse(piece) for piece in items]
+        _check_rank(rank)
+        mask = 0
+        for d in directions:
             if d.index > rank:
                 raise ValueError("direction %s exceeds rank %d" % (d.encode(), rank))
-        return cls(rank, sum(direction_bit(d.index, d.sign) for d in side))
+            mask |= direction_bit(d.index, d.sign)
+        return cls(rank, mask)
 
     @property
     def key(self) -> Tuple:

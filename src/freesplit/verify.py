@@ -336,18 +336,16 @@ def verify_cagey_equivalence(rank: int = 3, mutated: bool = False) -> Verificati
     started = time.perf_counter()
     rec = _Recorder()
     graph = complexes.build_star_graph(rank, mode="ens")
-    classes = graph.vertices
+    adj = graph.adjacency
     target = 3 * rank - 4
     if mutated:
         target += 1
     cagey_pairs = 0
     witnessed = 0
     false_positives = 0
-    for s, t in itertools.combinations(classes, 2):
+    for (i, s), (j, t) in itertools.combinations(enumerate(graph.vertices), 2):
         direct = classes_cagey(s, t)
-        i, j = graph.index_of(s), graph.index_of(t)
-        common = graph.adjacency[i] & graph.adjacency[j]
-        searched = complexes._exists_clique(graph.adjacency, common, target)
+        searched = any(complexes.cliques_within(graph, adj[i] & adj[j], target))
         cagey_pairs += direct
         witnessed += direct and searched
         false_positives += searched and not direct

@@ -81,6 +81,23 @@ def test_pair_malformed_spec_is_a_usage_error(capsys):
     assert "error" in err
 
 
+def test_pair_rank_is_checked_before_the_directions(capsys):
+    code, out, err = run_cli(capsys, "pair", "--rank", "0", "--p", "x1-", "--q", "x2+")
+    assert (code, out) == (2, "")
+    assert err == "error: partition rank must be >= 3, got 0\n"
+
+
+def test_pair_names_the_first_out_of_rank_direction_in_the_text(capsys):
+    code, out, err = run_cli(capsys, "pair", "--rank", "3", "--p", "x9-,x4+,x7+", "--q", "x2+")
+    assert (code, out) == (2, "")
+    assert err == "error: direction x9- exceeds rank 3\n"
+
+
+def test_pair_accepts_a_repeated_direction(capsys):
+    assert run_cli(capsys, "pair", "--rank", "3", "--p", "x2+,x2+", "--q", "x3-") == \
+        run_cli(capsys, "pair", "--rank", "3", "--p", "x2+", "--q", "x3-")
+
+
 def test_blowup_family_file(tmp_path, capsys):
     family = tmp_path / "family.json"
     family.write_text(json.dumps(["petal:1", "petal:2", "petal:3", "x1-,x2+"]))
