@@ -523,6 +523,14 @@ def _check_factor_word(a_rank: int, w: Word) -> None:
         raise ValueError("the twisting word must avoid the stable letter")
 
 
+def _length_then_letter_key(letters: Tuple[int, ...]) -> Tuple[int, Tuple[int, ...]]:
+    """Sort key ordering by length, then lexicographically by letter_key.
+
+    _bit is monotone in letter_key, so a flat tuple of ints gives that order.
+    """
+    return (len(letters), tuple(map(_bit, letters)))
+
+
 def enumerate_factor_product(a_rank: int, w: Word, max_len: int) -> List[Word]:
     """All nontrivial elements of A * <t w t^-1> of reduced length <= max_len.
 
@@ -547,7 +555,7 @@ def enumerate_factor_product(a_rank: int, w: Word, max_len: int) -> List[Word]:
             break
         u_powers.append(run)
         u_powers.append(tuple(-x for x in reversed(run)))
-    u_powers.sort(key=lambda run: (len(run), [letter_key(l) for l in run]))
+    u_powers.sort(key=_length_then_letter_key)
 
     a_words: Dict[int, List[Tuple[int, ...]]] = {}
     frontier: List[Tuple[int, ...]] = [()]
@@ -580,9 +588,7 @@ def enumerate_factor_product(a_rank: int, w: Word, max_len: int) -> List[Word]:
 
     extend((), max_len, None)
 
-    out = [Word(ambient, letters) for letters in results]
-    out.sort(key=lambda v: (len(v.letters), [letter_key(l) for l in v.letters]))
-    return out
+    return [Word(ambient, letters) for letters in sorted(results, key=_length_then_letter_key)]
 
 
 def conjugate_into_factor(g: Word, a_rank: int) -> bool:

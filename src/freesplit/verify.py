@@ -11,10 +11,16 @@ import itertools
 import json
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import complexes, freegroup, partitions
-from .blowup import boundary_splitting, blow_up, classify_shape
+from .blowup import (
+    blow_up,
+    boundary_classes,
+    boundary_splitting,
+    classify_boundary,
+    classify_shape,
+)
 from .partitions import (
     Partition,
     class_of,
@@ -296,24 +302,41 @@ def verify_boundary_types(rank: int, mutated: bool = False) -> VerificationRepor
     """Every crossing ideal pair yields a boundary splitting with 3 or 4
     distinct edges whose quotient is one of the six recognized shapes;
     cagey pairs land on the cage.
+
+    The boundary type depends only on the pair's corner classes, and most
+    families are shared (p, q and the partition with side p ^ q have the
+    same four corners), so each distinct family is blown up once.  A
+    family's outcome, its tag or the ``ValueError`` it raised, is replayed
+    for every pair that has it.
     """
     if rank not in (3, 4):
         raise ValueError("boundary-type verification runs at ranks 3 and 4")
     started = time.perf_counter()
     rec = _Recorder()
     census: Dict[str, int] = {}
+    outcomes: Dict[Tuple[int, ...], Union[str, ValueError]] = {}  # keyed by family masks
+
+    def outcome_of(family) -> Union[str, ValueError]:
+        key = tuple(c.representative.mask for c in family)
+        if key not in outcomes:
+            try:
+                outcomes[key] = classify_boundary(family, rank).tag
+            except ValueError as exc:
+                outcomes[key] = exc
+        return outcomes[key]
+
     for p, q in _crossing_thick_pairs(rank):
-        try:
-            boundary = boundary_splitting(p, q)
-        except ValueError as exc:
-            rec.check(False, "{%s} vs {%s}: %s", p.encode, q.encode, exc)
+        family = boundary_classes(p, q)  # cannot raise: the pairs are ideal and cross
+        tag = outcome_of(family)
+        if isinstance(tag, ValueError):
+            rec.check(False, "{%s} vs {%s}: %s", p.encode, q.encode, tag)
             continue
-        census[boundary.tag] = census.get(boundary.tag, 0) + 1
-        rec.check(boundary.edge_count in (3, 4), "{%s} vs {%s}: %d boundary edges",
-                  p.encode, q.encode, boundary.edge_count)
+        census[tag] = census.get(tag, 0) + 1
+        rec.check(len(family) in (3, 4), "{%s} vs {%s}: %d boundary edges",
+                  p.encode, q.encode, len(family))
         if is_cagey(p, q):
-            rec.check(boundary.tag == "cage-3", "{%s} vs {%s}: cagey pair classified %s",
-                      p.encode, q.encode, boundary.tag)
+            rec.check(tag == "cage-3", "{%s} vs {%s}: cagey pair classified %s",
+                      p.encode, q.encode, tag)
     if mutated:
         p = chain_partition(rank, 1)
         q = chain_partition(rank, 2)

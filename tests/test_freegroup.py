@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -434,6 +435,34 @@ def test_factor_product_is_deduplicated_and_sorted():
     assert len(got) == len(set(got))
     keys = [(len(g.letters), [letter_key(l) for l in g.letters]) for g in got]
     assert keys == sorted(keys)
+
+
+def by_length_then_letter_key(words):
+    """The reference order of the factor product: length, then letter_key lexicographically."""
+    return sorted(words, key=lambda g: (len(g.letters), [letter_key(l) for l in g.letters]))
+
+
+@pytest.mark.parametrize("a_rank, w, max_len", [
+    (2, "x1x2X1X2", 8),
+    (2, "x1x2", 8),
+    (3, "x1x2X3", 5),
+    (130, "x1", 1),  # letter indices past 127: a bytes sort key would raise
+])
+def test_factor_product_order_is_the_letter_key_order(a_rank, w, max_len):
+    got = enumerate_factor_product(a_rank, W(a_rank, w), max_len)
+    assert got == by_length_then_letter_key(set(got))
+
+
+def test_factor_product_peak_memory_stays_small():
+    w = W(2, "x1x2X1X2")
+    tracemalloc.start()
+    try:
+        got = enumerate_factor_product(2, w, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(got) == 13218
+    assert peak < 6_000_000, "peak %.2f MB" % (peak / 1e6)
 
 
 def test_factor_product_rejects_words_with_the_stable_letter():

@@ -4,6 +4,8 @@ from pathlib import Path
 import pytest
 from jsonschema import validate
 
+from freesplit import blowup, verify
+from freesplit.blowup import boundary_classes
 from freesplit.verify import (
     BATTERY,
     battery_json,
@@ -17,6 +19,7 @@ from freesplit.verify import (
     verify_whitehead_factor,
 )
 
+from boundary_oracle import crossing_thick_pairs, oracle_boundary_types
 from conftest import load_schema
 
 
@@ -77,6 +80,41 @@ def test_boundary_types_pass_with_frozen_census():
 
 def test_boundary_types_negative_control():
     assert not verify_boundary_types(3, mutated=True).passed
+
+
+def report_bytes(report):
+    return json.dumps(report.to_json(), sort_keys=True)
+
+
+@pytest.mark.parametrize("rank", [3, 4])
+@pytest.mark.parametrize("mutated", [False, True])
+def test_boundary_types_match_the_per_pair_oracle(rank, mutated):
+    got = verify_boundary_types(rank, mutated=mutated)
+    assert report_bytes(got) == report_bytes(oracle_boundary_types(rank, mutated))
+
+
+def test_a_failing_family_is_replayed_for_every_pair_that_has_it(monkeypatch):
+    pairs = crossing_thick_pairs(3)
+    families = [boundary_classes(p, q) for p, q in pairs]
+    target = max(families, key=families.count)  # the first of the most shared families
+    sharing = [pair for pair, family in zip(pairs, families) if family == target]
+    assert len(sharing) == 6
+    real = blowup.classify_boundary
+
+    def classify_or_fail(family, rank):
+        if family == target:
+            raise ValueError("injected")
+        return real(family, rank)
+
+    # The memoized verifier reaches the family step through its own binding,
+    # the oracle through boundary_splitting.
+    monkeypatch.setattr(verify, "classify_boundary", classify_or_fail)
+    monkeypatch.setattr(blowup, "classify_boundary", classify_or_fail)
+    got = verify_boundary_types(3)
+    assert report_bytes(got) == report_bytes(oracle_boundary_types(3))
+    assert list(got.failures) == [
+        "{%s} vs {%s}: injected" % (p.encode(), q.encode()) for p, q in sharing
+    ]
 
 
 def test_cagey_equivalence_documents_the_missing_witnesses():
