@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 from .partitions import (
     Partition,
@@ -52,7 +52,7 @@ class GraphOfGroups:
         for eid, (u, v), _ in self.edges:
             if u not in known or v not in known:
                 raise ValueError("edge %r has unknown endpoint" % (eid,))
-        if not self._connected(set(known)):
+        if not self._connected():
             raise ValueError("graph of groups must be connected")
         euler = len(self.edges) - len(self.vertices) + 1
         total = euler + sum(r for _, r in self.vertices)
@@ -88,29 +88,15 @@ class GraphOfGroups:
     def valence_profile(self) -> Tuple[int, ...]:
         return tuple(sorted(self.degree(vid) for vid, _ in self.vertices))
 
-    def _connected(self, verts: set, skip: frozenset = frozenset()) -> bool:
-        if not verts:
-            return True
-        adj: Dict[str, set] = {v: set() for v in verts}
+    def _connected(self, skip: frozenset = frozenset()) -> bool:
+        uf = _UnionFind(vid for vid, _ in self.vertices)
         for eid, (u, v), _ in self.edges:
-            if eid in skip or u == v:
-                continue
-            if u in adj and v in adj:
-                adj[u].add(v)
-                adj[v].add(u)
-        start = next(iter(verts))
-        seen = {start}
-        stack = [start]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(verts)
+            if eid not in skip:
+                uf.union(u, v)
+        return len({uf.find(vid) for vid, _ in self.vertices}) <= 1
 
     def disconnects_without(self, edge_ids: Iterable[str]) -> bool:
-        verts = {vid for vid, _ in self.vertices}
-        return not self._connected(verts, skip=frozenset(edge_ids))
+        return not self._connected(frozenset(edge_ids))
 
     # -- exports -----------------------------------------------------------
 
@@ -140,10 +126,10 @@ class GraphOfGroups:
 
 
 class _UnionFind:
-    def __init__(self, items: Iterable[int]):
+    def __init__(self, items: Iterable[Hashable]):
         self.parent = {i: i for i in items}
 
-    def find(self, i: int) -> int:
+    def find(self, i: Hashable) -> Hashable:
         root = i
         while self.parent[root] != root:
             root = self.parent[root]
@@ -151,7 +137,7 @@ class _UnionFind:
             self.parent[i], i = root, self.parent[i]
         return root
 
-    def union(self, a: int, b: int) -> int:
+    def union(self, a: Hashable, b: Hashable) -> Hashable:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self.parent[rb] = ra

@@ -11,27 +11,19 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import blowup, complexes, freegroup, partitions, verify
 from .partitions import Partition, class_of, parse_class
 
 
-@dataclass(frozen=True)
-class Config:
-    max_rank: int = partitions.MAX_RANK
-    fmt: str = "json"
-
-    def __post_init__(self):
-        if self.max_rank > partitions.MAX_RANK:
-            raise ValueError("rank ceiling cannot exceed %d" % partitions.MAX_RANK)
-
-
-def _config_from(args) -> Config:
+def _max_rank(args) -> int:
+    """The rank ceiling: FREESPLIT_MAX_RANK, overridden by --max-rank."""
     max_rank = int(os.environ.get("FREESPLIT_MAX_RANK", partitions.MAX_RANK))
-    if getattr(args, "max_rank", None) is not None:
+    if args.max_rank is not None:
         max_rank = args.max_rank
-    return Config(max_rank=max_rank, fmt=getattr(args, "format", "json") or "json")
+    if max_rank > partitions.MAX_RANK:
+        raise ValueError("rank ceiling cannot exceed %d" % partitions.MAX_RANK)
+    return max_rank
 
 
 def _emit(payload) -> None:
@@ -39,14 +31,14 @@ def _emit(payload) -> None:
 
 
 def _cmd_enum(args) -> int:
-    cfg = _config_from(args)
+    max_rank = _max_rank(args)
     edges = partitions.enumerate_ideal_edges(
-        args.rank, thick_only=args.thick_only, max_rank=cfg.max_rank
+        args.rank, thick_only=args.thick_only, max_rank=max_rank
     )
     _emit({
         "rank": args.rank,
         "count": len(edges),
-        "class_count": partitions.count_splitting_classes(args.rank, max_rank=cfg.max_rank),
+        "class_count": partitions.count_splitting_classes(args.rank, max_rank=max_rank),
         "partitions": [p.to_json() for p in edges],
     })
     return 0
@@ -85,14 +77,13 @@ def _cmd_pair(args) -> int:
 
 
 def _cmd_blowup(args) -> int:
-    cfg = _config_from(args)
     with open(args.family, "r", encoding="utf-8") as handle:
         specs = json.load(handle)
     if not isinstance(specs, list) or not all(isinstance(spec, str) for spec in specs):
         raise ValueError("family file must hold a JSON array of class specs")
     family = [parse_class(args.rank, spec) for spec in specs]
     graph = blowup.blow_up(family, args.rank)
-    if cfg.fmt == "dot":
+    if args.format == "dot":
         sys.stdout.write(graph.to_dot() + "\n")
     else:
         payload = graph.to_json()
@@ -117,9 +108,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_whitehead(args) -> int:
-    cfg = _config_from(args)
-    if args.rank > cfg.max_rank:
-        raise ValueError("rank %d outside the whitehead guard [1, %d]" % (args.rank, cfg.max_rank))
+    max_rank = _max_rank(args)
+    if args.rank > max_rank:
+        raise ValueError("rank %d outside the whitehead guard [1, %d]" % (args.rank, max_rank))
     w = freegroup.Word.from_string(args.rank, args.word)
     if w.is_trivial():
         raise ValueError("the trivial word has no simplicity verdict")
@@ -135,9 +126,8 @@ def _cmd_whitehead(args) -> int:
 
 
 def _cmd_kgraph(args) -> int:
-    cfg = _config_from(args)
     graph = complexes.k_graph_local(args.rank)
-    if cfg.fmt == "dot":
+    if args.format == "dot":
         sys.stdout.write(graph.to_dot() + "\n")
     else:
         _emit(graph.to_json())

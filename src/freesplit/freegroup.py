@@ -17,10 +17,6 @@ from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 
-def letter_key(letter: int) -> Tuple[int, int]:
-    return (abs(letter), 0 if letter > 0 else 1)
-
-
 def free_reduce(letters: Iterable[int]) -> Tuple[int, ...]:
     """Cancel adjacent inverse pairs until none remain."""
     out: List[int] = []
@@ -42,7 +38,7 @@ def cyclic_reduce_letters(letters: Sequence[int]) -> Tuple[int, ...]:
 
 
 def _bit(letter: int) -> int:
-    """Vertex index of a letter: 2i-2 for xi and 2i-1 for Xi, in letter_key order."""
+    """Vertex index of a letter: 2i-2 for xi and 2i-1 for Xi (x1 < X1 < x2 < ...)."""
     return 2 * letter - 2 if letter > 0 else -2 * letter - 1
 
 
@@ -228,28 +224,14 @@ def nielsen(rank: int, i: int, j: int, side: str = "right") -> FreeAutomorphism:
     """The map sending xi to xi*xj (side="right") or xj*xi (side="left").
 
     All other generators are fixed; i and j must be distinct generator
-    indices.
+    indices.  This is the twist of the stable letter xi by z = xj.
     """
     if i == j:
         raise ValueError("Nielsen map needs distinct generator indices")
     for idx in (i, j):
         if not (1 <= idx <= rank):
             raise ValueError("generator index %d out of range for rank %d" % (idx, rank))
-    if side not in ("right", "left"):
-        raise ValueError("side must be 'right' or 'left'")
-    images = []
-    inverse_images = []
-    for g in range(1, rank + 1):
-        if g != i:
-            images.append(Word(rank, (g,)))
-            inverse_images.append(Word(rank, (g,)))
-        elif side == "right":
-            images.append(Word(rank, (i, j)))
-            inverse_images.append(Word(rank, (i, -j)))
-        else:
-            images.append(Word(rank, (j, i)))
-            inverse_images.append(Word(rank, (-j, i)))
-    return FreeAutomorphism(rank, tuple(images), tuple(inverse_images))
+    return twist(rank, i, Word(rank, (j,)), side)
 
 
 def twist(rank: int, stable: int, z: Word, side: str = "right") -> FreeAutomorphism:
@@ -329,59 +311,61 @@ class WhiteheadGraph:
     """Graph on the 2N signed letters recording adjacencies of a cyclic word.
 
     Each cyclically adjacent letter pair (u, v) contributes the edge
-    {u, v^-1} with multiplicity.  Cyclic reduction rules out loop edges,
-    and the total multiplicity equals the cyclic word length.
+    {u, v^-1} with multiplicity.  ``rows`` is the 2N x 2N multiplicity
+    matrix, indexed by vertex index (see _bit).  Cyclic reduction rules out
+    loop edges, and the total multiplicity equals the cyclic word length.
     """
 
     rank: int
-    edges: Tuple[Tuple[Tuple[int, int], int], ...]
+    rows: Tuple[Tuple[int, ...], ...]
+
+    def _vertex(self, v: int) -> int:
+        if not (1 <= abs(v) <= self.rank):
+            raise ValueError("letter %d out of range for rank %d" % (v, self.rank))
+        return _bit(v)
+
+    @property
+    def edges(self) -> Tuple[Tuple[Tuple[int, int], int], ...]:
+        """((u, v), multiplicity) for every edge, u before v, in vertex order."""
+        return tuple(
+            ((_letter(i), _letter(j)), row[j])
+            for i, row in enumerate(self.rows)
+            for j in range(i + 1, len(row))
+            if row[j]
+        )
 
     def vertices(self) -> Tuple[int, ...]:
-        out = []
-        for i in range(1, self.rank + 1):
-            out.extend((i, -i))
-        return tuple(out)
+        return tuple(_letter(b) for b in range(2 * self.rank))
 
     def multiplicity(self, u: int, v: int) -> int:
-        pair = _edge_pair(u, v)
-        for stored, count in self.edges:
-            if stored == pair:
-                return count
-        return 0
+        return self.rows[self._vertex(u)][self._vertex(v)]
 
     def neighbors(self, v: int) -> Tuple[int, ...]:
-        out = set()
-        for (a, b), _ in self.edges:
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        return tuple(sorted(out, key=letter_key))
+        return tuple(_letter(b) for b, m in enumerate(self.rows[self._vertex(v)]) if m)
 
     def degree(self, v: int) -> int:
-        return sum(count for (a, b), count in self.edges if v in (a, b))
+        return sum(self.rows[self._vertex(v)])
 
     def total_multiplicity(self) -> int:
-        return sum(count for _, count in self.edges)
+        return sum(map(sum, self.rows)) // 2
 
 
-def _edge_pair(u: int, v: int) -> Tuple[int, int]:
-    return tuple(sorted((u, v), key=letter_key))  # type: ignore[return-value]
+def _multiplicities(rank: int, cyc: Sequence[int]) -> List[List[int]]:
+    """Whitehead-graph multiplicity rows of a cyclically reduced word."""
+    mult = [[0] * (2 * rank) for _ in range(2 * rank)]
+    for u, v in zip(cyc[-1:] + cyc, cyc):
+        i, j = _bit(u), _bit(-v)  # the edge {u, v^-1}
+        mult[i][j] += 1
+        mult[j][i] += 1
+    return mult
 
 
 def whitehead_graph(w: Word) -> WhiteheadGraph:
     """Whitehead graph of a nontrivial word's cyclic reduction."""
     if w.is_trivial():
         raise ValueError("Whitehead graph of the trivial word is undefined")
-    cyc = cyclic_reduce_letters(w.letters)
-    counts: Dict[Tuple[int, int], int] = {}
-    n = len(cyc)
-    for k in range(n):
-        u, v = cyc[k], cyc[(k + 1) % n]
-        pair = _edge_pair(u, -v)
-        counts[pair] = counts.get(pair, 0) + 1
-    edges = tuple(sorted(counts.items(), key=lambda item: (letter_key(item[0][0]), letter_key(item[0][1]))))
-    return WhiteheadGraph(rank=w.rank, edges=edges)
+    mult = _multiplicities(w.rank, cyclic_reduce_letters(w.letters))
+    return WhiteheadGraph(w.rank, tuple(map(tuple, mult)))
 
 
 def connected_no_cutvertex(g: WhiteheadGraph) -> bool:
@@ -389,33 +373,23 @@ def connected_no_cutvertex(g: WhiteheadGraph) -> bool:
 
     Letters that do not occur in the word are isolated vertices, so a word
     omitting a generator always fails the connectivity half.  This matches
-    the graph's use as a nonsimplicity certificate.
+    the graph's use as a nonsimplicity certificate.  Vertex sets are
+    bitsets over the vertex indices.
     """
-    verts = set(g.vertices())
-    adj: Dict[int, set] = {v: set() for v in verts}
-    for (a, b), _ in g.edges:
-        adj[a].add(b)
-        adj[b].add(a)
+    adj = [sum(1 << b for b, m in enumerate(row) if m) for row in g.rows]
 
-    def connected(subset: set) -> bool:
-        if not subset:
-            return True
-        start = next(iter(subset))
-        seen = {start}
-        stack = [start]
-        while stack:
-            for nxt in adj[stack.pop()]:
-                if nxt in subset and nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return len(seen) == len(subset)
+    def connected(subset: int) -> bool:
+        seen = todo = subset & -subset
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            new = adj[low.bit_length() - 1] & subset & ~seen
+            seen |= new
+            todo |= new
+        return seen == subset
 
-    if not connected(verts):
-        return False
-    for v in verts:
-        if not connected(verts - {v}):
-            return False
-    return True
+    full = (1 << len(adj)) - 1
+    return connected(full) and all(connected(full ^ (1 << b)) for b in range(len(adj)))
 
 
 @lru_cache(maxsize=None)
@@ -473,11 +447,7 @@ def whitehead_minimize(w: Word) -> CyclicWord:
     moves = _wh_moves(rank)
     current = _cyclic_canon(w.letters)
     while True:
-        mult = [[0] * (2 * rank) for _ in range(2 * rank)]
-        for u, v in zip(current[-1:] + current, current):
-            i, j = _bit(u), _bit(-v)  # the edge {u, v^-1}
-            mult[i][j] += 1
-            mult[j][i] += 1
+        mult = _multiplicities(rank, current)
         cap = _cut_capacities(mult)
         deg = [sum(row) for row in mult]
         best = min(moves, key=lambda move: cap[move[0]] - deg[move[1]], default=None)
@@ -524,9 +494,9 @@ def _check_factor_word(a_rank: int, w: Word) -> None:
 
 
 def _length_then_letter_key(letters: Tuple[int, ...]) -> Tuple[int, Tuple[int, ...]]:
-    """Sort key ordering by length, then lexicographically by letter_key.
+    """Sort key ordering by length, then lexicographically by letter (x1 < X1 < x2 < ...).
 
-    _bit is monotone in letter_key, so a flat tuple of ints gives that order.
+    _bit numbers the letters in that order, so a flat tuple of ints gives it.
     """
     return (len(letters), tuple(map(_bit, letters)))
 
@@ -559,9 +529,7 @@ def enumerate_factor_product(a_rank: int, w: Word, max_len: int) -> List[Word]:
 
     a_words: Dict[int, List[Tuple[int, ...]]] = {}
     frontier: List[Tuple[int, ...]] = [()]
-    a_letters = sorted(
-        (l for i in range(1, a_rank + 1) for l in (i, -i)), key=letter_key
-    )
+    a_letters = sorted((l for i in range(1, a_rank + 1) for l in (i, -i)), key=_bit)
     for length in range(1, max_len + 1):
         nxt = []
         for word in frontier:

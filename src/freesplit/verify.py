@@ -11,7 +11,7 @@ import itertools
 import json
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from . import complexes, freegroup, partitions
 from .blowup import (
@@ -303,37 +303,35 @@ def verify_boundary_types(rank: int, mutated: bool = False) -> VerificationRepor
     distinct edges whose quotient is one of the six recognized shapes;
     cagey pairs land on the cage.
 
-    The boundary type depends only on the pair's corner classes, and most
-    families are shared (p, q and the partition with side p ^ q have the
-    same four corners), so each distinct family is blown up once.  A
-    family's outcome, its tag or the ``ValueError`` it raised, is replayed
-    for every pair that has it.
+    The boundary type depends only on the pair's corner classes, which its
+    set of four corner masks fixes.  Most corner sets are shared (p, q and
+    the partition with side p ^ q have the same four corners), so the
+    family is built and blown up once per distinct set.  Its outcome, the
+    tag or the ``ValueError`` it raised, is replayed for every pair that
+    has that set.
     """
     if rank not in (3, 4):
         raise ValueError("boundary-type verification runs at ranks 3 and 4")
     started = time.perf_counter()
     rec = _Recorder()
     census: Dict[str, int] = {}
-    outcomes: Dict[Tuple[int, ...], Union[str, ValueError]] = {}  # keyed by family masks
-
-    def outcome_of(family) -> Union[str, ValueError]:
-        key = tuple(c.representative.mask for c in family)
-        if key not in outcomes:
-            try:
-                outcomes[key] = classify_boundary(family, rank).tag
-            except ValueError as exc:
-                outcomes[key] = exc
-        return outcomes[key]
-
+    # (edge count, tag or the ValueError raised), keyed by the corner masks
+    outcomes: Dict[FrozenSet[int], Tuple[int, Union[str, ValueError]]] = {}
     for p, q in _crossing_thick_pairs(rank):
-        family = boundary_classes(p, q)  # cannot raise: the pairs are ideal and cross
-        tag = outcome_of(family)
+        key = frozenset(partitions.corner_masks(p, q))
+        if key not in outcomes:
+            family = boundary_classes(p, q)  # cannot raise: the pairs are ideal and cross
+            try:
+                outcomes[key] = (len(family), classify_boundary(family, rank).tag)
+            except ValueError as exc:
+                outcomes[key] = (len(family), exc)
+        edge_count, tag = outcomes[key]
         if isinstance(tag, ValueError):
             rec.check(False, "{%s} vs {%s}: %s", p.encode, q.encode, tag)
             continue
         census[tag] = census.get(tag, 0) + 1
-        rec.check(len(family) in (3, 4), "{%s} vs {%s}: %d boundary edges",
-                  p.encode, q.encode, len(family))
+        rec.check(edge_count in (3, 4), "{%s} vs {%s}: %d boundary edges",
+                  p.encode, q.encode, edge_count)
         if is_cagey(p, q):
             rec.check(tag == "cage-3", "{%s} vs {%s}: cagey pair classified %s",
                       p.encode, q.encode, tag)

@@ -1,11 +1,13 @@
-"""Reference isomorphism test for graphs of groups, used only by the tests.
+"""Reference graph-of-groups checks, used only by the tests.
 
 ``canonical_form`` decides whether two blow-ups are isomorphic graphs (vertex
 ranks optional), independently of the library's shape tags: a test can check
 that each boundary tag names exactly one isomorphism class.
+``disconnects_without`` is a set-BFS connectivity test on the graph with
+some edges removed.
 """
 
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from freesplit.blowup import GraphOfGroups
 
@@ -83,3 +85,22 @@ def canonical_form(g: GraphOfGroups, include_ranks: bool = True) -> Tuple:
 
     search(renumber(base))
     return best
+
+
+def disconnects_without(g: GraphOfGroups, edge_ids: Iterable[str]) -> bool:
+    """Whether removing the given edges leaves the graph disconnected."""
+    skip = set(edge_ids)
+    adj: Dict[str, set] = {vid: set() for vid, _ in g.vertices}
+    for eid, (u, v), _ in g.edges:
+        if eid not in skip:
+            adj[u].add(v)
+            adj[v].add(u)
+    start = g.vertices[0][0]
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) != len(adj)

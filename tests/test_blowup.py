@@ -13,6 +13,7 @@ from freesplit.blowup import (
     boundary_splitting,
     classify_shape,
 )
+from freesplit.complexes import build_star_graph, enumerate_cliques
 from freesplit.partitions import (
     Partition,
     class_of,
@@ -26,7 +27,8 @@ from freesplit.partitions import (
 )
 from freesplit.verify import chain_partition, interval_partition, sign_partition
 
-from graph_oracle import canonical_form
+from boundary_oracle import crossing_thick_pairs
+from graph_oracle import canonical_form, disconnects_without
 
 
 def thick(rank, text):
@@ -171,6 +173,36 @@ def test_graph_validation_rejects_rank_violations():
             vertices=(("a", 1), ("b", 2)),
             edges=(),
         )
+
+    with pytest.raises(ValueError, match="must be connected"):
+        GraphOfGroups(
+            rank=2,
+            vertices=(("a", 1), ("b", 1)),
+            edges=(("e", ("a", "a"), "e"),),
+        )
+
+
+@pytest.fixture(scope="module")
+def boundary_and_clique_graphs():
+    """The blow-ups of the 1,761 boundary families of the 4,717 crossing thick
+    pairs at ranks 3 and 4, and of the 328 rank-3 4-cliques."""
+    families = {(rank, boundary_classes(p, q)) for rank in (3, 4)
+                for p, q in crossing_thick_pairs(rank)}
+    graphs = [blow_up(family, rank) for rank, family in families]
+    ens3 = build_star_graph(3, "ens")
+    for indices in enumerate_cliques(ens3, 4):
+        graphs.append(blow_up([ens3.vertices[i] for i in indices], 3))
+    return graphs
+
+
+def test_separating_edges_match_the_set_bfs_reference(boundary_and_clique_graphs):
+    assert len(boundary_and_clique_graphs) == 1761 + 328
+    for g in boundary_and_clique_graphs:
+        assert not disconnects_without(g, ())
+        eids = [eid for eid, _, _ in g.edges]
+        for size in (1, 2):
+            for removed in itertools.combinations(eids, size):
+                assert g.disconnects_without(removed) == disconnects_without(g, removed)
 
 
 # ---------------------------------------------------------------------------

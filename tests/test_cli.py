@@ -216,6 +216,25 @@ def test_workers_flag_is_a_usage_error():
     assert exc.value.code == 2
 
 
+def test_blowup_and_kgraph_never_read_the_rank_ceiling(tmp_path, monkeypatch, capsys):
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps(["petal:1", "petal:2", "petal:3", "x1-,x2+"]))
+    commands = [["blowup", "--rank", "3", "--family", str(family)],
+                ["kgraph", "--rank", "3", "--format", "dot"]]
+    for argv in commands:
+        code, expected, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert run_cli(capsys, "--max-rank", "9", *argv) == (0, expected, "")
+        monkeypatch.setenv("FREESPLIT_MAX_RANK", "not-a-number")
+        assert run_cli(capsys, *argv) == (0, expected, "")
+        monkeypatch.delenv("FREESPLIT_MAX_RANK")
+    # enum and whitehead simple still read it and refuse a bad one
+    code, _, err = run_cli(capsys, "--max-rank", "9", "enum", "--rank", "3")
+    assert code == 2 and "cannot exceed" in err
+    monkeypatch.setenv("FREESPLIT_MAX_RANK", "not-a-number")
+    assert run_cli(capsys, "whitehead", "simple", "--rank", "2", "--word", "x1")[0] == 2
+
+
 def test_env_override_for_rank_ceiling(monkeypatch, capsys):
     monkeypatch.setenv("FREESPLIT_MAX_RANK", "3")
     code, _, err = run_cli(capsys, "enum", "--rank", "4")

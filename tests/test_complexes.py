@@ -161,6 +161,27 @@ def test_rose_vertices_blow_up_to_roses(ens3):
         assert report.vertex_ranks == (0,)
 
 
+def rose_by_shape(fam, rank):
+    """The rose test read off the full shape report."""
+    try:
+        report = classify_shape(blow_up(fam, rank))
+    except ValueError:
+        return False
+    return report.rose == rank and set(report.vertex_ranks) == {0}
+
+
+def test_rose_test_agrees_with_the_shape_report(ens3):
+    ens4 = build_star_graph(4, "ens")
+    for graph, rank, cliques in ((ens3, 3, enumerate_cliques(ens3, 3)),
+                                 (ens4, 4, itertools.islice(enumerate_cliques(ens4, 4), 2000))):
+        verdicts = []
+        for indices in cliques:
+            fam = tuple(graph.vertices[i] for i in indices)
+            verdicts.append(is_rose_family(fam, rank))
+            assert verdicts[-1] == rose_by_shape(fam, rank)
+        assert True in verdicts and False in verdicts
+
+
 def test_rank_guard_for_rose_enumeration():
     with pytest.raises(ValueError):
         rose_vertices(5)

@@ -15,7 +15,6 @@ from freesplit.freegroup import (
     enumerate_factor_product,
     free_reduce,
     is_conjugate,
-    letter_key,
     is_simple,
     nielsen,
     stable_conjugate,
@@ -25,10 +24,14 @@ from freesplit.freegroup import (
     whitehead_minimize,
 )
 from whitehead_oracle import (
+    ReferenceWhiteheadGraph,
     _canon,
+    _key,
     all_cyclically_reduced,
+    all_reduced,
     letter_moves,
     oracle_is_simple,
+    reference_connected_no_cutvertex,
     reference_minimize,
     whitehead_moves,
 )
@@ -101,6 +104,22 @@ def test_nielsen_map():
     assert left.apply(W(3, "x1")).to_string() == "x2x1"
     with pytest.raises(ValueError):
         nielsen(3, 2, 2)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_nielsen_maps_are_twists(rank):
+    for i, j in itertools.permutations(range(1, rank + 1), 2):
+        for side in ("right", "left"):
+            assert nielsen(rank, i, j, side) == twist(rank, i, Word(rank, (j,)), side)
+
+
+def test_nielsen_checks_come_in_order():
+    with pytest.raises(ValueError, match="distinct generator indices"):
+        nielsen(2, 3, 3)
+    with pytest.raises(ValueError, match="generator index 3 out of range for rank 2"):
+        nielsen(2, 3, 1, side="up")
+    with pytest.raises(ValueError, match="side must be 'right' or 'left'"):
+        nielsen(2, 1, 2, side="up")
 
 
 def test_twist_maps_stable_letter():
@@ -238,6 +257,31 @@ def test_total_multiplicity_equals_cyclic_length():
         if w.is_trivial():
             continue
         assert whitehead_graph(w).total_multiplicity() == len(w.cyclic_reduce())
+
+
+@pytest.mark.parametrize("rank, max_len", [(2, 6), (3, 5), (4, 3)])
+def test_whitehead_graph_matches_the_edge_dict_reference(rank, max_len):
+    for letters in all_reduced(rank, max_len):
+        g = whitehead_graph(Word(rank, letters))
+        ref = ReferenceWhiteheadGraph(rank, letters)
+        assert g.edges == ref.edges
+        assert g.vertices() == ref.vertices()
+        assert g.total_multiplicity() == ref.total_multiplicity()
+        for u in ref.vertices():
+            assert g.degree(u) == ref.degree(u)
+            assert g.neighbors(u) == ref.neighbors(u)
+            assert [g.multiplicity(u, v) for v in ref.vertices()] == \
+                [ref.multiplicity(u, v) for v in ref.vertices()]
+        assert connected_no_cutvertex(g) == reference_connected_no_cutvertex(ref)
+
+
+def test_whitehead_graph_rejects_letters_out_of_range():
+    g = whitehead_graph(W(2, "x1x2"))
+    for bad in (0, 3, -3):
+        with pytest.raises(ValueError, match="out of range for rank 2"):
+            g.degree(bad)
+        with pytest.raises(ValueError, match="out of range for rank 2"):
+            g.multiplicity(1, bad)
 
 
 def test_graph_of_trivial_word_is_undefined():
@@ -433,13 +477,13 @@ def test_factor_product_members_balance_the_stable_letter():
 def test_factor_product_is_deduplicated_and_sorted():
     got = enumerate_factor_product(2, W(2, "x1x2X1X2"), 7)
     assert len(got) == len(set(got))
-    keys = [(len(g.letters), [letter_key(l) for l in g.letters]) for g in got]
+    keys = [(len(g.letters), [_key(l) for l in g.letters]) for g in got]
     assert keys == sorted(keys)
 
 
 def by_length_then_letter_key(words):
-    """The reference order of the factor product: length, then letter_key lexicographically."""
-    return sorted(words, key=lambda g: (len(g.letters), [letter_key(l) for l in g.letters]))
+    """The reference order of the factor product: length, then the oracle's letter key lexicographically."""
+    return sorted(words, key=lambda g: (len(g.letters), [_key(l) for l in g.letters]))
 
 
 @pytest.mark.parametrize("a_rank, w, max_len", [

@@ -9,6 +9,10 @@ the minimize-then-cut-vertex path it is used to check.
 ``reference_minimize`` is the rewrite-every-move greedy minimizer: it
 applies every Whitehead move to the word at every step and keeps the first
 move, in encoding order, with the largest strict decrease.
+
+``ReferenceWhiteheadGraph`` is the Whitehead graph as a sorted tuple of
+letter-pair edges, built from a dict of pair counts, and
+``reference_connected_no_cutvertex`` walks it with set BFS.
 """
 
 import itertools
@@ -162,3 +166,75 @@ def all_cyclically_reduced(rank, max_len):
 
     grow([], max_len)
     return out
+
+
+def all_reduced(rank, max_len):
+    """Every nontrivial freely reduced word of length at most max_len."""
+    letters = [l for i in range(1, rank + 1) for l in (i, -i)]
+    out = []
+    frontier = [()]
+    for _ in range(max_len):
+        frontier = [w + (l,) for w in frontier for l in letters if not w or w[-1] != -l]
+        out.extend(frontier)
+    return out
+
+
+def _edge_pair(u, v):
+    return tuple(sorted((u, v), key=_key))
+
+
+class ReferenceWhiteheadGraph:
+    """The Whitehead graph of a reduced word's cyclic reduction, as sorted edges.
+
+    Each cyclically adjacent pair (u, v) counts toward the edge {u, v^-1};
+    edges are ((u, v), multiplicity) with u before v in key order, sorted.
+    """
+
+    def __init__(self, rank, letters):
+        self.rank = rank
+        cyc = _cyclic(tuple(letters))
+        counts = {}
+        for k in range(len(cyc)):
+            pair = _edge_pair(cyc[k], -cyc[(k + 1) % len(cyc)])
+            counts[pair] = counts.get(pair, 0) + 1
+        self.edges = tuple(sorted(counts.items(), key=lambda item: (_key(item[0][0]), _key(item[0][1]))))
+
+    def vertices(self):
+        return tuple(l for i in range(1, self.rank + 1) for l in (i, -i))
+
+    def multiplicity(self, u, v):
+        return dict(self.edges).get(_edge_pair(u, v), 0)
+
+    def neighbors(self, v):
+        out = {a if b == v else b for (a, b), _ in self.edges if v in (a, b)}
+        return tuple(sorted(out, key=_key))
+
+    def degree(self, v):
+        return sum(count for (a, b), count in self.edges if v in (a, b))
+
+    def total_multiplicity(self):
+        return sum(count for _, count in self.edges)
+
+
+def reference_connected_no_cutvertex(g):
+    """Connected on all 2N letters, and still connected after removing any one."""
+    verts = set(g.vertices())
+    adj = {v: set() for v in verts}
+    for (a, b), _ in g.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+
+    def connected(subset):
+        if not subset:
+            return True
+        start = next(iter(subset))
+        seen = {start}
+        stack = [start]
+        while stack:
+            for nxt in adj[stack.pop()]:
+                if nxt in subset and nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return seen == subset
+
+    return connected(verts) and all(connected(verts - {v}) for v in verts)
