@@ -109,7 +109,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_whitehead(args) -> int:
     max_rank = _max_rank(args)
-    if args.rank > max_rank:
+    if not 1 <= args.rank <= max_rank:
         raise ValueError("rank %d outside the whitehead guard [1, %d]" % (args.rank, max_rank))
     w = freegroup.Word.from_string(args.rank, args.word)
     if w.is_trivial():

@@ -77,13 +77,19 @@ class Word:
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError("word rank must be >= 1")
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for l in self.letters:
-            if not (1 <= abs(l) <= self.rank):
-                raise ValueError("letter %d out of range for rank %d" % (l, self.rank))
-        for a, b in zip(self.letters, self.letters[1:]):
-            if a == -b:
-                raise ValueError("word is not freely reduced")
+        rank = self.rank
+        letters = tuple(self.letters)
+        object.__setattr__(self, "letters", letters)
+        # One pass over the letters; a range fault anywhere outranks a cancelling pair.
+        prev, reduced = 0, True
+        for l in letters:
+            if not 1 <= abs(l) <= rank:
+                raise ValueError("letter %d out of range for rank %d" % (l, rank))
+            if l == -prev:
+                reduced = False
+            prev = l
+        if not reduced:
+            raise ValueError("word is not freely reduced")
 
     @classmethod
     def make(cls, rank: int, letters: Iterable[int]) -> "Word":
@@ -180,13 +186,16 @@ class FreeAutomorphism:
     def __post_init__(self):
         if len(self.images) != self.rank or len(self.inverse_images) != self.rank:
             raise ValueError("need one image per generator")
+        for img in itertools.chain(self.images, self.inverse_images):
+            if img.rank != self.rank:
+                raise ValueError("image rank %d does not match automorphism rank %d"
+                                 % (img.rank, self.rank))
+        forward = tuple(img.letters for img in self.images)
+        backward = tuple(img.letters for img in self.inverse_images)
         for i in range(1, self.rank + 1):
-            gen = Word(self.rank, (i,))
-            forward = _substitute(self.images, gen)
-            if _substitute(self.inverse_images, forward) != gen:
+            if _substitute_letters(backward, forward[i - 1]) != (i,):
                 raise ValueError("stored inverse does not invert the map on x%d" % i)
-            backward = _substitute(self.inverse_images, gen)
-            if _substitute(self.images, backward) != gen:
+            if _substitute_letters(forward, backward[i - 1]) != (i,):
                 raise ValueError("stored inverse is not a right inverse on x%d" % i)
 
     @classmethod
@@ -198,7 +207,8 @@ class FreeAutomorphism:
         if w.rank != self.rank:
             raise ValueError("word rank %d does not match automorphism rank %d"
                              % (w.rank, self.rank))
-        return _substitute(self.images, w)
+        images = tuple(img.letters for img in self.images)
+        return Word(w.rank, _substitute_letters(images, w.letters))
 
     def inverse(self) -> "FreeAutomorphism":
         return FreeAutomorphism(self.rank, self.inverse_images, self.images)
@@ -208,16 +218,27 @@ class FreeAutomorphism:
         if self.rank != other.rank:
             raise ValueError("rank mismatch in composition")
         images = tuple(self.apply(img) for img in other.images)
-        inverse_images = tuple(other.inverse().apply(img) for img in self.inverse_images)
+        undo = other.inverse()
+        inverse_images = tuple(undo.apply(img) for img in self.inverse_images)
         return FreeAutomorphism(self.rank, images, inverse_images)
 
 
-def _substitute(images: Tuple[Word, ...], w: Word) -> Word:
+def _substitute_letters(images: Sequence[Tuple[int, ...]],
+                        letters: Iterable[int]) -> Tuple[int, ...]:
+    """The freely reduced product of the images of ``letters``.
+
+    ``images[i-1]`` is the letter tuple of the image of xi, and the letter
+    -i maps to its inverse.  Every letter goes through one stack, which
+    cancels against the top as it goes.
+    """
     out: List[int] = []
-    for l in w.letters:
-        img = images[abs(l) - 1].letters
-        out.extend(img if l > 0 else tuple(-x for x in reversed(img)))
-    return Word.make(w.rank, out)
+    for l in letters:
+        for x in images[l - 1] if l > 0 else [-y for y in reversed(images[-l - 1])]:
+            if out and out[-1] == -x:
+                out.pop()
+            else:
+                out.append(x)
+    return tuple(out)
 
 
 def nielsen(rank: int, i: int, j: int, side: str = "right") -> FreeAutomorphism:
@@ -253,8 +274,9 @@ def twist(rank: int, stable: int, z: Word, side: str = "right") -> FreeAutomorph
     t = Word(rank, (stable,))
     for g in range(1, rank + 1):
         if g != stable:
-            images.append(Word(rank, (g,)))
-            inverse_images.append(Word(rank, (g,)))
+            fixed = Word(rank, (g,))
+            images.append(fixed)
+            inverse_images.append(fixed)
         elif side == "right":
             images.append(t * z)
             inverse_images.append(t * z.inverse())
@@ -455,8 +477,8 @@ def whitehead_minimize(w: Word) -> CyclicWord:
             return CyclicWord(rank, current)
         mask, a = best
         A = frozenset(_letter(b) for b in range(2 * rank) if mask >> b & 1)
-        images = tuple(Word(rank, _wh_image(g, A, _letter(a))) for g in range(1, rank + 1))
-        current = _cyclic_canon(_substitute(images, Word(rank, current)).letters)
+        images = tuple(_wh_image(g, A, _letter(a)) for g in range(1, rank + 1))
+        current = _cyclic_canon(_substitute_letters(images, current))
 
 
 def is_simple(w: Word) -> bool:

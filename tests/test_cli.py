@@ -182,6 +182,10 @@ def test_whitehead_rank_guard(capsys):
                            "--rank", "4", "--word", "x1x2")
     assert code == 2
     assert "guard" in err
+    code, out, err = run_cli(capsys, "whitehead", "simple", "--rank", "0", "--word", "x1")
+    assert code == 2
+    assert out == ""
+    assert "rank 0 outside the whitehead guard [1, " in err
 
 
 def test_kgraph(capsys):

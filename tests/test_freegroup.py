@@ -32,7 +32,9 @@ from whitehead_oracle import (
     letter_moves,
     oracle_is_simple,
     reference_connected_no_cutvertex,
+    reference_inverse_error,
     reference_minimize,
+    reference_word_error,
     whitehead_moves,
 )
 
@@ -56,6 +58,20 @@ def test_free_reduction():
     assert free_reduce((1, -1, 2, -2)) == ()
     with pytest.raises(ValueError):
         Word(2, (1, -1))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_word_validation_matches_the_reference(rank):
+    alphabet = range(-rank - 1, rank + 2)
+    for length in range(5):
+        for letters in itertools.product(alphabet, repeat=length):
+            expected = reference_word_error(rank, letters)
+            try:
+                assert Word(rank, letters).letters == letters
+                error = None
+            except ValueError as exc:
+                error = str(exc)
+            assert error == expected
 
 
 def test_word_string_round_trip():
@@ -169,12 +185,76 @@ def test_composition_and_inverse_round_trip():
 
 
 def test_automorphism_constructor_verifies_inverse():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not invert the map on x1"):
         FreeAutomorphism(
             2,
             (Word(2, (1, 2)), Word(2, (2,))),
             (Word(2, (1,)), Word(2, (2,))),
         )
+
+
+def _constructor_error(rank, images, inverse_images):
+    try:
+        FreeAutomorphism(rank, images, inverse_images)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _inverse_check_cases():
+    """Whitehead maps at ranks 2-3 and Nielsen maps at ranks 2-4, with altered variants."""
+    maps = [whitehead_automorphism(rank, cut, a)
+            for rank in (2, 3) for cut, a in whitehead_moves(rank)]
+    maps += [nielsen(rank, i, j, side) for rank in (2, 3, 4)
+             for i, j in itertools.permutations(range(1, rank + 1), 2)
+             for side in ("right", "left")]
+    for phi in maps:
+        images, inverse_images = list(phi.images), list(phi.inverse_images)
+        yield phi.rank, images, inverse_images
+        for k in range(phi.rank):
+            flipped = inverse_images[:k] + [inverse_images[k].inverse()] + inverse_images[k + 1:]
+            yield phi.rank, images, flipped
+            swapped_images = images[:k] + [inverse_images[k]] + images[k + 1:]
+            swapped_inverses = inverse_images[:k] + [images[k]] + inverse_images[k + 1:]
+            yield phi.rank, swapped_images, swapped_inverses
+    # x1 -> x2 -> x1 is a left inverse on x1 but not a right one
+    yield 2, [Word(2, (2,)), Word(2, (2,))], [Word(2, (1,)), Word(2, (1,))]
+
+
+def test_inverse_check_matches_the_reference():
+    verdicts = set()
+    for rank, images, inverse_images in _inverse_check_cases():
+        expected = reference_inverse_error(rank, images, inverse_images)
+        assert _constructor_error(rank, tuple(images), tuple(inverse_images)) == expected
+        verdicts.add(expected)
+    # both checks fire, and some altered variants still pass
+    assert {None, "stored inverse does not invert the map on x1",
+            "stored inverse is not a right inverse on x1"} <= verdicts
+
+
+@pytest.mark.parametrize("stray", [Word(2, (1, 2)), Word(4, (3, 4))])
+def test_images_of_another_rank_are_rejected(stray):
+    gens = tuple(Word(3, (i,)) for i in (1, 2, 3))
+    message = "image rank %d does not match automorphism rank 3" % stray.rank
+    with pytest.raises(ValueError, match=message):
+        FreeAutomorphism(3, gens[:2] + (stray,), gens)
+    with pytest.raises(ValueError, match=message):
+        FreeAutomorphism(3, gens, gens[:2] + (stray,))
+
+
+def test_automorphism_check_builds_no_words(monkeypatch):
+    maps = [nielsen(4, 1, 2), whitehead_automorphism(3, (1, 2, -3), 1)]
+    built = []
+    validate = Word.__post_init__
+
+    def counting(self):
+        built.append(self.letters)
+        validate(self)
+
+    monkeypatch.setattr(Word, "__post_init__", counting)
+    for phi in maps:
+        assert FreeAutomorphism(phi.rank, phi.images, phi.inverse_images) == phi
+    assert built == []
 
 
 def test_whitehead_automorphism_matches_letter_conventions():

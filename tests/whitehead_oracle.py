@@ -13,6 +13,10 @@ move, in encoding order, with the largest strict decrease.
 ``ReferenceWhiteheadGraph`` is the Whitehead graph as a sorted tuple of
 letter-pair edges, built from a dict of pair counts, and
 ``reference_connected_no_cutvertex`` walks it with set BFS.
+
+``reference_word_error`` and ``reference_inverse_error`` are the letter
+loops of ``Word`` validation and the generator-by-generator stored-inverse
+check of ``FreeAutomorphism``, substituting by concatenate-then-reduce.
 """
 
 import itertools
@@ -238,3 +242,41 @@ def reference_connected_no_cutvertex(g):
         return seen == subset
 
     return connected(verts) and all(connected(verts - {v}) for v in verts)
+
+
+def reference_word_error(rank, letters):
+    """Why ``Word(rank, letters)`` must be refused, or None: one letter at a time."""
+    if rank < 1:
+        return "word rank must be >= 1"
+    for l in letters:
+        if not (1 <= abs(l) <= rank):
+            return "letter %d out of range for rank %d" % (l, rank)
+    for a, b in zip(letters, letters[1:]):
+        if a == -b:
+            return "word is not freely reduced"
+    return None
+
+
+def reference_substitute(images, letters):
+    """Concatenate the image runs of ``letters`` (Xi runs the inverse of xi's), then reduce."""
+    run = []
+    for l in letters:
+        img = images[abs(l) - 1]
+        run.extend(img if l > 0 else [-x for x in reversed(img)])
+    return _reduce(run)
+
+
+def reference_inverse_error(rank, images, inverse_images):
+    """Why the stored inverse must be refused, or None.
+
+    Each generator is sent forward and then back, and back and then
+    forward, and must return to itself.
+    """
+    forward = [w.letters for w in images]
+    backward = [w.letters for w in inverse_images]
+    for i in range(1, rank + 1):
+        if reference_substitute(backward, reference_substitute(forward, (i,))) != (i,):
+            return "stored inverse does not invert the map on x%d" % i
+        if reference_substitute(forward, reference_substitute(backward, (i,))) != (i,):
+            return "stored inverse is not a right inverse on x%d" % i
+    return None
