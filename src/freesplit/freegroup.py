@@ -184,6 +184,10 @@ class FreeAutomorphism:
     inverse_images: Tuple[Word, ...]
 
     def __post_init__(self):
+        if self.rank < 1:
+            raise ValueError("automorphism rank must be >= 1")
+        object.__setattr__(self, "images", tuple(self.images))
+        object.__setattr__(self, "inverse_images", tuple(self.inverse_images))
         if len(self.images) != self.rank or len(self.inverse_images) != self.rank:
             raise ValueError("need one image per generator")
         for img in itertools.chain(self.images, self.inverse_images):

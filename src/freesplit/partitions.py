@@ -392,3 +392,31 @@ def enumerate_splitting_classes(rank: int, max_rank: int = MAX_RANK) -> list:
 
 def count_splitting_classes(rank: int, max_rank: int = MAX_RANK) -> int:
     return len(enumerate_splitting_classes(rank, max_rank=max_rank))
+
+
+@lru_cache(maxsize=None)
+def signed_permutation_tables(rank: int) -> Tuple[Tuple[int, ...], ...]:
+    """The bit images of every 2N-bit mask under three generators of B_N.
+
+    B_N, the 2**N * N! signed permutations of the petals, fixes the rose.
+    Its generators here swap x1+ with x1-, swap petals 1 and 2, and cycle
+    the petals (petal i to i+1, petal N to 1).  Entry ``m`` of a table is
+    the image of mask ``m`` bit for bit; it may hold ``x1+``, so
+    ``Partition(rank, image)`` is the image partition.  Each table is
+    filled low bit first, one step per mask, on first use of the rank.
+    """
+    _check_rank_guard(rank, MAX_RANK)
+    width = 2 * rank
+    bit_images = (
+        (1, 0) + tuple(range(2, width)),
+        (2, 3, 0, 1) + tuple(range(4, width)),
+        tuple((b + 2) % width for b in range(width)),
+    )
+    tables = []
+    for images in bit_images:
+        table = [0] * (1 << width)
+        for mask in range(1, 1 << width):
+            low = mask & -mask
+            table[mask] = table[mask ^ low] | 1 << images[low.bit_length() - 1]
+        tables.append(tuple(table))
+    return tuple(tables)

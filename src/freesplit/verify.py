@@ -303,28 +303,45 @@ def verify_boundary_types(rank: int, mutated: bool = False) -> VerificationRepor
     distinct edges whose quotient is one of the six recognized shapes;
     cagey pairs land on the cage.
 
-    The boundary type depends only on the pair's corner classes, which its
-    set of four corner masks fixes.  Most corner sets are shared (p, q and
-    the partition with side p ^ q have the same four corners), so the
-    family is built and blown up once per distinct set.  Its outcome, the
-    tag or the ``ValueError`` it raised, is replayed for every pair that
-    has that set.
+    The boundary type is an isomorphism invariant of the blow-up along the
+    pair's corner classes, which its set of four corner masks fixes, so it
+    is constant on the orbit of that set under the signed permutations of
+    the petals (:func:`partitions.signed_permutation_tables`).  The family
+    is built and blown up once per orbit, for the first corner set met in
+    pair order.  Its outcome, the tag or the ``ValueError`` it raised, is
+    replayed for every pair whose corner set lies in the orbit.
     """
-    if rank not in (3, 4):
-        raise ValueError("boundary-type verification runs at ranks 3 and 4")
+    if rank not in (3, 4, 5):
+        raise ValueError("boundary-type verification runs at ranks 3 to 5")
     started = time.perf_counter()
     rec = _Recorder()
     census: Dict[str, int] = {}
-    # (edge count, tag or the ValueError raised), keyed by the corner masks
+    pairs = [(p, q, frozenset(partitions.corner_masks(p, q)))
+             for p, q in _crossing_thick_pairs(rank)]
+    keys = {key for _, _, key in pairs}
+    tables = partitions.signed_permutation_tables(rank)
+    # (edge count, tag or the ValueError raised) for every corner set, one blow-up per orbit
     outcomes: Dict[FrozenSet[int], Tuple[int, Union[str, ValueError]]] = {}
-    for p, q in _crossing_thick_pairs(rank):
-        key = frozenset(partitions.corner_masks(p, q))
+    for p, q, key in pairs:
         if key not in outcomes:
             family = boundary_classes(p, q)  # cannot raise: the pairs are ideal and cross
             try:
                 outcomes[key] = (len(family), classify_boundary(family, rank).tag)
             except ValueError as exc:
                 outcomes[key] = (len(family), exc)
+            todo = [key]
+            while todo:
+                current = todo.pop()
+                for table in tables:
+                    image = frozenset(table[m] for m in current)
+                    if image in outcomes:
+                        continue
+                    if image not in keys:
+                        raise RuntimeError("signed permutation table maps the corners of "
+                                           "{%s} vs {%s} off the crossing thick pairs"
+                                           % (p.encode(), q.encode()))
+                    outcomes[image] = outcomes[key]
+                    todo.append(image)
         edge_count, tag = outcomes[key]
         if isinstance(tag, ValueError):
             rec.check(False, "{%s} vs {%s}: %s", p.encode, q.encode, tag)

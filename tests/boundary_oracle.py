@@ -1,7 +1,7 @@
 """Reference boundary-type verifier: one ``boundary_splitting`` per pair.
 
-This is the verifier's loop without the per-family memo.  Every crossing
-thick pair is blown up on its own, so a test can require the memoized
+This is the verifier's loop without the orbit memo.  Every crossing thick
+pair is blown up on its own, so a test can require the orbit-reduced
 ``verify_boundary_types`` to give the identical report, failure witnesses
 and their order included.
 """

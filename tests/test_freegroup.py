@@ -242,6 +242,20 @@ def test_images_of_another_rank_are_rejected(stray):
         FreeAutomorphism(3, gens, gens[:2] + (stray,))
 
 
+@pytest.mark.parametrize("rank", [0, -1])
+def test_automorphism_rank_below_one_is_rejected(rank):
+    with pytest.raises(ValueError, match="automorphism rank must be >= 1"):
+        FreeAutomorphism(rank, (), ())
+
+
+def test_images_given_as_lists_are_stored_as_tuples():
+    gens = [Word(2, (1,)), Word(2, (2,))]
+    phi = FreeAutomorphism(2, gens, list(gens))
+    assert isinstance(phi.images, tuple) and isinstance(phi.inverse_images, tuple)
+    assert phi == FreeAutomorphism.identity(2)
+    assert hash(phi) == hash(FreeAutomorphism.identity(2))
+
+
 def test_automorphism_check_builds_no_words(monkeypatch):
     maps = [nielsen(4, 1, 2), whitehead_automorphism(3, (1, 2, -3), 1)]
     built = []

@@ -1,15 +1,21 @@
 """The side-mask kernel against the frozenset oracle in ``partition_oracle``.
 
 Exhaustive at ranks 3 and 4: every predicate on every ordered pair of
-ideal edges, and the blow-up of every boundary family; plus the 1,000
-seeded families of acceptance criterion 8 at ranks 3 to 5.
+ideal edges, the blow-up of every boundary family, and the group that the
+signed-permutation tables generate; plus the 1,000 seeded families of
+acceptance criterion 8 at ranks 3 to 5.
 """
 
 import itertools
+import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import freesplit
 import partition_oracle as oracle
 from freesplit.blowup import blow_up, boundary_classes
 from freesplit.partitions import (
@@ -27,6 +33,7 @@ from freesplit.partitions import (
     is_ideal,
     is_thick,
     rose_compatible,
+    signed_permutation_tables,
 )
 
 
@@ -80,3 +87,43 @@ def test_blow_up_matches_the_oracle_on_the_seeded_families():
         if not family:
             family = [classes[0]]
         assert blow_up(family, rank) == oracle.blow_up(family, rank)
+
+
+def _group_of_tables(rank):
+    """Every element of the group the three tables generate, as its table."""
+    tables = signed_permutation_tables(rank)
+    identity = tuple(range(1 << 2 * rank))
+    group, todo = {identity}, [identity]
+    while todo:
+        element = todo.pop()
+        for table in tables:
+            image = tuple(table[m] for m in element)
+            if image not in group:
+                group.add(image)
+                todo.append(image)
+    return group
+
+
+@pytest.mark.parametrize("rank", [3, 4])
+def test_signed_permutation_tables_generate_the_oracle_group(rank):
+    order = 2 ** rank * math.factorial(rank)
+    masks = range(2, full_mask(rank), 2)
+    group = _group_of_tables(rank)
+    assert len(group) == order
+    ours = {tuple(Partition(rank, element[m]) for m in masks) for element in group}
+    theirs = {tuple(g(Partition(rank, m)) for m in masks)
+              for g in oracle.signed_permutations(rank)}
+    assert len(theirs) == order
+    assert ours == theirs
+
+
+def test_signed_permutation_tables_are_built_lazily_and_guarded():
+    probe = ("import freesplit.cli, freesplit.partitions as p; "
+             "print(p.signed_permutation_tables.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(freesplit.__file__)))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "0"
+    for rank in (2, 8):
+        with pytest.raises(ValueError, match="outside the enumeration guard"):
+            signed_permutation_tables(rank)

@@ -4,8 +4,14 @@ from pathlib import Path
 import pytest
 from jsonschema import validate
 
-from freesplit import blowup, verify
-from freesplit.blowup import boundary_classes
+from freesplit import partitions, verify
+from freesplit.blowup import boundary_classes, classify_boundary
+from freesplit.partitions import (
+    Partition,
+    class_of,
+    corner_masks,
+    signed_permutation_tables,
+)
 from freesplit.verify import (
     BATTERY,
     battery_json,
@@ -19,6 +25,7 @@ from freesplit.verify import (
     verify_whitehead_factor,
 )
 
+import partition_oracle as oracle
 from boundary_oracle import crossing_thick_pairs, oracle_boundary_types
 from conftest import load_schema
 
@@ -78,6 +85,26 @@ def test_boundary_types_pass_with_frozen_census():
     assert len(dict(r4.details)["census"]) == 6
 
 
+def test_boundary_types_rank5_census_matches_the_exhaustive_scan():
+    # The six counts of a full scan of the 96,735 crossing thick pairs.
+    report = verify_boundary_types(5)
+    assert report.passed
+    assert dict(report.details)["census"] == {
+        "cage-2-plus-loop": 600,
+        "cage-3": 79680,
+        "loop-plus-bridge": 35,
+        "separating-bridge": 14280,
+        "theta-variant": 1680,
+        "two-loops-bridge": 460,
+    }
+
+
+@pytest.mark.parametrize("rank", [2, 6])
+def test_boundary_types_refuse_ranks_outside_3_to_5(rank):
+    with pytest.raises(ValueError, match="boundary-type verification runs at ranks 3 to 5"):
+        verify_boundary_types(rank)
+
+
 def test_boundary_types_negative_control():
     assert not verify_boundary_types(3, mutated=True).passed
 
@@ -93,28 +120,53 @@ def test_boundary_types_match_the_per_pair_oracle(rank, mutated):
     assert report_bytes(got) == report_bytes(oracle_boundary_types(rank, mutated))
 
 
-def test_a_failing_family_is_replayed_for_every_pair_that_has_it(monkeypatch):
+@pytest.mark.parametrize("rank", [3, 4])
+def test_boundary_type_is_invariant_under_each_generator(rank):
+    # The orbit replay rests on this: a generator's image of a boundary
+    # family has the same edge count and tag.
+    families = {boundary_classes(p, q) for p, q in crossing_thick_pairs(rank)}
+    for table in signed_permutation_tables(rank):
+        for family in families:
+            image = tuple(sorted(
+                (class_of(Partition(rank, table[c.representative.mask])) for c in family),
+                key=lambda c: c.key))
+            got, want = classify_boundary(image, rank), classify_boundary(family, rank)
+            assert (got.edge_count, got.tag) == (want.edge_count, want.tag)
+
+
+def test_a_failing_orbit_representative_is_replayed_for_every_pair_of_its_orbit(monkeypatch):
     pairs = crossing_thick_pairs(3)
-    families = [boundary_classes(p, q) for p, q in pairs]
-    target = max(families, key=families.count)  # the first of the most shared families
-    sharing = [pair for pair, family in zip(pairs, families) if family == target]
-    assert len(sharing) == 6
-    real = blowup.classify_boundary
+    p0, q0 = pairs[1]  # the representative of the largest rank-3 orbit
+    orbit = {frozenset(corner_masks(g(p0), g(q0))) for g in oracle.signed_permutations(3)}
+    assert frozenset(corner_masks(*pairs[0])) not in orbit
+    in_orbit = [(p, q) for p, q in pairs if frozenset(corner_masks(p, q)) in orbit]
+    assert len(in_orbit) == 72
+    target = boundary_classes(p0, q0)
+    calls = []
+    real = verify.classify_boundary
 
     def classify_or_fail(family, rank):
+        calls.append(family)
         if family == target:
             raise ValueError("injected")
         return real(family, rank)
 
-    # The memoized verifier reaches the family step through its own binding,
-    # the oracle through boundary_splitting.
     monkeypatch.setattr(verify, "classify_boundary", classify_or_fail)
-    monkeypatch.setattr(blowup, "classify_boundary", classify_or_fail)
     got = verify_boundary_types(3)
-    assert report_bytes(got) == report_bytes(oracle_boundary_types(3))
+    assert len(calls) == 6  # one blow-up per orbit
+    assert calls.count(target) == 1
     assert list(got.failures) == [
-        "{%s} vs {%s}: injected" % (p.encode(), q.encode()) for p, q in sharing
+        "{%s} vs {%s}: injected" % (p.encode(), q.encode()) for p, q in in_orbit
     ]
+
+
+def test_an_image_off_the_pair_keys_stops_the_run(monkeypatch):
+    # Swapping x1+ with x2+ alone is no signed permutation; at rank 4 it maps
+    # some corner sets to sets that no crossing thick pair has.
+    swap = tuple(m & ~0b101 | (m & 1) << 2 | (m >> 2 & 1) for m in range(1 << 8))
+    monkeypatch.setattr(partitions, "signed_permutation_tables", lambda rank: (swap,))
+    with pytest.raises(RuntimeError, match="off the crossing thick pairs"):
+        verify_boundary_types(4)
 
 
 def test_cagey_equivalence_documents_the_missing_witnesses():
