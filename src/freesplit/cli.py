@@ -93,6 +93,10 @@ def _cmd_blowup(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.rank is not None and args.lemma == "battery":
+        raise ValueError("verify battery takes no --rank: each entry has its own")
+    if args.rank not in (None, 3) and args.lemma in ("clique-rank-3", "whitehead-factor"):
+        raise ValueError("verifier %s runs at rank 3 only, not --rank %d" % (args.lemma, args.rank))
     if args.lemma == "battery":
         reports = verify.run_battery()
         sys.stdout.write(verify.battery_json(reports))

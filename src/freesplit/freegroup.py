@@ -14,7 +14,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
 def free_reduce(letters: Iterable[int]) -> Tuple[int, ...]:
@@ -519,7 +519,7 @@ def _check_factor_word(a_rank: int, w: Word) -> None:
         raise ValueError("the twisting word must avoid the stable letter")
 
 
-def _length_then_letter_key(letters: Tuple[int, ...]) -> Tuple[int, Tuple[int, ...]]:
+def length_then_letter_key(letters: Tuple[int, ...]) -> Tuple[int, Tuple[int, ...]]:
     """Sort key ordering by length, then lexicographically by letter (x1 < X1 < x2 < ...).
 
     _bit numbers the letters in that order, so a flat tuple of ints gives it.
@@ -527,62 +527,73 @@ def _length_then_letter_key(letters: Tuple[int, ...]) -> Tuple[int, Tuple[int, .
     return (len(letters), tuple(map(_bit, letters)))
 
 
-def enumerate_factor_product(a_rank: int, w: Word, max_len: int) -> List[Word]:
-    """All nontrivial elements of A * <t w t^-1> of reduced length <= max_len.
+def factor_product_letters(a_rank: int, w: Word, max_len: int) -> Iterator[Tuple[int, ...]]:
+    """The letter tuple of every nontrivial element of A * <t w t^-1> of
+    reduced length <= max_len, each once, in depth-first order.
 
     A is the free factor on the first ``a_rank`` generators of the ambient
     rank ``a_rank + 1`` group, and t is the stable letter.  Elements are
     alternating products of nontrivial A-syllables and nonzero powers of
-    t*w*t^-1; products of that shape reduce without cross-syllable
-    cancellation, so lengths add.
+    t*w*t^-1.  A power's run starts with t and ends with t^-1, so products
+    of that shape reduce without cross-syllable cancellation, lengths add,
+    and the t letters mark the syllables off: distinct products are
+    distinct tuples.
     """
     _check_factor_word(a_rank, w)
-    ambient = a_rank + 1
-    t = ambient
-    base = Word.make(ambient, w.letters)
+    t = a_rank + 1
 
     # Nonzero powers of t w t^-1 that fit the budget, as reduced letter runs.
     u_powers: List[Tuple[int, ...]] = []
-    acc = Word.identity(ambient)
+    acc: Tuple[int, ...] = ()
     while True:
-        acc = acc * base
-        run = free_reduce((t,) + acc.letters + (-t,))
+        acc = free_reduce(acc + w.letters)
+        run = (t,) + acc + (-t,)
         if len(run) > max_len:
             break
         u_powers.append(run)
         u_powers.append(tuple(-x for x in reversed(run)))
-    u_powers.sort(key=_length_then_letter_key)
 
     a_words: Dict[int, List[Tuple[int, ...]]] = {}
     frontier: List[Tuple[int, ...]] = [()]
-    a_letters = sorted((l for i in range(1, a_rank + 1) for l in (i, -i)), key=_bit)
+    a_letters = [l for i in range(1, a_rank + 1) for l in (i, -i)]
     for length in range(1, max_len + 1):
-        nxt = []
-        for word in frontier:
-            for l in a_letters:
-                if word and word[-1] == -l:
-                    continue
-                nxt.append(word + (l,))
-        a_words[length] = nxt
-        frontier = nxt
+        frontier = [word + (l,) for word in frontier for l in a_letters
+                    if not word or word[-1] != -l]
+        a_words[length] = frontier
 
-    results = set()
+    # The first power is the shortest; an A-syllable that leaves less room
+    # ends its product, so no generator is started for it.
+    shortest = len(u_powers[0]) if u_powers else max_len + 1
 
-    def extend(letters: Tuple[int, ...], budget: int, last: Optional[str]) -> None:
-        if letters:
-            results.add(letters)
+    def extend(letters: Tuple[int, ...], budget: int,
+               last: Optional[str]) -> Iterator[Tuple[int, ...]]:
         if last != "u":
             for run in u_powers:
                 if len(run) <= budget:
-                    extend(letters + run, budget - len(run), "u")
+                    g = letters + run
+                    yield g
+                    yield from extend(g, budget - len(run), "u")
         if last != "a":
             for length in range(1, budget + 1):
+                rest = budget - length
                 for syllable in a_words[length]:
-                    extend(letters + syllable, budget - length, "a")
+                    g = letters + syllable
+                    yield g
+                    if rest >= shortest:
+                        yield from extend(g, rest, "a")
 
-    extend((), max_len, None)
+    return extend((), max_len, None)
 
-    return [Word(ambient, letters) for letters in sorted(results, key=_length_then_letter_key)]
+
+def enumerate_factor_product(a_rank: int, w: Word, max_len: int) -> List[Word]:
+    """All nontrivial elements of A * <t w t^-1> of reduced length <= max_len,
+    sorted by :func:`length_then_letter_key`.
+
+    The elements are those of :func:`factor_product_letters`, as words of
+    the ambient rank ``a_rank + 1``.
+    """
+    letters = sorted(factor_product_letters(a_rank, w, max_len), key=length_then_letter_key)
+    return [Word(a_rank + 1, g) for g in letters]
 
 
 def conjugate_into_factor(g: Word, a_rank: int) -> bool:

@@ -215,8 +215,18 @@ def rose_compatible(p: Partition, q: Partition) -> bool:
     _require_ideal(q, "q")
     if p == q:
         raise ValueError("rose compatibility is defined for distinct partitions")
-    full = full_mask(p.rank)
-    a, b = p.mask, q.mask
+    return rose_compatible_masks(p.mask, q.mask, p.rank)
+
+
+def rose_compatible_masks(a: int, b: int, rank: int) -> bool:
+    """:func:`rose_compatible` on the side masks of two distinct ideal edges.
+
+    False for a crossing pair.  Nothing is checked: callers pass masks
+    known to be distinct and ideal.  A petal's partition crosses nothing,
+    so on the representatives' masks of two distinct classes this is
+    :func:`classes_compatible` and :func:`classes_rose_compatible`.
+    """
+    full = full_mask(rank)
     if not a & b:
         union = a | b
     elif not a & ~b:
@@ -225,7 +235,7 @@ def rose_compatible(p: Partition, q: Partition) -> bool:
         union = (full ^ a) | b
     else:
         return False
-    return _separates(union, p.rank)
+    return _separates(union, rank)
 
 
 def circle_compatible(p: Partition, q: Partition) -> bool:

@@ -157,6 +157,23 @@ def test_verify_missing_rank_is_usage_error(capsys):
     assert "rank" in err
 
 
+@pytest.mark.parametrize("lemma, rank", [
+    ("battery", "4"),
+    ("battery", "3"),
+    ("clique-rank-3", "7"),
+    ("whitehead-factor", "9"),
+])
+def test_verify_refuses_a_rank_that_nothing_reads(capsys, lemma, rank):
+    code, out, err = run_cli(capsys, "verify", lemma, "--rank", rank)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: verif") and lemma in err
+
+
+def test_verify_clique_rank_3_accepts_its_own_rank(capsys):
+    assert run_cli(capsys, "verify", "clique-rank-3", "--rank", "3") == \
+        run_cli(capsys, "verify", "clique-rank-3")
+
+
 def test_whitehead_simple(capsys):
     code, out, _ = run_cli(capsys, "whitehead", "simple", "--rank", "2",
                            "--word", "x1x2X1X2")

@@ -23,6 +23,7 @@ from freesplit.partitions import (
     circle_compatible,
     class_of,
     classes_compatible,
+    classes_rose_compatible,
     compatible,
     corner_masks,
     crosses,
@@ -33,6 +34,7 @@ from freesplit.partitions import (
     is_ideal,
     is_thick,
     rose_compatible,
+    rose_compatible_masks,
     signed_permutation_tables,
 )
 
@@ -60,6 +62,15 @@ def test_pair_predicates_match_the_oracle_on_every_ordered_pair(rank):
         if p != q:
             assert rose_compatible(p, q) == oracle.rose_compatible(p, q)
             assert circle_compatible(p, q) == oracle.circle_compatible(p, q)
+
+
+@pytest.mark.parametrize("rank", [3, 4, 5])
+def test_rose_compatible_masks_matches_the_class_predicates(rank):
+    classes = enumerate_splitting_classes(rank)
+    masks = [c.representative.mask for c in classes]
+    for (s, a), (t, b) in itertools.permutations(zip(classes, masks), 2):
+        assert rose_compatible_masks(a, b, rank) == (
+            classes_compatible(s, t) and classes_rose_compatible(s, t)), (s, t)
 
 
 @pytest.mark.parametrize("rank", [3, 4])

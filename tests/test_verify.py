@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from jsonschema import validate
 
-from freesplit import partitions, verify
+from freesplit import freegroup, partitions, verify
 from freesplit.blowup import boundary_classes, classify_boundary
 from freesplit.partitions import (
     Partition,
@@ -28,6 +28,8 @@ from freesplit.verify import (
 import partition_oracle as oracle
 from boundary_oracle import crossing_thick_pairs, oracle_boundary_types
 from conftest import load_schema
+from rigid_oracle import oracle_rigid_blowup
+from whitehead_oracle import reference_whitehead_factor
 
 
 def test_rigid_blowup_passes_at_each_rank():
@@ -43,6 +45,12 @@ def test_rigid_blowup_negative_control():
     report = verify_rigid_blowup(4, mutated=True)
     assert not report.passed
     assert report.failures
+
+
+@pytest.mark.parametrize("rank", [4, 5, 6])
+@pytest.mark.parametrize("mutated", [False, True])
+def test_rigid_blowup_matches_the_class_predicate_oracle(rank, mutated):
+    assert_same_report(verify_rigid_blowup(rank, mutated=mutated), oracle_rigid_blowup(rank, mutated))
 
 
 def test_three_rose_passes_and_records_circle_pairs():
@@ -113,6 +121,13 @@ def report_bytes(report):
     return json.dumps(report.to_json(), sort_keys=True)
 
 
+def assert_same_report(got, want):
+    # Failures first: a sequence diff names the first mismatch, where a diff
+    # of two long JSON strings can take minutes.
+    assert got.failures == want.failures
+    assert got.to_json() == want.to_json()
+
+
 @pytest.mark.parametrize("rank", [3, 4])
 @pytest.mark.parametrize("mutated", [False, True])
 def test_boundary_types_match_the_per_pair_oracle(rank, mutated):
@@ -169,6 +184,29 @@ def test_an_image_off_the_pair_keys_stops_the_run(monkeypatch):
         verify_boundary_types(4)
 
 
+def _bit_swap(rank, i, j):
+    """The table of the permutation of mask bits that swaps bits i and j."""
+    def image(m):
+        return m & ~(1 << i | 1 << j) | (m >> i & 1) << j | (m >> j & 1) << i
+    return tuple(map(image, range(1 << 2 * rank)))
+
+
+def test_a_table_that_is_no_signed_permutation_stops_the_run(monkeypatch):
+    # At rank 3 every permutation of the six bits maps the crossing thick
+    # pairs' corner sets among themselves, so only a check of the table
+    # itself can see that a transposition merges orbits.
+    real = signed_permutation_tables(3)
+    identity = list(range(1 << 6))
+    identity[0b11], identity[0b1100] = 0b1100, 0b11  # fixes every bit, not bitwise
+    broken = [_bit_swap(3, i, j) for i in range(6) for j in range(i + 1, 6) if i // 2 != j // 2]
+    assert len(broken) == 12
+    for table in broken + [tuple(identity)]:
+        monkeypatch.setattr(partitions, "signed_permutation_tables",
+                            lambda rank: (real[0], table, real[2]))
+        with pytest.raises(RuntimeError, match="table 1 is no signed permutation"):
+            verify_boundary_types(3)
+
+
 def test_cagey_equivalence_documents_the_missing_witnesses():
     # The clique characterization, restricted to universe witnesses, does
     # not reproduce direct caginess: at rank 3 exactly half the cagey pairs
@@ -191,6 +229,39 @@ def test_whitehead_factor_passes():
     report = verify_whitehead_factor()
     assert report.passed
     assert dict(report.details)["elements"] == 13218
+
+
+@pytest.mark.parametrize("a_rank, w, max_len", [
+    (2, "x1x2X1X2", 8),
+    (2, "x1x2X1X2", 6),
+    (2, "x1x2X1X2x1x1", 6),
+])
+@pytest.mark.parametrize("mutated", [False, True])
+def test_whitehead_factor_matches_the_word_by_word_oracle(a_rank, w, max_len, mutated):
+    w = freegroup.Word.from_string(a_rank, w)
+    assert_same_report(verify_whitehead_factor(a_rank, w, max_len, mutated=mutated),
+                       reference_whitehead_factor(a_rank, w, max_len, mutated))
+
+
+def test_whitehead_factor_builds_words_only_for_simplicity_tests(monkeypatch):
+    built = []
+    validate_word = freegroup.Word.__post_init__
+    tested = []
+    is_simple = freegroup.is_simple
+
+    def counting_word(self):
+        built.append(self.letters)
+        validate_word(self)
+
+    def counting_is_simple(w):
+        tested.append(w)
+        return is_simple(w)
+
+    monkeypatch.setattr(freegroup.Word, "__post_init__", counting_word)
+    monkeypatch.setattr(freegroup, "is_simple", counting_is_simple)
+    assert verify_whitehead_factor().passed
+    assert tested
+    assert len(built) <= 2 * len(tested) + 10, (len(built), len(tested))
 
 
 def test_whitehead_factor_rejects_simple_hypothesis():

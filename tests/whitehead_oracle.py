@@ -17,9 +17,18 @@ letter-pair edges, built from a dict of pair counts, and
 ``reference_word_error`` and ``reference_inverse_error`` are the letter
 loops of ``Word`` validation and the generator-by-generator stored-inverse
 check of ``FreeAutomorphism``, substituting by concatenate-then-reduce.
+
+``reference_whitehead_factor`` is the other kind of reference: the
+whitehead-factor verifier's loop on the library's ``Word`` objects, one
+``conjugate_into_factor``, ``is_conjugate`` and ``is_simple`` per sorted
+element of ``enumerate_factor_product``.  The verifier checks the same
+alternatives on letter tuples, and a test requires the same report.
 """
 
 import itertools
+
+from freesplit import freegroup
+from freesplit.verify import VerificationReport
 
 
 def _key(letter):
@@ -280,3 +289,27 @@ def reference_inverse_error(rank, images, inverse_images):
         if reference_substitute(forward, reference_substitute(backward, (i,))) != (i,):
             return "stored inverse is not a right inverse on x%d" % i
     return None
+
+
+def reference_whitehead_factor(a_rank, w, max_len, mutated=False):
+    """The whitehead-factor report built one ``Word`` per element."""
+    if freegroup.is_simple(w):
+        raise ValueError("hypothesis violated: w is simple in the factor")
+    u = freegroup.stable_conjugate(a_rank, w)
+    factor_rank = a_rank - 1 if mutated else a_rank
+    elements = freegroup.enumerate_factor_product(a_rank, w, max_len)
+    failures = tuple(
+        "simple element outside both alternatives: %s" % g.to_string()
+        for g in elements
+        if not (freegroup.conjugate_into_factor(g, factor_rank)
+                or freegroup.is_conjugate(g, u)
+                or not freegroup.is_simple(g))
+    )
+    return VerificationReport(
+        lemma="whitehead-factor",
+        rank=a_rank + 1,
+        cases_checked=len(elements),
+        failures=failures,
+        elapsed_s=0.0,
+        details=(("elements", len(elements)), ("max_len", max_len)),
+    )
