@@ -13,11 +13,11 @@ Modules:
 from .partitions import (
     Direction,
     Partition,
-    SplittingClass,
     class_of,
     compatible,
     corner_masks,
     crosses,
+    encode_class,
     enumerate_ideal_edges,
     enumerate_splitting_classes,
     is_cagey,
@@ -55,7 +55,6 @@ from .complexes import (
     RoseVertex,
     SplittingGraph,
     build_star_graph,
-    cagey_by_cliques,
     enumerate_cliques,
     k_graph_local,
     maximal_cliques,

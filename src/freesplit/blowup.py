@@ -16,15 +16,16 @@ from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 from .partitions import (
     Partition,
-    SplittingClass,
     bit_positions,
+    class_key,
     class_of,
-    classes_compatible,
     corner_masks,
     crosses,
     direction_bit,
+    encode_class,
     full_mask,
     is_ideal,
+    petal_index,
 )
 
 
@@ -144,25 +145,28 @@ class _UnionFind:
         return ra
 
 
-def blow_up(family: Iterable[SplittingClass], rank: int) -> GraphOfGroups:
+def blow_up(family: Iterable[Partition], rank: int) -> GraphOfGroups:
     """Graph of groups determined by a pairwise compatible family of classes.
 
-    The output is canonical: vertex ids depend only on the family, not on
-    iteration order.  Raises :class:`IncompatibleFamilyError` on a crossing
-    pair and ``ValueError`` on an empty family.
+    Members are taken through :func:`class_of`, so both petal partitions
+    name the same edge.  The output is canonical: vertex ids depend only on
+    the family, not on iteration order.  Raises
+    :class:`IncompatibleFamilyError` on a crossing pair and ``ValueError``
+    on an empty family.
     """
-    fam = sorted(set(family), key=lambda c: c.key)
+    fam = sorted(set(map(class_of, family)), key=class_key)
     if not fam:
         raise ValueError("cannot blow up an empty family")
     for c in fam:
         if c.rank != rank:
             raise ValueError("family member %s has rank %d, expected %d"
-                             % (c.encode(), c.rank, rank))
+                             % (encode_class(c), c.rank, rank))
     for a, b in itertools.combinations(fam, 2):
-        if not classes_compatible(a, b):
+        if crosses(a, b):
             raise IncompatibleFamilyError(
-                "family members cross: {%s} and {%s}" % (a.encode(), b.encode())
+                "family members cross: {%s} and {%s}" % (encode_class(a), encode_class(b))
             )
+    petal_of = {c: petal_index(c) for c in fam}
 
     # The dual tree of the thick members is their laminar family of side1
     # masks: canonical side1s never hold x1+, so those of a compatible
@@ -170,22 +174,22 @@ def blow_up(family: Iterable[SplittingClass], rank: int) -> GraphOfGroups:
     # root, ``full``) holding its directions minus its children's, and each
     # member's edge joins it to its smallest strict superset or the root.
     full = full_mask(rank)
-    thick = {c.representative.mask: c for c in fam if c.kind == "thick"}
+    thick = [c.mask for c, i in petal_of.items() if i is None]
     dirs = {m: m for m in thick}
     dirs[full] = full
-    ends: Dict[SplittingClass, Tuple[int, int]] = {}
-    for m, c in thick.items():
+    ends: Dict[int, Tuple[int, int]] = {}
+    for m in thick:
         parent = min((o for o in thick if o != m and not m & ~o),
                      key=int.bit_count, default=full)
         dirs[parent] &= ~m
-        ends[c] = (m, parent)
+        ends[m] = (m, parent)
 
     owner = {1 << b: vid for vid, own in dirs.items() for b in bit_positions(own)}
     petal_ends = {
         i: (owner[direction_bit(i, 1)], owner[direction_bit(i, -1)])
         for i in range(1, rank + 1)
     }
-    kept_petals = {c.petal_index for c in fam if c.kind == "petal"}
+    kept_petals = set(petal_of.values())
 
     uf = _UnionFind(dirs)
     extra_rank = {vid: 0 for vid in dirs}
@@ -202,9 +206,9 @@ def blow_up(family: Iterable[SplittingClass], rank: int) -> GraphOfGroups:
             dirs[root] |= dirs.pop(other)
 
     edge_records = []
-    for c in fam:
-        u, v = ends[c] if c.kind == "thick" else petal_ends[c.petal_index]
-        edge_records.append((c.encode(), uf.find(u), uf.find(v)))
+    for c, i in petal_of.items():
+        u, v = ends[c.mask] if i is None else petal_ends[i]
+        edge_records.append((encode_class(c), uf.find(u), uf.find(v)))
 
     incident: Dict[int, List[str]] = {root: [] for root in dirs}
     for label, u, v in edge_records:
@@ -338,14 +342,14 @@ class BoundaryType:
 
     tag: str
     graph: GraphOfGroups
-    family: Tuple[SplittingClass, ...]
+    family: Tuple[Partition, ...]
 
     @property
     def edge_count(self) -> int:
         return len(self.family)
 
 
-def boundary_classes(p: Partition, q: Partition) -> Tuple[SplittingClass, ...]:
+def boundary_classes(p: Partition, q: Partition) -> Tuple[Partition, ...]:
     """Distinct splitting classes of the four corner sets of a crossing pair."""
     if not is_ideal(p) or not is_ideal(q):
         raise ValueError("boundary splittings are computed for ideal pairs")
@@ -356,10 +360,10 @@ def boundary_classes(p: Partition, q: Partition) -> Tuple[SplittingClass, ...]:
         cls = class_of(Partition(p.rank, corner))
         if cls not in seen:
             seen.append(cls)
-    return tuple(sorted(seen, key=lambda c: c.key))
+    return tuple(sorted(seen, key=class_key))
 
 
-def classify_boundary(family: Tuple[SplittingClass, ...], rank: int) -> BoundaryType:
+def classify_boundary(family: Tuple[Partition, ...], rank: int) -> BoundaryType:
     """Blow up the rose along a boundary family and classify the quotient.
 
     The result depends only on the family (``blow_up`` is canonical in it),

@@ -38,7 +38,7 @@ def _cmd_enum(args) -> int:
     _emit({
         "rank": args.rank,
         "count": len(edges),
-        "class_count": partitions.count_splitting_classes(args.rank, max_rank=max_rank),
+        "class_count": len(partitions.enumerate_splitting_classes(args.rank, max_rank=max_rank)),
         "partitions": [p.to_json() for p in edges],
     })
     return 0

@@ -7,8 +7,8 @@ edges).  Adjacency is one int row per vertex, bit j of row i set iff {i, j}
 is an edge, and vertex sets are bitsets over the vertex indices.
 
 One lazy search, ``cliques_within``, yields the cliques of an exact size
-inside a candidate bitset in lexicographic order; exact enumeration, the
-clique characterization of caginess and rose vertices all use it.
+inside a candidate bitset in lexicographic order; exact enumeration, rose
+vertices and the cagey-equivalence verifier all use it.
 ``maximal_cliques`` is pivoted Bron-Kerbosch on the same rows.  Both are
 deterministic so verification logs reproduce.
 """
@@ -23,9 +23,11 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 from .blowup import blow_up
 from .partitions import (
     MAX_RANK,
-    SplittingClass,
+    Partition,
+    class_of,
     classes_compatible,
     classes_rose_compatible,
+    encode_class,
     enumerate_splitting_classes,
 )
 
@@ -34,7 +36,7 @@ from .partitions import (
 class SplittingGraph:
     rank: int
     mode: str  # "ens" | "ns"
-    vertices: Tuple[SplittingClass, ...]
+    vertices: Tuple[Partition, ...]  # classes, as canonical partitions
     edges: Tuple[Tuple[int, int, str], ...]  # (i, j, kind) with i < j
 
     def __post_init__(self):
@@ -58,14 +60,15 @@ class SplittingGraph:
         return tuple(rows)
 
     @cached_property
-    def _index(self) -> Dict[SplittingClass, int]:
+    def _index(self) -> Dict[Partition, int]:
         return {cls: n for n, cls in enumerate(self.vertices)}
 
-    def index_of(self, cls: SplittingClass) -> int:
+    def index_of(self, cls: Partition) -> int:
+        """The index of the vertex holding the class of ``cls``."""
         try:
-            return self._index[cls]
+            return self._index[class_of(cls)]
         except KeyError:
-            raise KeyError("class %s is not a vertex" % cls.encode()) from None
+            raise KeyError("class %s is not a vertex" % encode_class(cls)) from None
 
 
 def build_star_graph(rank: int, mode: str = "ens", max_rank: int = MAX_RANK) -> SplittingGraph:
@@ -149,32 +152,17 @@ def maximal_cliques(g: SplittingGraph) -> List[Tuple[int, ...]]:
     return sorted(out)
 
 
-def cagey_by_cliques(s: SplittingClass, t: SplittingClass,
-                     graph: Optional[SplittingGraph] = None) -> bool:
-    """Clique characterization of caginess inside the universe star graph.
-
-    True iff some clique of 3N-4 common neighbors of s and t exists, i.e.
-    both extensions by s and by t are (3N-3)-cliques.
-    """
-    if s == t:
-        raise ValueError("caginess is defined for distinct splittings")
-    if graph is None:
-        graph = build_star_graph(s.rank, mode="ens")
-    common = graph.adjacency[graph.index_of(s)] & graph.adjacency[graph.index_of(t)]
-    return any(cliques_within(graph, common, 3 * graph.rank - 4))
-
-
 @dataclass(frozen=True)
 class RoseVertex:
     """A set of N splitting classes blowing up to an N-rose with trivial ranks."""
 
-    classes: Tuple[SplittingClass, ...]
+    classes: Tuple[Partition, ...]
 
     def encode(self) -> Tuple[str, ...]:
-        return tuple(c.encode() for c in self.classes)
+        return tuple(map(encode_class, self.classes))
 
 
-def is_rose_family(classes: Iterable[SplittingClass], rank: int) -> bool:
+def is_rose_family(classes: Iterable[Partition], rank: int) -> bool:
     fam = tuple(classes)
     if len(set(fam)) != rank:
         return False
@@ -186,20 +174,14 @@ def is_rose_family(classes: Iterable[SplittingClass], rank: int) -> bool:
     return len(graph.vertices) == 1
 
 
-def rose_vertices(rank: int, graph: Optional[SplittingGraph] = None,
-                  limit: Optional[int] = None) -> List[RoseVertex]:
-    """All N-subsets of universe classes forming an N-rose, at rank 3 or 4.
-
-    The scan is exhaustive unless the caller passes ``limit``, which keeps
-    only the first ``limit`` candidate N-cliques in lexicographic order.
-    """
+def rose_vertices(rank: int, graph: Optional[SplittingGraph] = None) -> List[RoseVertex]:
+    """All N-subsets of universe classes forming an N-rose, at rank 3 or 4."""
     if rank not in (3, 4):
         raise ValueError("rose vertices are enumerated at ranks 3 and 4 only")
     if graph is None:
         graph = build_star_graph(rank, mode="ens")
-    cliques = cliques_within(graph, (1 << len(graph.vertices)) - 1, rank)
     out = []
-    for indices in itertools.islice(cliques, limit):
+    for indices in cliques_within(graph, (1 << len(graph.vertices)) - 1, rank):
         fam = tuple(graph.vertices[i] for i in indices)
         if is_rose_family(fam, rank):
             out.append(RoseVertex(classes=fam))

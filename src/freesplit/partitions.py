@@ -10,6 +10,10 @@ handful of bit operations.  ``Partition(rank, mask)`` is the one
 constructor; :class:`Direction` appears only where text is parsed
 (:meth:`Partition.parse`) and encoded (:func:`side_names`).
 
+A splitting class is its canonical partition: the two petal partitions
+{xi+} and {xi-} name one splitting, whose class is the partition of
+{xi+}; a thick partition is its own class.
+
 All values are immutable and hashable; every operation is a pure function,
 so exhaustive scans can be evaluated concurrently without shared state.
 """
@@ -223,7 +227,7 @@ def rose_compatible_masks(a: int, b: int, rank: int) -> bool:
 
     False for a crossing pair.  Nothing is checked: callers pass masks
     known to be distinct and ideal.  A petal's partition crosses nothing,
-    so on the representatives' masks of two distinct classes this is
+    so on the masks of two distinct classes this is
     :func:`classes_compatible` and :func:`classes_rose_compatible`.
     """
     full = full_mask(rank)
@@ -267,76 +271,49 @@ def is_cagey(p: Partition, q: Partition) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class SplittingClass:
-    """A splitting in the universe, as an identified class of partitions.
-
-    Each petal of the rose is represented by two partitions (the two
-    singleton sides {xi+} and {xi-}); both map to the class ``petal(i)``.
-    Thick partitions represent pairwise distinct splittings and each is its
-    own class.
-    """
-
-    kind: str  # "petal" | "thick"
-    petal_index: Optional[int]
-    representative: Partition
-
-    def __post_init__(self):
-        if self.kind not in ("petal", "thick"):
-            raise ValueError("kind must be 'petal' or 'thick'")
-        if (self.kind == "petal") != (self.petal_index is not None):
-            raise ValueError("petal classes carry an index, thick classes do not")
-
-    @property
-    def rank(self) -> int:
-        return self.representative.rank
-
-    def representatives(self) -> Tuple[Partition, ...]:
-        """All partitions determining this splitting (two for a petal)."""
-        if self.kind == "thick":
-            return (self.representative,)
-        i, rank = self.petal_index, self.rank
-        return (
-            Partition(rank, direction_bit(i, 1)),
-            Partition(rank, direction_bit(i, -1)),
-        )
-
-    @property
-    def key(self) -> Tuple:
-        if self.kind == "petal":
-            return (0, self.petal_index, ())
-        return (1, 0, self.representative.key)
-
-    def encode(self) -> str:
-        if self.kind == "petal":
-            return "petal:%d" % self.petal_index
-        return self.representative.encode()
-
-    def __repr__(self):
-        return "SplittingClass(%s)" % self.encode()
-
-
-def petal_class(rank: int, index: int) -> SplittingClass:
-    if not (1 <= index <= rank):
-        raise ValueError("petal index %d out of range for rank %d" % (index, rank))
-    rep = Partition(rank, direction_bit(index, 1))
-    return SplittingClass("petal", index, rep)
-
-
-def class_of(p: Partition) -> SplittingClass:
-    """The splitting class of a partition (petal classes identified).
+def petal_index(p: Partition) -> Optional[int]:
+    """The petal a partition names, or None for a thick partition.
 
     A singleton side1 is one bit; a singleton side2 is ``{x1+}``.
     """
     size = p.mask.bit_count()
     if size == 1:
-        return petal_class(p.rank, (p.mask.bit_length() + 1) // 2)
+        return (p.mask.bit_length() + 1) // 2
     if size == 2 * p.rank - 1:
-        return petal_class(p.rank, 1)
-    return SplittingClass("thick", None, p)
+        return 1
+    return None
 
 
-def parse_class(rank: int, text: str) -> SplittingClass:
+def petal_class(rank: int, index: int) -> Partition:
+    """The canonical partition of petal ``index``: side {x<index>+}."""
+    if not (1 <= index <= rank):
+        raise ValueError("petal index %d out of range for rank %d" % (index, rank))
+    return Partition(rank, direction_bit(index, 1))
+
+
+def class_of(p: Partition) -> Partition:
+    """The splitting class of a partition: its canonical partition.
+
+    The two petal partitions {xi+} and {xi-} name one splitting, whose
+    class is :func:`petal_class`; a thick partition is its own class.
+    """
+    index = petal_index(p)
+    return p if index is None else petal_class(p.rank, index)
+
+
+def encode_class(c: Partition) -> str:
+    """``"petal:i"`` for a petal, the side text for a thick edge."""
+    index = petal_index(c)
+    return c.encode() if index is None else "petal:%d" % index
+
+
+def class_key(c: Partition) -> Tuple:
+    """Sort key of classes: petals by index, then thick edges in direction order."""
+    index = petal_index(c)
+    return (1, bit_positions(c.mask)) if index is None else (0, index)
+
+
+def parse_class(rank: int, text: str) -> Partition:
     """Parse ``"petal:3"`` or a side spec such as ``"x1-,x2+"``."""
     text = text.strip()
     if text.startswith("petal:"):
@@ -344,26 +321,22 @@ def parse_class(rank: int, text: str) -> SplittingClass:
     return class_of(Partition.parse(rank, text))
 
 
-def classes_compatible(s: SplittingClass, t: SplittingClass) -> bool:
-    """Compatibility of splittings: petals never cross anything in the universe."""
-    if s.rank != t.rank:
-        raise ValueError("classes have different ranks")
-    if s.kind == "petal" or t.kind == "petal":
-        return True
-    return compatible(s.representative, t.representative)
+def classes_compatible(s: Partition, t: Partition) -> bool:
+    """Compatibility of splittings: a petal's partition crosses nothing."""
+    return compatible(s, t)
 
 
-def classes_rose_compatible(s: SplittingClass, t: SplittingClass) -> bool:
+def classes_rose_compatible(s: Partition, t: Partition) -> bool:
     """Rose compatibility on classes; independent of representative choice."""
-    if s == t:
+    if class_of(s) == class_of(t):
         raise ValueError("rose compatibility is defined for distinct splittings")
-    return rose_compatible(s.representative, t.representative)
+    return rose_compatible(s, t)
 
 
-def classes_cagey(s: SplittingClass, t: SplittingClass) -> bool:
-    if s == t:
+def classes_cagey(s: Partition, t: Partition) -> bool:
+    if class_of(s) == class_of(t):
         raise ValueError("caginess is defined for distinct splittings")
-    return is_cagey(s.representative, t.representative)
+    return is_cagey(s, t)
 
 
 def _check_rank_guard(rank: int, max_rank: int) -> None:
@@ -391,17 +364,11 @@ def enumerate_ideal_edges(rank: int, thick_only: bool = False,
 
 
 def enumerate_splitting_classes(rank: int, max_rank: int = MAX_RANK) -> list:
-    """All splitting classes of the universe: N petals plus the thick ideal edges."""
+    """All splitting classes of the universe in :func:`class_key` order: the N
+    petals, then the thick ideal edges."""
     classes = [petal_class(rank, i) for i in range(1, rank + 1)]
-    classes.extend(
-        class_of(p) for p in enumerate_ideal_edges(rank, thick_only=True, max_rank=max_rank)
-    )
-    classes.sort(key=lambda c: c.key)
+    classes.extend(enumerate_ideal_edges(rank, thick_only=True, max_rank=max_rank))
     return classes
-
-
-def count_splitting_classes(rank: int, max_rank: int = MAX_RANK) -> int:
-    return len(enumerate_splitting_classes(rank, max_rank=max_rank))
 
 
 @lru_cache(maxsize=None)

@@ -11,6 +11,7 @@ import itertools
 import json
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from . import complexes, freegroup, partitions
@@ -28,6 +29,7 @@ from .partitions import (
     classes_compatible,
     classes_rose_compatible,
     direction_bit,
+    encode_class,
     enumerate_ideal_edges,
     enumerate_splitting_classes,
     is_cagey,
@@ -177,18 +179,19 @@ def verify_rigid_blowup(rank: int, mutated: bool = False) -> VerificationReport:
     for a, b in itertools.combinations(family, 2):
         rec.check(
             classes_compatible(a, b) and classes_rose_compatible(a, b),
-            "family pair not rose compatible: %s / %s", a.encode, b.encode,
+            "family pair not rose compatible: %s / %s",
+            partial(encode_class, a), partial(encode_class, b),
         )
 
     # Universe classes are ideal by construction and the family was checked
     # above, so the maximality scan runs the unchecked mask kernel.
-    family_masks = {f.representative.mask for f in family}
+    family_masks = {f.mask for f in family}
     for cls in enumerate_splitting_classes(rank):
-        mask = cls.representative.mask
-        if mask in family_masks:
+        if cls.mask in family_masks:
             continue
-        adjacent_to_all = all(rose_compatible_masks(mask, f, rank) for f in family_masks)
-        rec.check(not adjacent_to_all, "clique not maximal: %s extends it", cls.encode)
+        adjacent_to_all = all(rose_compatible_masks(cls.mask, f, rank) for f in family_masks)
+        rec.check(not adjacent_to_all, "clique not maximal: %s extends it",
+                  partial(encode_class, cls))
 
     try:
         graph = blow_up(family, rank)
@@ -201,9 +204,9 @@ def verify_rigid_blowup(rank: int, mutated: bool = False) -> VerificationReport:
 
     for p in petals:
         rec.check(classes_rose_compatible(tau, p),
-                  "sign edge not rose compatible with %s", p.encode)
+                  "sign edge not rose compatible with %s", partial(encode_class, p))
     for c in companions:
-        rec.check(classes_cagey(tau, c), "sign edge not cagey with %s", c.encode)
+        rec.check(classes_cagey(tau, c), "sign edge not cagey with %s", partial(encode_class, c))
 
     return rec.report("rigid-blowup", rank, started)
 
@@ -280,7 +283,7 @@ def verify_clique_rank3(mutated: bool = False) -> VerificationReport:
             shapes_seen["theta_with_loop"] += 1
 
         def label():
-            return ",".join(c.encode() for c in fam)
+            return ",".join(map(encode_class, fam))
 
         rec.check(is_cage4 or is_theta, "4-clique has unexpected shape: %s", label)
         rec.check(set(report.vertex_ranks) == {0},
@@ -410,7 +413,7 @@ def verify_cagey_equivalence(rank: int = 3, mutated: bool = False) -> Verificati
         witnessed += direct and searched
         false_positives += searched and not direct
         rec.check(direct == searched, "disagreement on %s / %s: direct=%s clique=%s",
-                  s.encode, t.encode, direct, searched)
+                  partial(encode_class, s), partial(encode_class, t), direct, searched)
     rec.details["cagey_pairs"] = cagey_pairs
     rec.details["universe_witnessed"] = witnessed
     rec.details["clique_without_caginess"] = false_positives

@@ -6,15 +6,17 @@ directions, without the library's own decoder, and every verdict is set
 arithmetic on them: the four corner sets, the disjoint alignments, and the
 separation of a pair {xi+, xi-}.  ``blow_up`` grows the dual tree one edge
 at a time, finding for each new partition the unique vertex that no
-existing edge's far side crosses.  The library computes the same verdicts
-and graphs from integer side masks and a laminar family; the differential
-tests compare the two exhaustively.
+existing edge's far side crosses.  Classes are decoded here too: a side of
+one direction names a petal, whose class is the partition of its plus
+direction, and a class sorts by petal index or by its side's directions.
+The library computes the same verdicts and graphs from integer side masks
+and a laminar family; the differential tests compare the two exhaustively.
 """
 
 import itertools
 
 from freesplit.blowup import GraphOfGroups
-from freesplit.partitions import Partition, SplittingClass, petal_class
+from freesplit.partitions import Partition
 
 
 def all_directions(rank):
@@ -106,12 +108,37 @@ def rose_compatible(p, q):
     return separates_some_pair(a | b, p.rank)
 
 
-def class_of(p):
+def petal_of(p):
+    """The petal index of a partition with a one-direction side, else None."""
     for directions in (side1(p), side2(p)):
         if len(directions) == 1:
             ((index, _),) = directions
-            return petal_class(p.rank, index)
-    return SplittingClass("thick", None, p)
+            return index
+    return None
+
+
+def class_of(p):
+    index = petal_of(p)
+    return p if index is None else partition_of(p.rank, {(index, 1)})
+
+
+def class_key(c):
+    """Petals by index, then thick edges in direction order."""
+    index = petal_of(c)
+    return (1, _key(side1(c))) if index is None else (0, index)
+
+
+def label(c):
+    index = petal_of(c)
+    return encode(side1(c)) if index is None else "petal:%d" % index
+
+
+def splitting_classes(rank):
+    """The classes of every ideal partition, in class order."""
+    masks = range(1, 2 ** (2 * rank) - 1)
+    ideal = {class_of(Partition(rank, m)) for m in masks
+             if separates_some_pair(side(rank, m), rank)}
+    return sorted(ideal, key=class_key)
 
 
 def circle_compatible(p, q):
@@ -133,9 +160,9 @@ def is_cagey(p, q):
 
 
 def classes_compatible(s, t):
-    if s.kind == "petal" or t.kind == "petal":
+    if petal_of(s) is not None or petal_of(t) is not None:
         return True
-    return not crosses(s.representative, t.representative)
+    return not crosses(s, t)
 
 
 # ---------------------------------------------------------------------------
@@ -202,19 +229,19 @@ class _Tree:
 
 def blow_up(family, rank):
     """The graph of groups of a pairwise compatible family of classes."""
-    fam = sorted(set(family), key=lambda c: c.key)
+    fam = sorted({class_of(c) for c in family}, key=class_key)
     assert fam and all(c.rank == rank for c in fam)
     assert all(classes_compatible(a, b) for a, b in itertools.combinations(fam, 2))
 
     tree = _Tree(rank)
     for c in fam:
-        if c.kind == "thick":
-            tree.insert(c.representative, c.encode())
+        if petal_of(c) is None:
+            tree.insert(c, label(c))
     petal_ends = {
         i: (tree.locate((i, 1)), tree.locate((i, -1)))
         for i in range(1, rank + 1)
     }
-    kept = {c.petal_index for c in fam if c.kind == "petal"}
+    kept = {petal_of(c) for c in fam}
 
     # Collapse the petals absent from the family: merge distinct ends, or
     # add one to the free rank of a vertex the petal loops at.
@@ -239,8 +266,9 @@ def blow_up(family, rank):
 
     records = []
     for c in fam:
-        u, v = tree.ends[c.encode()] if c.kind == "thick" else petal_ends[c.petal_index]
-        records.append((c.encode(), find(u), find(v)))
+        index = petal_of(c)
+        u, v = tree.ends[label(c)] if index is None else petal_ends[index]
+        records.append((label(c), find(u), find(v)))
     roots = sorted({find(v) for v in rep})
     incident = {r: sorted({label for label, u, v in records if r in (u, v)}) for r in roots}
     keys = {

@@ -18,6 +18,7 @@ from freesplit.partitions import (
     classes_compatible,
     classes_rose_compatible,
     direction_bit,
+    encode_class,
     enumerate_splitting_classes,
 )
 from freesplit.verify import VerificationReport, rigid_blowup_family
@@ -43,7 +44,7 @@ def oracle_rigid_blowup(rank: int, mutated: bool = False) -> VerificationReport:
           "family size %d != %d" % (len(set(family)), 3 * rank - 3))
     for a, b in itertools.combinations(family, 2):
         check(classes_compatible(a, b) and classes_rose_compatible(a, b),
-              "family pair not rose compatible: %s / %s" % (a.encode(), b.encode()))
+              "family pair not rose compatible: %s / %s" % (encode_class(a), encode_class(b)))
 
     members = set(family)
     for cls in enumerate_splitting_classes(rank):
@@ -52,7 +53,7 @@ def oracle_rigid_blowup(rank: int, mutated: bool = False) -> VerificationReport:
         adjacent_to_all = all(
             classes_compatible(cls, f) and classes_rose_compatible(cls, f) for f in family
         )
-        check(not adjacent_to_all, "clique not maximal: %s extends it" % cls.encode())
+        check(not adjacent_to_all, "clique not maximal: %s extends it" % encode_class(cls))
 
     try:
         graph = blow_up(family, rank)
@@ -65,9 +66,9 @@ def oracle_rigid_blowup(rank: int, mutated: bool = False) -> VerificationReport:
 
     for p in petals:
         check(classes_rose_compatible(tau, p),
-              "sign edge not rose compatible with %s" % p.encode())
+              "sign edge not rose compatible with %s" % encode_class(p))
     for c in companions:
-        check(classes_cagey(tau, c), "sign edge not cagey with %s" % c.encode())
+        check(classes_cagey(tau, c), "sign edge not cagey with %s" % encode_class(c))
 
     return VerificationReport(
         lemma="rigid-blowup",

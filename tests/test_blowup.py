@@ -24,6 +24,7 @@ from freesplit.partitions import (
     enumerate_splitting_classes,
     is_cagey,
     petal_class,
+    petal_index,
 )
 from freesplit.verify import chain_partition, interval_partition, sign_partition
 
@@ -63,6 +64,14 @@ def test_maximal_rank6_family_is_a_trivalent_graph():
     assert len(g.vertices) == 10
     assert all(r == 0 for _, r in g.vertices)
     assert g.valence_profile() == (3,) * 10
+
+
+def test_both_partitions_of_a_petal_name_one_edge():
+    # {x2-} is the other partition of petal 2: the family has two members.
+    family = [Partition.parse(3, "x2-"), petal_class(3, 2), thick(3, "x1-,x2+")]
+    g = blow_up(family, 3)
+    assert [label for _, _, label in g.edges] == ["petal:2", "x1-,x2+"]
+    assert g == blow_up(family[1:], 3)
 
 
 def test_blow_up_rejects_empty_and_incompatible_families():
@@ -291,8 +300,7 @@ def test_three_edge_boundaries_exist_and_dedup_petal_corners():
         (b for _, _, b in exhaustive_boundaries(3)), key=lambda b: b.edge_count
     )
     assert smallest.edge_count == 3
-    kinds = [c.kind for c in smallest.family]
-    assert "petal" in kinds
+    assert any(petal_index(c) is not None for c in smallest.family)
 
 
 # ---------------------------------------------------------------------------

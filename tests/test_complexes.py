@@ -5,7 +5,7 @@ import pytest
 from freesplit.blowup import blow_up, classify_shape
 from freesplit.complexes import (
     build_star_graph,
-    cagey_by_cliques,
+    cliques_within,
     enumerate_cliques,
     is_rose_family,
     k_graph_local,
@@ -58,6 +58,12 @@ def test_index_of_reads_every_vertex_and_rejects_others(ens3):
         ens3.index_of(petal_class(4, 4))
 
 
+def test_index_of_finds_a_petal_by_either_partition(ens3):
+    petal2 = ens3.index_of(petal_class(3, 2))
+    assert ens3.index_of(Partition.parse(3, "x2-")) == petal2
+    assert ens3.index_of(Partition.parse(3, "x2+")) == petal2
+
+
 def test_mode_validation():
     with pytest.raises(ValueError):
         build_star_graph(3, "bogus")
@@ -101,35 +107,13 @@ def test_maximal_cliques_are_maximal(ens3):
             assert not all(adj[v] >> u & 1 for u in members)
 
 
-# ---------------------------------------------------------------------------
-# cagey_by_cliques
-# ---------------------------------------------------------------------------
-
-
 def test_known_cagey_pair_has_a_witness(ens3):
+    # 3N-4 = 5 pairwise adjacent common neighbours: with either class, a 3N-3 clique.
     sigma1 = class_of(chain_partition(3, 1))
     tau1 = class_of(Partition.parse(3, "x2+,x3-"))
     assert classes_cagey(sigma1, tau1)
-    assert cagey_by_cliques(sigma1, tau1, graph=ens3)
-
-
-def test_rose_compatible_pair_has_no_witness(ens3):
-    assert not cagey_by_cliques(petal_class(3, 1), petal_class(3, 2), graph=ens3)
-    sigma1 = class_of(chain_partition(3, 1))
-    sigma2 = class_of(chain_partition(3, 2))
-    assert not cagey_by_cliques(sigma1, sigma2, graph=ens3)
-
-
-def test_equal_splittings_are_rejected(ens3):
-    with pytest.raises(ValueError):
-        cagey_by_cliques(petal_class(3, 1), petal_class(3, 1), graph=ens3)
-
-
-def test_witness_implies_caginess_exhaustively(ens3):
-    # One direction of the clique characterization holds inside the universe.
-    for s, t in itertools.combinations(ens3.vertices, 2):
-        if cagey_by_cliques(s, t, graph=ens3):
-            assert classes_cagey(s, t)
+    common = ens3.adjacency[ens3.index_of(sigma1)] & ens3.adjacency[ens3.index_of(tau1)]
+    assert any(cliques_within(ens3, common, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +173,10 @@ def test_rank_guard_for_rose_enumeration():
         k_graph_local(4)
 
 
-def test_rank4_rose_scan_is_truncated_but_productive():
-    graph = build_star_graph(4, "ens")
-    roses = rose_vertices(4, graph=graph, limit=500)
-    assert roses
+def test_rank4_rose_scan_is_exhaustive():
+    roses = rose_vertices(4)
+    assert len(roses) == 22809
+    assert len({frozenset(r.classes) for r in roses}) == 22809
     for r in roses[:10]:
         assert is_rose_family(r.classes, 4)
 

@@ -67,7 +67,7 @@ def test_pair_predicates_match_the_oracle_on_every_ordered_pair(rank):
 @pytest.mark.parametrize("rank", [3, 4, 5])
 def test_rose_compatible_masks_matches_the_class_predicates(rank):
     classes = enumerate_splitting_classes(rank)
-    masks = [c.representative.mask for c in classes]
+    masks = [c.mask for c in classes]
     for (s, a), (t, b) in itertools.permutations(zip(classes, masks), 2):
         assert rose_compatible_masks(a, b, rank) == (
             classes_compatible(s, t) and classes_rose_compatible(s, t)), (s, t)

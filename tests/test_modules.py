@@ -1,9 +1,12 @@
-"""Each library module uses only the public names of the others."""
+"""Each library module uses only the public names of the others, and every
+public function and class has a reader."""
 
+import ast
 import os
 import re
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "freesplit")
+BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
 PRIVATE_REACH = re.compile(r"\b(partitions|blowup|complexes|freegroup|verify|cli)\._\w*")
 
 
@@ -15,3 +18,35 @@ def test_no_module_uses_another_modules_private_name():
             source = handle.read()
         match = PRIVATE_REACH.search(source)
         assert match is None, "%s uses %s" % (name, match.group(0))
+
+
+def _trees(directory):
+    trees = {}
+    for name in sorted(os.listdir(directory)):
+        if name.endswith(".py"):
+            with open(os.path.join(directory, name), encoding="utf-8") as handle:
+                trees[name] = ast.parse(handle.read())
+    return trees
+
+
+def _reads(tree):
+    """Every name the code reads, bare or as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def test_every_public_function_and_class_has_a_reader():
+    # A reader is code elsewhere in src/, the package exports, or the benchmark.
+    modules = _trees(SRC)
+    init = modules.pop("__init__.py")
+    exported = {alias.name for node in init.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    read = set().union(*map(_reads, modules.values()), *map(_reads, _trees(BENCH).values()))
+    unread = [
+        "%s:%s" % (name, node.name)
+        for name, tree in modules.items() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in read | exported
+    ]
+    assert unread == []

@@ -7,19 +7,25 @@ import partition_oracle as oracle
 from freesplit.partitions import (
     Direction,
     Partition,
+    class_key,
     class_of,
+    classes_cagey,
+    classes_compatible,
+    classes_rose_compatible,
     compatible,
     corner_masks,
-    count_splitting_classes,
     crosses,
     direction_bit,
+    encode_class,
     enumerate_ideal_edges,
     enumerate_splitting_classes,
     full_mask,
     is_cagey,
     is_ideal,
     is_thick,
+    parse_class,
     petal_class,
+    petal_index,
     rose_compatible,
     side_names,
 )
@@ -200,13 +206,21 @@ def test_rose_compatible_requires_distinct_partitions():
         rose_compatible(p, p)
 
 
+def representatives(c):
+    """Every partition of a class: both singleton sides for a petal."""
+    index = petal_index(c)
+    if index is None:
+        return (c,)
+    return tuple(Partition(c.rank, direction_bit(index, sign)) for sign in (1, -1))
+
+
 def test_rose_compatibility_is_representative_independent():
     classes = enumerate_splitting_classes(3)
     for s, t in itertools.combinations(classes, 2):
         verdicts = {
             rose_compatible(a, b)
-            for a in s.representatives()
-            for b in t.representatives()
+            for a in representatives(s)
+            for b in representatives(t)
             if a != b
         }
         assert len(verdicts) == 1
@@ -282,7 +296,7 @@ def test_enumeration_counts_rank3_against_brute_force():
     assert classes == 25
     assert len(enumerate_ideal_edges(3)) == ideal
     assert len(enumerate_ideal_edges(3, thick_only=True)) == thick
-    assert count_splitting_classes(3) == classes
+    assert len(enumerate_splitting_classes(3)) == classes
 
 
 def test_enumeration_counts_rank4_against_brute_force():
@@ -290,7 +304,7 @@ def test_enumeration_counts_rank4_against_brute_force():
     assert total == 2 ** 7 - 1
     assert len(enumerate_ideal_edges(4)) == ideal
     assert len(enumerate_ideal_edges(4, thick_only=True)) == thick
-    assert count_splitting_classes(4) == classes
+    assert len(enumerate_splitting_classes(4)) == classes
 
 
 def test_enumeration_is_sorted_and_all_ideal():
@@ -308,11 +322,39 @@ def test_enumeration_rank_guard():
         enumerate_ideal_edges(5, max_rank=4)
 
 
+@pytest.mark.parametrize("rank", [3, 4, 5, 6])
+def test_splitting_classes_come_in_the_oracle_class_order(rank):
+    # Graph indices and the battery's bytes depend on this order.
+    classes = enumerate_splitting_classes(rank)
+    assert classes == oracle.splitting_classes(rank)
+    assert classes == sorted(classes, key=class_key)
+
+
 def test_petal_identification():
     for i in (1, 2, 3):
         plus = class_of(P(3, "x%d+" % i))
         minus = class_of(P(3, "x%d-" % i))
         assert plus == minus == petal_class(3, i)
+        assert petal_index(plus) == petal_index(minus) == i
+        assert encode_class(minus) == "petal:%d" % i
+        assert parse_class(3, "petal:%d" % i) == plus
+    assert class_of(P(3, "x1-,x2+")) == P(3, "x1-,x2+")
+    assert petal_index(P(3, "x1-,x2+")) is None
+    assert encode_class(P(3, "x1-,x2+")) == "x1-,x2+"
+    with pytest.raises(ValueError, match="petal index 4 out of range for rank 3"):
+        petal_class(3, 4)
+
+
+def test_class_predicates_see_both_petal_partitions_as_one_splitting():
+    plus, minus, thick = P(3, "x2+"), P(3, "x2-"), P(3, "x1-,x2+")
+    assert classes_compatible(minus, thick) and classes_compatible(plus, minus)
+    for same in ((plus, minus), (minus, plus), (minus, minus)):
+        with pytest.raises(ValueError, match="distinct splittings"):
+            classes_rose_compatible(*same)
+        with pytest.raises(ValueError, match="distinct splittings"):
+            classes_cagey(*same)
+    assert classes_rose_compatible(minus, thick) == classes_rose_compatible(plus, thick)
+    assert classes_cagey(minus, thick) is False
 
 
 # ---------------------------------------------------------------------------
