@@ -291,14 +291,28 @@ def petal_class(rank: int, index: int) -> Partition:
     return Partition(rank, direction_bit(index, 1))
 
 
+def class_mask(rank: int, mask: int) -> int:
+    """The mask of the class of ``Partition(rank, mask)``; nothing is checked.
+
+    A mask holding ``x1+`` is flipped to the canonical side, and {xi-} is
+    mapped to petal i's canonical mask: {xi+}, or its complement for i = 1.
+    """
+    full = full_mask(rank)
+    if mask & 1:
+        mask ^= full
+    if mask.bit_count() == 1 and not mask & full // 3:
+        mask = mask >> 1 if mask > 2 else full ^ 1
+    return mask
+
+
 def class_of(p: Partition) -> Partition:
     """The splitting class of a partition: its canonical partition.
 
     The two petal partitions {xi+} and {xi-} name one splitting, whose
     class is :func:`petal_class`; a thick partition is its own class.
     """
-    index = petal_index(p)
-    return p if index is None else petal_class(p.rank, index)
+    mask = class_mask(p.rank, p.mask)
+    return p if mask == p.mask else Partition(p.rank, mask)
 
 
 def encode_class(c: Partition) -> str:
@@ -359,7 +373,9 @@ def enumerate_ideal_edges(rank: int, thick_only: bool = False,
         p = Partition(rank, mask)
         if is_ideal(p) and (not thick_only or is_thick(p)):
             found.append(p)
-    found.sort(key=lambda p: p.key)
+    # Direction order, read past the bounded bit_positions cache: from rank 6
+    # on every lookup would miss and evict the small masks labels reuse.
+    found.sort(key=lambda p: bit_positions.__wrapped__(p.mask))
     return found
 
 

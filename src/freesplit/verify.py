@@ -12,7 +12,7 @@ import json
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from . import complexes, freegroup, partitions
 from .blowup import (
@@ -24,6 +24,7 @@ from .blowup import (
 )
 from .partitions import (
     Partition,
+    class_mask,
     class_of,
     classes_cagey,
     classes_compatible,
@@ -32,6 +33,7 @@ from .partitions import (
     encode_class,
     enumerate_ideal_edges,
     enumerate_splitting_classes,
+    full_mask,
     is_cagey,
     petal_class,
     rose_compatible_masks,
@@ -258,6 +260,13 @@ def verify_three_rose(rank: int, mutated: bool = False) -> VerificationReport:
 def verify_clique_rank3(mutated: bool = False) -> VerificationReport:
     """Every 4-clique at rank 3 blows up to a 4-edge cage or a theta graph
     with a loop, with trivial vertex groups; both shapes occur.
+
+    The shape of a blow-up is an isomorphism invariant, and a signed
+    permutation of the petals carries a clique's blow-up onto the blow-up of
+    its image clique, so the shape is constant on the orbit of the clique's
+    set of class masks.  Each orbit is blown up once, at the first clique met
+    in clique order, and its outcome is replayed for every clique of the
+    orbit (:func:`_orbit`): 11 blow-ups for the 328 cliques.
     """
     started = time.perf_counter()
     rec = _Recorder()
@@ -270,13 +279,24 @@ def verify_clique_rank3(mutated: bool = False) -> VerificationReport:
         p2 = graph.index_of(petal_class(3, 2))
         cliques = cliques + [tuple(sorted((tau1, sigma2, p1, p2)))]
 
+    tables = _signed_permutations(3)
+    masks = [c.mask for c in graph.vertices]
+
+    def image(table, key):
+        return frozenset(class_mask(3, table[m]) for m in key)
+
+    # (4-edge cage, theta with a loop, trivial vertex ranks) per class-mask set
+    outcomes: Dict[FrozenSet[int], Tuple[bool, bool, bool]] = {}
     shapes_seen = {"cage": 0, "theta_with_loop": 0}
     for indices in cliques:
         fam = [graph.vertices[i] for i in indices]
-        g = blow_up(fam, 3)
-        report = classify_shape(g)
-        is_cage4 = report.cage == 4
-        is_theta = report.theta_with_loop
+        key = frozenset(masks[i] for i in indices)
+        if key not in outcomes:
+            report = classify_shape(blow_up(fam, 3))
+            outcome = (report.cage == 4, report.theta_with_loop,
+                       set(report.vertex_ranks) == {0})
+            outcomes.update(dict.fromkeys(_orbit(key, image, tables), outcome))
+        is_cage4, is_theta, trivial_ranks = outcomes[key]
         if is_cage4:
             shapes_seen["cage"] += 1
         if is_theta:
@@ -286,8 +306,7 @@ def verify_clique_rank3(mutated: bool = False) -> VerificationReport:
             return ",".join(map(encode_class, fam))
 
         rec.check(is_cage4 or is_theta, "4-clique has unexpected shape: %s", label)
-        rec.check(set(report.vertex_ranks) == {0},
-                  "4-clique has nontrivial vertex groups: %s", label)
+        rec.check(trivial_ranks, "4-clique has nontrivial vertex groups: %s", label)
     rec.details["clique_count"] = len(cliques)
     rec.details["shape_census"] = dict(sorted(shapes_seen.items()))
     rec.check(shapes_seen["cage"] > 0 and shapes_seen["theta_with_loop"] > 0,
@@ -295,20 +314,14 @@ def verify_clique_rank3(mutated: bool = False) -> VerificationReport:
     return rec.report("clique-rank-3", 3, started)
 
 
-def _crossing_thick_pairs(rank: int):
-    thick = enumerate_ideal_edges(rank, thick_only=True)
-    for p, q in itertools.combinations(thick, 2):
-        if partitions.crosses(p, q):
-            yield p, q
-
-
 def _check_signed_permutation(rank: int, index: int, table: Sequence[int]) -> None:
     """Raise RuntimeError unless ``table`` is a signed permutation of the petals.
 
     That is: the table extends a permutation of the 2N bits bit by bit, and
     the permutation carries every petal pair {xi+, xi-} onto a petal pair.
-    Such a map sends corner sets of crossing thick pairs to corner sets of
-    crossing thick pairs and keeps the boundary type.
+    Such a map is an automorphism of the rose: it sends corner sets of
+    crossing thick pairs to corner sets of crossing thick pairs, cliques of
+    classes to cliques, and keeps every shape of their blow-ups.
     """
     width = 2 * rank
     if len(table) == 1 << width:
@@ -324,59 +337,88 @@ def _check_signed_permutation(rank: int, index: int, table: Sequence[int]) -> No
                        "it may map corner sets off the crossing thick pairs" % index)
 
 
+def _signed_permutations(rank: int) -> Tuple[Tuple[int, ...], ...]:
+    """The generator tables of B_N at ``rank``, each checked to be a signed
+    permutation before any outcome is replayed through it."""
+    tables = partitions.signed_permutation_tables(rank)
+    for index, table in enumerate(tables):
+        _check_signed_permutation(rank, index, table)
+    return tables
+
+
+def _orbit(key: FrozenSet[int], image: Callable, tables: Sequence) -> Set[FrozenSet[int]]:
+    """The orbit of ``key`` under the group the tables generate, where
+    ``image(table, key)`` is the image of a key under one generator."""
+    orbit, todo = {key}, [key]
+    while todo:
+        current = todo.pop()
+        for table in tables:
+            found = image(table, current)
+            if found not in orbit:
+                orbit.add(found)
+                todo.append(found)
+    return orbit
+
+
 def verify_boundary_types(rank: int, mutated: bool = False) -> VerificationReport:
     """Every crossing ideal pair yields a boundary splitting with 3 or 4
     distinct edges whose quotient is one of the six recognized shapes;
     cagey pairs land on the cage.
 
-    The boundary type is an isomorphism invariant of the blow-up along the
-    pair's corner classes, which its set of four corner masks fixes, so it
-    is constant on the orbit of that set under the signed permutations of
-    the petals (:func:`partitions.signed_permutation_tables`).  The family
-    is built and blown up once per orbit, for the first corner set met in
-    pair order.  Its outcome, the tag or the ``ValueError`` it raised, is
+    The pairs are scanned on side masks, and each pair is keyed by its set
+    of four corner masks.  The boundary type is an isomorphism invariant of
+    the blow-up along the corner classes, which that set fixes.  Caginess is
+    fixed by it too: a pair is cagey iff every corner and every union of two
+    corners separates some petal pair.  A signed permutation of the petals
+    (:func:`partitions.signed_permutation_tables`) keeps both, so both are
+    constant on the orbit of the corner set.  The family is built and blown
+    up once per orbit, for the first corner set met in pair order, and its
+    outcome (the tag or the ``ValueError`` raised, and the caginess) is
     replayed for every pair whose corner set lies in the orbit.  Each table
     is checked to be a signed permutation first, so no image can fall off
     the crossing thick pairs and no orbit can merge two boundary types.
+    Labels are built only for failures.
     """
     if rank not in (3, 4, 5):
         raise ValueError("boundary-type verification runs at ranks 3 to 5")
     started = time.perf_counter()
     rec = _Recorder()
     census: Dict[str, int] = {}
-    pairs = [(p, q, frozenset(partitions.corner_masks(p, q)))
-             for p, q in _crossing_thick_pairs(rank)]
-    tables = partitions.signed_permutation_tables(rank)
-    for index, table in enumerate(tables):
-        _check_signed_permutation(rank, index, table)
-    # (edge count, tag or the ValueError raised) for every corner set, one blow-up per orbit
-    outcomes: Dict[FrozenSet[int], Tuple[int, Union[str, ValueError]]] = {}
-    for p, q, key in pairs:
-        if key not in outcomes:
-            family = boundary_classes(p, q)  # cannot raise: the pairs are ideal and cross
-            try:
-                outcomes[key] = (len(family), classify_boundary(family, rank).tag)
-            except ValueError as exc:
-                outcomes[key] = (len(family), exc)
-            todo = [key]
-            while todo:
-                current = todo.pop()
-                for table in tables:
-                    image = frozenset(table[m] for m in current)
-                    if image in outcomes:
-                        continue
-                    outcomes[image] = outcomes[key]
-                    todo.append(image)
-        edge_count, tag = outcomes[key]
-        if isinstance(tag, ValueError):
-            rec.check(False, "{%s} vs {%s}: %s", p.encode, q.encode, tag)
-            continue
-        census[tag] = census.get(tag, 0) + 1
-        rec.check(edge_count in (3, 4), "{%s} vs {%s}: %d boundary edges",
-                  p.encode, q.encode, edge_count)
-        if is_cagey(p, q):
-            rec.check(tag == "cage-3", "{%s} vs {%s}: cagey pair classified %s",
-                      p.encode, q.encode, tag)
+    edges = enumerate_ideal_edges(rank, thick_only=True)
+    thick = [p.mask for p in edges]
+    full = full_mask(rank)
+    tables = _signed_permutations(rank)
+
+    def image(table, key):
+        return frozenset(map(table.__getitem__, key))
+
+    # (edge count, tag or the ValueError raised, cagey) per corner set
+    outcomes: Dict[FrozenSet[int], Tuple[int, Union[str, ValueError], bool]] = {}
+    for i, a in enumerate(thick):
+        for j in range(i + 1, len(thick)):
+            b = thick[j]
+            if not (a & b and a & ~b and b & ~a):
+                continue
+            key = frozenset((a & b, a & ~b, b & ~a, full ^ (a | b)))
+            p, q = edges[i], edges[j]
+            if key not in outcomes:
+                family = boundary_classes(p, q)  # cannot raise: the pairs are ideal and cross
+                try:
+                    tag: Union[str, ValueError] = classify_boundary(family, rank).tag
+                except ValueError as exc:
+                    tag = exc
+                outcome = (len(family), tag, is_cagey(p, q))
+                outcomes.update(dict.fromkeys(_orbit(key, image, tables), outcome))
+            edge_count, tag, cagey = outcomes[key]
+            if isinstance(tag, ValueError):
+                rec.check(False, "{%s} vs {%s}: %s", p.encode, q.encode, tag)
+                continue
+            census[tag] = census.get(tag, 0) + 1
+            rec.check(edge_count in (3, 4), "{%s} vs {%s}: %d boundary edges",
+                      p.encode, q.encode, edge_count)
+            if cagey:
+                rec.check(tag == "cage-3", "{%s} vs {%s}: cagey pair classified %s",
+                          p.encode, q.encode, tag)
     if mutated:
         p = chain_partition(rank, 1)
         q = chain_partition(rank, 2)

@@ -7,7 +7,9 @@ import partition_oracle as oracle
 from freesplit.partitions import (
     Direction,
     Partition,
+    bit_positions,
     class_key,
+    class_mask,
     class_of,
     classes_cagey,
     classes_compatible,
@@ -328,6 +330,24 @@ def test_splitting_classes_come_in_the_oracle_class_order(rank):
     classes = enumerate_splitting_classes(rank)
     assert classes == oracle.splitting_classes(rank)
     assert classes == sorted(classes, key=class_key)
+
+
+@pytest.mark.parametrize("rank", [3, 4, 5, 6])
+def test_ideal_edges_come_in_the_oracle_key_order(rank):
+    bit_positions.cache_clear()
+    for thick_only in (False, True):
+        edges = enumerate_ideal_edges(rank, thick_only=thick_only)
+        assert edges == sorted(edges, key=lambda p: oracle._key(oracle.side1(p)))
+    # The sort leaves the bounded cache to the masks that labels reuse.
+    assert bit_positions.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("rank", [3, 4, 5])
+def test_class_mask_is_the_mask_of_class_of(rank):
+    # class_of calls class_mask, so the oracle's class_of is the independent side.
+    for mask in range(1, full_mask(rank)):
+        p = Partition(rank, mask)
+        assert class_mask(rank, mask) == class_of(p).mask == oracle.class_of(p).mask, mask
 
 
 def test_petal_identification():

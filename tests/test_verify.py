@@ -1,16 +1,21 @@
+import itertools
 import json
 from pathlib import Path
 
 import pytest
 from jsonschema import validate
 
-from freesplit import freegroup, partitions, verify
-from freesplit.blowup import boundary_classes, classify_boundary
+from freesplit import blowup, complexes, freegroup, partitions, verify
+from freesplit.blowup import blow_up, boundary_classes, classify_boundary, classify_shape
 from freesplit.partitions import (
     Partition,
     class_key,
+    class_mask,
     class_of,
     corner_masks,
+    enumerate_ideal_edges,
+    full_mask,
+    is_cagey,
     signed_permutation_tables,
 )
 from freesplit.verify import (
@@ -28,6 +33,7 @@ from freesplit.verify import (
 
 import partition_oracle as oracle
 from boundary_oracle import crossing_thick_pairs, oracle_boundary_types
+from clique_rank3_oracle import oracle_clique_rank3
 from conftest import load_schema
 from rigid_oracle import oracle_rigid_blowup
 from whitehead_oracle import reference_whitehead_factor
@@ -78,6 +84,47 @@ def test_clique_rank3_passes_with_both_shapes():
 
 def test_clique_rank3_negative_control():
     assert not verify_clique_rank3(mutated=True).passed
+
+
+@pytest.mark.parametrize("mutated", [False, True])
+def test_clique_rank3_matches_the_per_clique_oracle(mutated):
+    got = verify_clique_rank3(mutated=mutated)
+    assert report_bytes(got) == report_bytes(oracle_clique_rank3(mutated))
+
+
+@pytest.mark.parametrize("mutated, blow_ups", [(False, 11), (True, 12)])
+def test_clique_rank3_blows_up_once_per_orbit(monkeypatch, mutated, blow_ups):
+    # The 328 cliques fall into 11 orbits; the mutated clique is in none of them.
+    calls = []
+    real = verify.blow_up
+
+    def counting_blow_up(family, rank):
+        calls.append(family)
+        return real(family, rank)
+
+    monkeypatch.setattr(verify, "blow_up", counting_blow_up)
+    verify_clique_rank3(mutated=mutated)
+    assert len(calls) == blow_ups
+
+
+def _clique_shape(masks):
+    report = classify_shape(blow_up([Partition(3, m) for m in masks], 3))
+    return report.cage == 4, report.theta_with_loop, set(report.vertex_ranks) == {0}
+
+
+def test_clique_shape_is_invariant_under_each_generator():
+    # The clique replay rests on this: a generator's image of a 4-clique,
+    # taken through class_mask, is a 4-clique with the same shape outcome.
+    graph = complexes.build_star_graph(3, mode="ens")
+    cliques = {frozenset(graph.vertices[i].mask for i in c)
+               for c in complexes.enumerate_cliques(graph, 4)}
+    assert len(cliques) == 328
+    shapes = {clique: _clique_shape(clique) for clique in cliques}
+    for table in signed_permutation_tables(3):
+        for clique in cliques:
+            image = frozenset(class_mask(3, table[m]) for m in clique)
+            assert image in cliques
+            assert _clique_shape(image) == shapes[clique], (clique, image)
 
 
 def test_boundary_types_pass_with_frozen_census():
@@ -147,6 +194,26 @@ def test_boundary_type_is_invariant_under_each_generator(rank):
                 (class_of(Partition(rank, table[c.mask])) for c in family), key=class_key))
             got, want = classify_boundary(image, rank), classify_boundary(family, rank)
             assert (got.edge_count, got.tag) == (want.edge_count, want.tag)
+
+
+@pytest.mark.parametrize("rank, crossing", [(3, 153), (4, 4564), (5, 96735)])
+def test_caginess_is_constant_on_each_corner_set_orbit(rank, crossing):
+    # The boundary replay stores caginess per orbit of the corner set.
+    edges = enumerate_ideal_edges(rank, thick_only=True)
+    full = full_mask(rank)
+    cagey = {}
+    pairs = 0
+    for p, q in itertools.combinations(edges, 2):
+        a, b = p.mask, q.mask
+        if a & b and a & ~b and b & ~a:
+            pairs += 1
+            value = is_cagey(p, q)
+            assert cagey.setdefault(frozenset((a & b, a & ~b, b & ~a, full ^ (a | b))),
+                                    value) == value
+    assert pairs == crossing
+    for table in signed_permutation_tables(rank):
+        for key, value in cagey.items():
+            assert cagey[frozenset(table[m] for m in key)] == value, key
 
 
 def test_a_failing_orbit_representative_is_replayed_for_every_pair_of_its_orbit(monkeypatch):
@@ -321,3 +388,20 @@ def test_battery_output_matches_the_benchmark_reference():
     # The benchmark checks `freesplit verify battery` stdout against this file.
     reference = Path(__file__).resolve().parents[1] / "bench" / "reference" / "battery.json"
     assert battery_json(run_battery()).encode() == reference.read_bytes()
+
+
+def test_the_battery_blows_up_once_per_orbit(monkeypatch):
+    # rigid-blowup 3, three-rose 2, clique-rank-3 11 orbits, boundary-types
+    # 6 orbits at rank 3 and 24 at rank 4.  A verifier that slides back to
+    # one blow-up per item raises this count (363 before the clique orbits).
+    calls = []
+    real = blowup.blow_up
+
+    def counting_blow_up(family, rank):
+        calls.append(rank)
+        return real(family, rank)
+
+    for module in (blowup, complexes, verify):
+        monkeypatch.setattr(module, "blow_up", counting_blow_up)
+    run_battery()
+    assert len(calls) == 46
