@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .partitions import (
     Partition,
@@ -90,11 +90,21 @@ class GraphOfGroups:
         return tuple(sorted(self.degree(vid) for vid, _ in self.vertices))
 
     def _connected(self, skip: frozenset = frozenset()) -> bool:
-        uf = _UnionFind(vid for vid, _ in self.vertices)
+        if not self.vertices:
+            return True
+        neighbours: Dict[str, List[str]] = {}
         for eid, (u, v), _ in self.edges:
-            if eid not in skip:
-                uf.union(u, v)
-        return len({uf.find(vid) for vid, _ in self.vertices}) <= 1
+            if eid not in skip and u != v:
+                neighbours.setdefault(u, []).append(v)
+                neighbours.setdefault(v, []).append(u)
+        start = self.vertices[0][0]
+        seen, todo = {start}, [start]
+        while todo:
+            for w in neighbours.get(todo.pop(), ()):
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        return len(seen) == len(self.vertices)
 
     def disconnects_without(self, edge_ids: Iterable[str]) -> bool:
         return not self._connected(frozenset(edge_ids))
@@ -126,25 +136,6 @@ class GraphOfGroups:
 # ---------------------------------------------------------------------------
 
 
-class _UnionFind:
-    def __init__(self, items: Iterable[Hashable]):
-        self.parent = {i: i for i in items}
-
-    def find(self, i: Hashable) -> Hashable:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, a: Hashable, b: Hashable) -> Hashable:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-        return ra
-
-
 def blow_up(family: Iterable[Partition], rank: int) -> GraphOfGroups:
     """Graph of groups determined by a pairwise compatible family of classes.
 
@@ -162,7 +153,8 @@ def blow_up(family: Iterable[Partition], rank: int) -> GraphOfGroups:
             raise ValueError("family member %s has rank %d, expected %d"
                              % (encode_class(c), c.rank, rank))
     for a, b in itertools.combinations(fam, 2):
-        if crosses(a, b):
+        x, y = a.mask, b.mask
+        if x & y and x & ~y and y & ~x:  # crosses(a, b) on masks of one rank
             raise IncompatibleFamilyError(
                 "family members cross: {%s} and {%s}" % (encode_class(a), encode_class(b))
             )
@@ -191,24 +183,27 @@ def blow_up(family: Iterable[Partition], rank: int) -> GraphOfGroups:
     }
     kept_petals = set(petal_of.values())
 
-    uf = _UnionFind(dirs)
-    extra_rank = {vid: 0 for vid in dirs}
+    # Collapsing a petal merges its end vertices into the first end's root;
+    # root_of maps every dual-tree vertex to the root holding it.
+    root_of = {vid: vid for vid in dirs}
+    extra_rank = dict.fromkeys(dirs, 0)
     for i in range(1, rank + 1):
         if i in kept_petals:
             continue
-        u, v = (uf.find(x) for x in petal_ends[i])
+        u, v = (root_of[x] for x in petal_ends[i])
         if u == v:
             extra_rank[u] += 1
         else:
-            root = uf.union(u, v)
-            other = v if root == u else u
-            extra_rank[root] += extra_rank.pop(other)
-            dirs[root] |= dirs.pop(other)
+            for vid, root in root_of.items():
+                if root == v:
+                    root_of[vid] = u
+            extra_rank[u] += extra_rank.pop(v)
+            dirs[u] |= dirs.pop(v)
 
     edge_records = []
     for c, i in petal_of.items():
         u, v = ends[c.mask] if i is None else petal_ends[i]
-        edge_records.append((encode_class(c), uf.find(u), uf.find(v)))
+        edge_records.append((encode_class(c), root_of[u], root_of[v]))
 
     incident: Dict[int, List[str]] = {root: [] for root in dirs}
     for label, u, v in edge_records:

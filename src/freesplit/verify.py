@@ -12,7 +12,7 @@ import json
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from . import complexes, freegroup, partitions
 from .blowup import (
@@ -24,7 +24,6 @@ from .blowup import (
 )
 from .partitions import (
     Partition,
-    class_mask,
     class_of,
     classes_cagey,
     classes_compatible,
@@ -261,12 +260,10 @@ def verify_clique_rank3(mutated: bool = False) -> VerificationReport:
     """Every 4-clique at rank 3 blows up to a 4-edge cage or a theta graph
     with a loop, with trivial vertex groups; both shapes occur.
 
-    The shape of a blow-up is an isomorphism invariant, and a signed
-    permutation of the petals carries a clique's blow-up onto the blow-up of
-    its image clique, so the shape is constant on the orbit of the clique's
-    set of class masks.  Each orbit is blown up once, at the first clique met
-    in clique order, and its outcome is replayed for every clique of the
-    orbit (:func:`_orbit`): 11 blow-ups for the 328 cliques.
+    Each clique is blown up once.  Both shape tests are read off the
+    quotient's vertex count, loops and bundles, as :func:`classify_shape`
+    reads them, without its separating-edge scans, which this statement
+    does not use.
     """
     started = time.perf_counter()
     rec = _Recorder()
@@ -279,24 +276,14 @@ def verify_clique_rank3(mutated: bool = False) -> VerificationReport:
         p2 = graph.index_of(petal_class(3, 2))
         cliques = cliques + [tuple(sorted((tau1, sigma2, p1, p2)))]
 
-    tables = _signed_permutations(3)
-    masks = [c.mask for c in graph.vertices]
-
-    def image(table, key):
-        return frozenset(class_mask(3, table[m]) for m in key)
-
-    # (4-edge cage, theta with a loop, trivial vertex ranks) per class-mask set
-    outcomes: Dict[FrozenSet[int], Tuple[bool, bool, bool]] = {}
     shapes_seen = {"cage": 0, "theta_with_loop": 0}
     for indices in cliques:
         fam = [graph.vertices[i] for i in indices]
-        key = frozenset(masks[i] for i in indices)
-        if key not in outcomes:
-            report = classify_shape(blow_up(fam, 3))
-            outcome = (report.cage == 4, report.theta_with_loop,
-                       set(report.vertex_ranks) == {0})
-            outcomes.update(dict.fromkeys(_orbit(key, image, tables), outcome))
-        is_cage4, is_theta, trivial_ranks = outcomes[key]
+        g = blow_up(fam, 3)
+        loops, bundles = len(g.loops()), g.bundles()
+        two_vertices_four_edges = len(g.vertices) == 2 and len(g.edges) == 4
+        is_cage4 = two_vertices_four_edges and not loops and bundles == (4,)
+        is_theta = two_vertices_four_edges and loops == 1 and bundles == (3,)
         if is_cage4:
             shapes_seen["cage"] += 1
         if is_theta:
@@ -306,7 +293,8 @@ def verify_clique_rank3(mutated: bool = False) -> VerificationReport:
             return ",".join(map(encode_class, fam))
 
         rec.check(is_cage4 or is_theta, "4-clique has unexpected shape: %s", label)
-        rec.check(trivial_ranks, "4-clique has nontrivial vertex groups: %s", label)
+        rec.check({r for _, r in g.vertices} == {0},
+                  "4-clique has nontrivial vertex groups: %s", label)
     rec.details["clique_count"] = len(cliques)
     rec.details["shape_census"] = dict(sorted(shapes_seen.items()))
     rec.check(shapes_seen["cage"] > 0 and shapes_seen["theta_with_loop"] > 0,
@@ -319,9 +307,8 @@ def _check_signed_permutation(rank: int, index: int, table: Sequence[int]) -> No
 
     That is: the table extends a permutation of the 2N bits bit by bit, and
     the permutation carries every petal pair {xi+, xi-} onto a petal pair.
-    Such a map is an automorphism of the rose: it sends corner sets of
-    crossing thick pairs to corner sets of crossing thick pairs, cliques of
-    classes to cliques, and keeps every shape of their blow-ups.
+    Such a map sends corner sets of crossing thick pairs to corner sets of
+    crossing thick pairs and keeps the boundary type and the caginess.
     """
     width = 2 * rank
     if len(table) == 1 << width:
@@ -335,29 +322,6 @@ def _check_signed_permutation(rank: int, index: int, table: Sequence[int]) -> No
             return
     raise RuntimeError("signed permutation table %d is no signed permutation of the petals: "
                        "it may map corner sets off the crossing thick pairs" % index)
-
-
-def _signed_permutations(rank: int) -> Tuple[Tuple[int, ...], ...]:
-    """The generator tables of B_N at ``rank``, each checked to be a signed
-    permutation before any outcome is replayed through it."""
-    tables = partitions.signed_permutation_tables(rank)
-    for index, table in enumerate(tables):
-        _check_signed_permutation(rank, index, table)
-    return tables
-
-
-def _orbit(key: FrozenSet[int], image: Callable, tables: Sequence) -> Set[FrozenSet[int]]:
-    """The orbit of ``key`` under the group the tables generate, where
-    ``image(table, key)`` is the image of a key under one generator."""
-    orbit, todo = {key}, [key]
-    while todo:
-        current = todo.pop()
-        for table in tables:
-            found = image(table, current)
-            if found not in orbit:
-                orbit.add(found)
-                todo.append(found)
-    return orbit
 
 
 def verify_boundary_types(rank: int, mutated: bool = False) -> VerificationReport:
@@ -387,11 +351,9 @@ def verify_boundary_types(rank: int, mutated: bool = False) -> VerificationRepor
     edges = enumerate_ideal_edges(rank, thick_only=True)
     thick = [p.mask for p in edges]
     full = full_mask(rank)
-    tables = _signed_permutations(rank)
-
-    def image(table, key):
-        return frozenset(map(table.__getitem__, key))
-
+    tables = partitions.signed_permutation_tables(rank)
+    for index, table in enumerate(tables):
+        _check_signed_permutation(rank, index, table)
     # (edge count, tag or the ValueError raised, cagey) per corner set
     outcomes: Dict[FrozenSet[int], Tuple[int, Union[str, ValueError], bool]] = {}
     for i, a in enumerate(thick):
@@ -407,8 +369,15 @@ def verify_boundary_types(rank: int, mutated: bool = False) -> VerificationRepor
                     tag: Union[str, ValueError] = classify_boundary(family, rank).tag
                 except ValueError as exc:
                     tag = exc
-                outcome = (len(family), tag, is_cagey(p, q))
-                outcomes.update(dict.fromkeys(_orbit(key, image, tables), outcome))
+                outcomes[key] = (len(family), tag, is_cagey(p, q))
+                todo = [key]
+                while todo:
+                    current = todo.pop()
+                    for table in tables:
+                        image = frozenset(map(table.__getitem__, current))
+                        if image not in outcomes:
+                            outcomes[image] = outcomes[key]
+                            todo.append(image)
             edge_count, tag, cagey = outcomes[key]
             if isinstance(tag, ValueError):
                 rec.check(False, "{%s} vs {%s}: %s", p.encode, q.encode, tag)

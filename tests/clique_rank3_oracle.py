@@ -1,9 +1,9 @@
 """Reference rank-3 clique verifier: one ``blow_up`` per 4-clique.
 
-This is the verifier's loop without the orbit memo.  Every 4-clique of the
-rank-3 rose graph is blown up and classified on its own, so a test can
-require the orbit-reduced ``verify_clique_rank3`` to give the identical
-report, failure witnesses and their order included.
+Every 4-clique of the rank-3 rose graph is blown up and classified through
+``classify_shape``, so a test can require ``verify_clique_rank3``, which
+reads the two shapes off the quotient itself, to give the identical report,
+failure witnesses and their order included.
 """
 
 from typing import List

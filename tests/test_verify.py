@@ -6,11 +6,10 @@ import pytest
 from jsonschema import validate
 
 from freesplit import blowup, complexes, freegroup, partitions, verify
-from freesplit.blowup import blow_up, boundary_classes, classify_boundary, classify_shape
+from freesplit.blowup import GraphOfGroups, boundary_classes, classify_boundary
 from freesplit.partitions import (
     Partition,
     class_key,
-    class_mask,
     class_of,
     corner_masks,
     enumerate_ideal_edges,
@@ -92,39 +91,29 @@ def test_clique_rank3_matches_the_per_clique_oracle(mutated):
     assert report_bytes(got) == report_bytes(oracle_clique_rank3(mutated))
 
 
-@pytest.mark.parametrize("mutated, blow_ups", [(False, 11), (True, 12)])
-def test_clique_rank3_blows_up_once_per_orbit(monkeypatch, mutated, blow_ups):
-    # The 328 cliques fall into 11 orbits; the mutated clique is in none of them.
+@pytest.mark.parametrize("mutated, blow_ups", [(False, 328), (True, 329)])
+def test_clique_rank3_blows_up_each_clique_once(monkeypatch, mutated, blow_ups):
     calls = []
     real = verify.blow_up
 
     def counting_blow_up(family, rank):
-        calls.append(family)
+        calls.append(frozenset(c.mask for c in family))
         return real(family, rank)
 
     monkeypatch.setattr(verify, "blow_up", counting_blow_up)
     verify_clique_rank3(mutated=mutated)
-    assert len(calls) == blow_ups
+    assert len(calls) == len(set(calls)) == blow_ups
 
 
-def _clique_shape(masks):
-    report = classify_shape(blow_up([Partition(3, m) for m in masks], 3))
-    return report.cage == 4, report.theta_with_loop, set(report.vertex_ranks) == {0}
-
-
-def test_clique_shape_is_invariant_under_each_generator():
-    # The clique replay rests on this: a generator's image of a 4-clique,
-    # taken through class_mask, is a 4-clique with the same shape outcome.
-    graph = complexes.build_star_graph(3, mode="ens")
-    cliques = {frozenset(graph.vertices[i].mask for i in c)
-               for c in complexes.enumerate_cliques(graph, 4)}
-    assert len(cliques) == 328
-    shapes = {clique: _clique_shape(clique) for clique in cliques}
-    for table in signed_permutation_tables(3):
-        for clique in cliques:
-            image = frozenset(class_mask(3, table[m]) for m in clique)
-            assert image in cliques
-            assert _clique_shape(image) == shapes[clique], (clique, image)
+def test_clique_rank3_reports_nontrivial_vertex_groups(monkeypatch):
+    # A rank-3 cage or theta has trivial vertex groups by rank conservation,
+    # so only a quotient of another shape can carry a rank-1 vertex.
+    three_edges = GraphOfGroups(rank=3, vertices=(("v0", 0), ("v1", 1)), edges=tuple(
+        ("e%d" % i, ("v0", "v1"), "e%d" % i) for i in range(3)))
+    monkeypatch.setattr(verify, "blow_up", lambda family, rank: three_edges)
+    failures = verify_clique_rank3().failures
+    assert sum(f.startswith("4-clique has nontrivial vertex groups: ") for f in failures) == 328
+    assert sum(f.startswith("4-clique has unexpected shape: ") for f in failures) == 328
 
 
 def test_boundary_types_pass_with_frozen_census():
@@ -390,10 +379,10 @@ def test_battery_output_matches_the_benchmark_reference():
     assert battery_json(run_battery()).encode() == reference.read_bytes()
 
 
-def test_the_battery_blows_up_once_per_orbit(monkeypatch):
-    # rigid-blowup 3, three-rose 2, clique-rank-3 11 orbits, boundary-types
-    # 6 orbits at rank 3 and 24 at rank 4.  A verifier that slides back to
-    # one blow-up per item raises this count (363 before the clique orbits).
+def test_the_battery_blows_up_boundary_pairs_once_per_orbit(monkeypatch):
+    # rigid-blowup 3, three-rose 2, clique-rank-3 one per clique (328),
+    # boundary-types 6 orbits at rank 3 and 24 at rank 4.  A boundary scan
+    # that slides back to one blow-up per crossing pair raises this count.
     calls = []
     real = blowup.blow_up
 
@@ -404,4 +393,4 @@ def test_the_battery_blows_up_once_per_orbit(monkeypatch):
     for module in (blowup, complexes, verify):
         monkeypatch.setattr(module, "blow_up", counting_blow_up)
     run_battery()
-    assert len(calls) == 46
+    assert len(calls) == 363
