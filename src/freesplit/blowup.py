@@ -305,27 +305,22 @@ def classify_shape(g: GraphOfGroups) -> ShapeReport:
 #:                     ending in a positive-rank vertex
 #:   cage-2-plus-loop  a two-edge bundle plus a loop at the shared vertex
 #:   loop-plus-bridge  a loop plus two separating bridges
-BOUNDARY_TAGS = (
-    "separating-bridge",
-    "loop-plus-bridge",
-    "cage-3",
-    "cage-2-plus-loop",
-    "two-loops-bridge",
-    "theta-variant",
-)
+#:
+#: Each shape is keyed by the quotient's loop count and bundle sizes.
+_BOUNDARY_SHAPES = {
+    (0, (4,)): "cage-3",
+    (0, (1, 3)): "separating-bridge",
+    (0, (2, 2)): "theta-variant",
+    (0, (1, 1, 2)): "two-loops-bridge",
+    (1, (2,)): "cage-2-plus-loop",
+    (1, (1, 1)): "loop-plus-bridge",
+}
+BOUNDARY_TAGS = tuple(_BOUNDARY_SHAPES.values())
 
 
 def _boundary_tag(g: GraphOfGroups) -> str:
     shape = (len(g.loops()), g.bundles())
-    table = {
-        (0, (4,)): "cage-3",
-        (0, (1, 3)): "separating-bridge",
-        (0, (2, 2)): "theta-variant",
-        (0, (1, 1, 2)): "two-loops-bridge",
-        (1, (2,)): "cage-2-plus-loop",
-        (1, (1, 1)): "loop-plus-bridge",
-    }
-    tag = table.get(shape)
+    tag = _BOUNDARY_SHAPES.get(shape)
     if tag is None:
         raise ValueError("unrecognized boundary shape: loops=%d bundles=%r" % shape)
     return tag

@@ -9,21 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import blowup, complexes, freegroup, partitions, verify
 from .partitions import Partition, class_of, parse_class
-
-
-def _max_rank(args) -> int:
-    """The rank ceiling: FREESPLIT_MAX_RANK, overridden by --max-rank."""
-    max_rank = int(os.environ.get("FREESPLIT_MAX_RANK", partitions.MAX_RANK))
-    if args.max_rank is not None:
-        max_rank = args.max_rank
-    if max_rank > partitions.MAX_RANK:
-        raise ValueError("rank ceiling cannot exceed %d" % partitions.MAX_RANK)
-    return max_rank
 
 
 def _emit(payload) -> None:
@@ -31,14 +20,11 @@ def _emit(payload) -> None:
 
 
 def _cmd_enum(args) -> int:
-    max_rank = _max_rank(args)
-    edges = partitions.enumerate_ideal_edges(
-        args.rank, thick_only=args.thick_only, max_rank=max_rank
-    )
+    edges = partitions.enumerate_ideal_edges(args.rank, thick_only=args.thick_only)
     _emit({
         "rank": args.rank,
         "count": len(edges),
-        "class_count": len(partitions.enumerate_splitting_classes(args.rank, max_rank=max_rank)),
+        "class_count": len(partitions.enumerate_splitting_classes(args.rank)),
         "partitions": [p.to_json() for p in edges],
     })
     return 0
@@ -93,28 +79,24 @@ def _cmd_blowup(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.rank is not None and args.lemma == "battery":
-        raise ValueError("verify battery takes no --rank: each entry has its own")
-    if args.rank not in (None, 3) and args.lemma in ("clique-rank-3", "whitehead-factor"):
-        raise ValueError("verifier %s runs at rank 3 only, not --rank %d" % (args.lemma, args.rank))
     if args.lemma == "battery":
+        if args.rank is not None:
+            raise ValueError("verify battery takes no --rank: each entry has its own")
         reports = verify.run_battery()
         sys.stdout.write(verify.battery_json(reports))
         return 0 if all(r.passed for r in reports) else 1
-    kwargs = {}
-    if args.lemma in ("rigid-blowup", "three-rose", "boundary-types", "cagey-equivalence"):
-        if args.rank is None:
-            raise ValueError("verifier %s needs --rank" % args.lemma)
-        kwargs["rank"] = args.rank
-    report = verify.run_verifier(args.lemma, **kwargs)
+    if args.rank is None and args.lemma in ("rigid-blowup", "three-rose", "boundary-types",
+                                            "cagey-equivalence"):
+        raise ValueError("verifier %s needs --rank" % args.lemma)
+    report = verify.run_verifier(args.lemma, args.rank)
     _emit(report.to_json(include_timing=False))
     return 0 if report.passed else 1
 
 
 def _cmd_whitehead(args) -> int:
-    max_rank = _max_rank(args)
-    if not 1 <= args.rank <= max_rank:
-        raise ValueError("rank %d outside the whitehead guard [1, %d]" % (args.rank, max_rank))
+    if not 1 <= args.rank <= partitions.MAX_RANK:
+        raise ValueError("rank %d outside the whitehead guard [1, %d]"
+                         % (args.rank, partitions.MAX_RANK))
     w = freegroup.Word.from_string(args.rank, args.word)
     if w.is_trivial():
         raise ValueError("the trivial word has no simplicity verdict")
@@ -143,8 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="freesplit",
         description="Partition calculus for splittings relative to a rose.",
     )
-    parser.add_argument("--max-rank", type=int, default=None,
-                        help="rank ceiling for enumeration and whitehead queries (env FREESPLIT_MAX_RANK)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     enum_p = sub.add_parser("enum", help="list the ideal partitions at a rank")

@@ -22,7 +22,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .blowup import blow_up
 from .partitions import (
-    MAX_RANK,
     Partition,
     class_of,
     classes_compatible,
@@ -71,9 +70,9 @@ class SplittingGraph:
             raise KeyError("class %s is not a vertex" % encode_class(cls)) from None
 
 
-def build_star_graph(rank: int, mode: str = "ens", max_rank: int = MAX_RANK) -> SplittingGraph:
+def build_star_graph(rank: int, mode: str = "ens") -> SplittingGraph:
     """Induced splitting graph on all universe classes at the given rank."""
-    classes = tuple(enumerate_splitting_classes(rank, max_rank=max_rank))
+    classes = tuple(enumerate_splitting_classes(rank))
     edges: List[Tuple[int, int, str]] = []
     for i, j in itertools.combinations(range(len(classes)), 2):
         s, t = classes[i], classes[j]

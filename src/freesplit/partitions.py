@@ -136,10 +136,6 @@ class Partition:
             mask |= direction_bit(d.index, d.sign)
         return cls(rank, mask)
 
-    @property
-    def key(self) -> Tuple:
-        return (self.rank, bit_positions(self.mask))
-
     def encode(self) -> str:
         return ",".join(side_names(self.mask))
 
@@ -353,21 +349,20 @@ def classes_cagey(s: Partition, t: Partition) -> bool:
     return is_cagey(s, t)
 
 
-def _check_rank_guard(rank: int, max_rank: int) -> None:
-    if not (MIN_RANK <= rank <= max_rank):
+def _check_rank_guard(rank: int) -> None:
+    if not (MIN_RANK <= rank <= MAX_RANK):
         raise ValueError(
-            "rank %d outside the enumeration guard [%d, %d]" % (rank, MIN_RANK, max_rank)
+            "rank %d outside the enumeration guard [%d, %d]" % (rank, MIN_RANK, MAX_RANK)
         )
 
 
-def enumerate_ideal_edges(rank: int, thick_only: bool = False,
-                          max_rank: int = MAX_RANK) -> list:
+def enumerate_ideal_edges(rank: int, thick_only: bool = False) -> list:
     """All ideal partitions at the given rank, canonically oriented and sorted.
 
     The base direction ``x1+`` is pinned to side2, so candidate side1 masks
     are the nonzero even ints below ``2**(2N)``.
     """
-    _check_rank_guard(rank, max_rank)
+    _check_rank_guard(rank)
     found = []
     for mask in range(2, full_mask(rank), 2):
         p = Partition(rank, mask)
@@ -379,11 +374,11 @@ def enumerate_ideal_edges(rank: int, thick_only: bool = False,
     return found
 
 
-def enumerate_splitting_classes(rank: int, max_rank: int = MAX_RANK) -> list:
+def enumerate_splitting_classes(rank: int) -> list:
     """All splitting classes of the universe in :func:`class_key` order: the N
     petals, then the thick ideal edges."""
     classes = [petal_class(rank, i) for i in range(1, rank + 1)]
-    classes.extend(enumerate_ideal_edges(rank, thick_only=True, max_rank=max_rank))
+    classes.extend(enumerate_ideal_edges(rank, thick_only=True))
     return classes
 
 
@@ -398,7 +393,7 @@ def signed_permutation_tables(rank: int) -> Tuple[Tuple[int, ...], ...]:
     ``Partition(rank, image)`` is the image partition.  Each table is
     filled low bit first, one step per mask, on first use of the rank.
     """
-    _check_rank_guard(rank, MAX_RANK)
+    _check_rank_guard(rank)
     width = 2 * rank
     bit_images = (
         (1, 0) + tuple(range(2, width)),

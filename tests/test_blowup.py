@@ -261,6 +261,11 @@ def test_boundary_edge_counts_and_cagey_pairs_land_on_the_cage():
                 assert b.tag == "cage-3"
 
 
+def test_boundary_tags_are_the_six_readme_tags():
+    assert BOUNDARY_TAGS == ("cage-3", "separating-bridge", "theta-variant",
+                             "two-loops-bridge", "cage-2-plus-loop", "loop-plus-bridge")
+
+
 def test_boundary_tag_matches_unranked_isomorphism_class():
     forms = {}
     for rank in (3, 4):

@@ -195,10 +195,10 @@ def test_whitehead_rank_guard(capsys):
     assert "guard" in err
     # refused before any move list was built
     assert freegroup._wh_moves.cache_info().misses == built
-    code, _, err = run_cli(capsys, "--max-rank", "3", "whitehead", "simple",
-                           "--rank", "4", "--word", "x1x2")
-    assert code == 2
-    assert "guard" in err
+    code, out, err = run_cli(capsys, "whitehead", "simple", "--rank", "8", "--word", "x1x2")
+    assert (code, out) == (2, "")
+    assert "rank 8 outside the whitehead guard [1, 7]" in err
+    assert freegroup._wh_moves.cache_info().misses == built
     code, out, err = run_cli(capsys, "whitehead", "simple", "--rank", "0", "--word", "x1")
     assert code == 2
     assert out == ""
@@ -237,31 +237,25 @@ def test_workers_flag_is_a_usage_error():
     assert exc.value.code == 2
 
 
-def test_blowup_and_kgraph_never_read_the_rank_ceiling(tmp_path, monkeypatch, capsys):
+def test_rank_ceiling_is_neither_a_flag_nor_an_environment_variable(tmp_path, monkeypatch,
+                                                                     capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--max-rank", "4", "enum", "--rank", "3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: freesplit")
     family = tmp_path / "family.json"
     family.write_text(json.dumps(["petal:1", "petal:2", "petal:3", "x1-,x2+"]))
-    commands = [["blowup", "--rank", "3", "--family", str(family)],
+    commands = [["enum", "--rank", "4"],
+                ["enum", "--rank", "8"],
+                ["whitehead", "simple", "--rank", "4", "--word", "x1x2"],
+                ["whitehead", "simple", "--rank", "8", "--word", "x1x2"],
+                ["blowup", "--rank", "3", "--family", str(family)],
                 ["kgraph", "--rank", "3", "--format", "dot"]]
     for argv in commands:
-        code, expected, _ = run_cli(capsys, *argv)
-        assert code == 0
-        assert run_cli(capsys, "--max-rank", "9", *argv) == (0, expected, "")
-        monkeypatch.setenv("FREESPLIT_MAX_RANK", "not-a-number")
-        assert run_cli(capsys, *argv) == (0, expected, "")
+        expected = run_cli(capsys, *argv)
+        for value in ("3", "not-a-number"):
+            monkeypatch.setenv("FREESPLIT_MAX_RANK", value)
+            assert run_cli(capsys, *argv) == expected
         monkeypatch.delenv("FREESPLIT_MAX_RANK")
-    # enum and whitehead simple still read it and refuse a bad one
-    code, _, err = run_cli(capsys, "--max-rank", "9", "enum", "--rank", "3")
-    assert code == 2 and "cannot exceed" in err
-    monkeypatch.setenv("FREESPLIT_MAX_RANK", "not-a-number")
-    assert run_cli(capsys, "whitehead", "simple", "--rank", "2", "--word", "x1")[0] == 2
-
-
-def test_env_override_for_rank_ceiling(monkeypatch, capsys):
-    monkeypatch.setenv("FREESPLIT_MAX_RANK", "3")
-    code, _, err = run_cli(capsys, "enum", "--rank", "4")
-    assert code == 2
-    assert "guard" in err
-    # the flag wins over the environment
-    code, out, _ = run_cli(capsys, "--max-rank", "4", "enum", "--rank", "4")
-    assert code == 0
-    assert json.loads(out)["count"] == 120
+    code, out, _ = run_cli(capsys, "enum", "--rank", "4")
+    assert code == 0 and json.loads(out)["count"] == 120

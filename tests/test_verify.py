@@ -349,6 +349,13 @@ def test_run_verifier_dispatch():
         run_verifier("bogus-lemma")
 
 
+@pytest.mark.parametrize("lemma, rank", [("clique-rank-3", 7), ("whitehead-factor", 9)])
+def test_run_verifier_refuses_a_rank_other_than_3_for_fixed_rank_lemmas(lemma, rank):
+    with pytest.raises(ValueError, match="verifier %s runs at rank 3 only" % lemma):
+        run_verifier(lemma, rank)
+    assert run_verifier(lemma, 3).to_json() == run_verifier(lemma).to_json()
+
+
 def test_reports_validate_against_schema():
     schema = load_schema("verification_report")
     for report in (verify_three_rose(3), verify_rigid_blowup(4, mutated=True)):
