@@ -237,25 +237,34 @@ def test_workers_flag_is_a_usage_error():
     assert exc.value.code == 2
 
 
-def test_rank_ceiling_is_neither_a_flag_nor_an_environment_variable(tmp_path, monkeypatch,
-                                                                     capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["--max-rank", "4", "enum", "--rank", "3"])
-    assert exc.value.code == 2
-    assert capsys.readouterr().err.startswith("usage: freesplit")
-    family = tmp_path / "family.json"
-    family.write_text(json.dumps(["petal:1", "petal:2", "petal:3", "x1-,x2+"]))
-    commands = [["enum", "--rank", "4"],
-                ["enum", "--rank", "8"],
-                ["whitehead", "simple", "--rank", "4", "--word", "x1x2"],
-                ["whitehead", "simple", "--rank", "8", "--word", "x1x2"],
-                ["blowup", "--rank", "3", "--family", str(family)],
-                ["kgraph", "--rank", "3", "--format", "dot"]]
+def _assert_rank_ceiling_unread(capsys, monkeypatch, commands):
     for argv in commands:
+        with pytest.raises(SystemExit) as exc:
+            main(["--max-rank", "4", *argv])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: freesplit")
         expected = run_cli(capsys, *argv)
         for value in ("3", "not-a-number"):
             monkeypatch.setenv("FREESPLIT_MAX_RANK", value)
             assert run_cli(capsys, *argv) == expected
         monkeypatch.delenv("FREESPLIT_MAX_RANK")
+
+
+def test_blowup_and_kgraph_never_read_the_rank_ceiling(tmp_path, monkeypatch, capsys):
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps(["petal:1", "petal:2", "petal:3", "x1-,x2+"]))
+    _assert_rank_ceiling_unread(capsys, monkeypatch,
+                                [["blowup", "--rank", "3", "--family", str(family)],
+                                 ["kgraph", "--rank", "3", "--format", "dot"]])
+
+
+def test_env_override_for_rank_ceiling(monkeypatch, capsys):
+    # the ceiling is a constant: neither --max-rank nor FREESPLIT_MAX_RANK moves it
+    _assert_rank_ceiling_unread(capsys, monkeypatch,
+                                [["enum", "--rank", "4"],
+                                 ["enum", "--rank", "8"],
+                                 ["whitehead", "simple", "--rank", "4", "--word", "x1x2"],
+                                 ["whitehead", "simple", "--rank", "8", "--word", "x1x2"]])
+    monkeypatch.setenv("FREESPLIT_MAX_RANK", "3")
     code, out, _ = run_cli(capsys, "enum", "--rank", "4")
     assert code == 0 and json.loads(out)["count"] == 120
