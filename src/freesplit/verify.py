@@ -479,23 +479,18 @@ def verify_whitehead_factor(a_rank: int = 2, w: Optional[freegroup.Word] = None,
 # Battery
 # ---------------------------------------------------------------------------
 
-def _at_rank_3(lemma: str, verifier):
-    """The registry entry of a verifier whose statement is fixed at rank 3."""
-    def run(rank: int = 3, **kwargs) -> VerificationReport:
-        if rank != 3:
-            raise ValueError("verifier %s runs at rank 3 only, not rank %d" % (lemma, rank))
-        return verifier(**kwargs)
-    return run
-
-
 VERIFIERS = {
     "rigid-blowup": verify_rigid_blowup,
     "three-rose": verify_three_rose,
-    "clique-rank-3": _at_rank_3("clique-rank-3", verify_clique_rank3),
+    "clique-rank-3": verify_clique_rank3,
     "boundary-types": verify_boundary_types,
     "cagey-equivalence": verify_cagey_equivalence,
-    "whitehead-factor": _at_rank_3("whitehead-factor", verify_whitehead_factor),
+    "whitehead-factor": verify_whitehead_factor,
 }
+
+#: The verifiers whose statement fixes the rank, and that rank; every other
+#: verifier needs a rank.  whitehead-factor runs at ``a_rank + 1``.
+_FIXED_RANK = {"clique-rank-3": 3, "whitehead-factor": 3}
 
 BATTERY: Tuple[Tuple[str, Optional[int]], ...] = (
     ("rigid-blowup", 4),
@@ -515,9 +510,14 @@ def run_verifier(lemma: str, rank: Optional[int] = None, **kwargs) -> Verificati
     if lemma not in VERIFIERS:
         raise ValueError("unknown lemma id %r" % (lemma,))
     fn = VERIFIERS[lemma]
-    if rank is None:
-        return fn(**kwargs)
-    return fn(rank, **kwargs)
+    if lemma not in _FIXED_RANK:
+        if rank is None:
+            raise ValueError("verifier %s needs a rank" % lemma)
+        return fn(rank, **kwargs)
+    fixed = kwargs["a_rank"] + 1 if "a_rank" in kwargs else _FIXED_RANK[lemma]
+    if rank not in (None, fixed):
+        raise ValueError("verifier %s runs at rank %d only, not rank %d" % (lemma, fixed, rank))
+    return fn(**kwargs)
 
 
 def run_battery() -> List[VerificationReport]:

@@ -238,6 +238,8 @@ def test_workers_flag_is_a_usage_error():
 
 
 def _assert_rank_ceiling_unread(capsys, monkeypatch, commands):
+    """Return each command's (code, stdout, stderr), checked to ignore the old knob."""
+    results = []
     for argv in commands:
         with pytest.raises(SystemExit) as exc:
             main(["--max-rank", "4", *argv])
@@ -248,23 +250,30 @@ def _assert_rank_ceiling_unread(capsys, monkeypatch, commands):
             monkeypatch.setenv("FREESPLIT_MAX_RANK", value)
             assert run_cli(capsys, *argv) == expected
         monkeypatch.delenv("FREESPLIT_MAX_RANK")
+        results.append(expected)
+    return results
 
 
 def test_blowup_and_kgraph_never_read_the_rank_ceiling(tmp_path, monkeypatch, capsys):
     family = tmp_path / "family.json"
     family.write_text(json.dumps(["petal:1", "petal:2", "petal:3", "x1-,x2+"]))
-    _assert_rank_ceiling_unread(capsys, monkeypatch,
-                                [["blowup", "--rank", "3", "--family", str(family)],
-                                 ["kgraph", "--rank", "3", "--format", "dot"]])
+    results = _assert_rank_ceiling_unread(
+        capsys, monkeypatch, [["blowup", "--rank", "3", "--family", str(family)],
+                              ["kgraph", "--rank", "3", "--format", "dot"]])
+    for code, out, err in results:
+        assert (code, err) == (0, "") and out
 
 
 def test_env_override_for_rank_ceiling(monkeypatch, capsys):
     # the ceiling is a constant: neither --max-rank nor FREESPLIT_MAX_RANK moves it
-    _assert_rank_ceiling_unread(capsys, monkeypatch,
-                                [["enum", "--rank", "4"],
-                                 ["enum", "--rank", "8"],
-                                 ["whitehead", "simple", "--rank", "4", "--word", "x1x2"],
-                                 ["whitehead", "simple", "--rank", "8", "--word", "x1x2"]])
+    enum4, enum8, simple4, simple8 = _assert_rank_ceiling_unread(
+        capsys, monkeypatch, [["enum", "--rank", "4"],
+                              ["enum", "--rank", "8"],
+                              ["whitehead", "simple", "--rank", "4", "--word", "x1x2"],
+                              ["whitehead", "simple", "--rank", "8", "--word", "x1x2"]])
+    assert (enum4[0], enum4[2]) == (0, "") and (simple4[0], simple4[2]) == (0, "")
+    assert (enum8[:2], simple8[:2]) == ((2, ""), (2, ""))
+    assert "enumeration guard [3, 7]" in enum8[2] and "whitehead guard [1, 7]" in simple8[2]
     monkeypatch.setenv("FREESPLIT_MAX_RANK", "3")
     code, out, _ = run_cli(capsys, "enum", "--rank", "4")
     assert code == 0 and json.loads(out)["count"] == 120

@@ -356,6 +356,19 @@ def test_run_verifier_refuses_a_rank_other_than_3_for_fixed_rank_lemmas(lemma, r
     assert run_verifier(lemma, 3).to_json() == run_verifier(lemma).to_json()
 
 
+def test_run_verifier_checks_the_rank_whitehead_factor_runs_at():
+    # with a_rank=3 the verifier runs in rank 4, so rank 3 would be ignored
+    with pytest.raises(ValueError, match="whitehead-factor runs at rank 4 only, not rank 3"):
+        run_verifier("whitehead-factor", 3, a_rank=3)
+
+
+@pytest.mark.parametrize("lemma", ["rigid-blowup", "three-rose", "boundary-types",
+                                   "cagey-equivalence"])
+def test_run_verifier_refuses_a_missing_rank(lemma):
+    with pytest.raises(ValueError, match="verifier %s needs a rank" % lemma):
+        run_verifier(lemma)
+
+
 def test_reports_validate_against_schema():
     schema = load_schema("verification_report")
     for report in (verify_three_rose(3), verify_rigid_blowup(4, mutated=True)):
