@@ -11,7 +11,8 @@ the Euler identity  (#edges - #vertices + 1) + sum of vertex ranks = N.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .partitions import (
@@ -239,15 +240,34 @@ def blow_up(family: Iterable[Partition], rank: int) -> GraphOfGroups:
 
 @dataclass(frozen=True)
 class ShapeReport:
-    """Structural summary of a quotient graph of groups."""
+    """Structural summary of a quotient graph of groups.
 
-    valence_profile: Tuple[int, ...]
+    ``valence_profile`` and the two separation flags are computed from
+    ``graph`` on first read, so a reader of the ranks or of the rose, cage
+    and theta tests pays no O(E^2) separating-edge scan.  Equality, hash and
+    repr use the four eager fields only.
+    """
+
     vertex_ranks: Tuple[int, ...]
     rose: Optional[int]
     cage: Optional[int]
     theta_with_loop: bool
-    has_separating_edge: bool
-    has_separating_edge_pair: bool
+    graph: GraphOfGroups = field(repr=False, compare=False)
+
+    @cached_property
+    def valence_profile(self) -> Tuple[int, ...]:
+        return self.graph.valence_profile()
+
+    @cached_property
+    def has_separating_edge(self) -> bool:
+        return any(self.graph.disconnects_without([eid]) for eid, _, _ in self.graph.edges)
+
+    @cached_property
+    def has_separating_edge_pair(self) -> bool:
+        return any(
+            self.graph.disconnects_without([a, b])
+            for (a, _, _), (b, _, _) in itertools.combinations(self.graph.edges, 2)
+        )
 
     def to_json(self) -> dict:
         return {
@@ -262,34 +282,18 @@ class ShapeReport:
 
 
 def classify_shape(g: GraphOfGroups) -> ShapeReport:
-    """Report valences, ranks, rose/cage/theta recognition and separating edges."""
+    """Report ranks and rose/cage/theta recognition; valences and separating
+    edges are read lazily off the report."""
     n_vertices = len(g.vertices)
     n_edges = len(g.edges)
-    loops = g.loops()
+    loops = len(g.loops())
     bundles = g.bundles()
-
-    rose = n_edges if (n_vertices == 1 and len(loops) == n_edges) else None
-    cage = (
-        n_edges
-        if (n_vertices == 2 and not loops and bundles == (n_edges,))
-        else None
-    )
-    theta_with_loop = n_vertices == 2 and n_edges == 4 and len(loops) == 1 and bundles == (3,)
-
-    sep_edge = any(g.disconnects_without([eid]) for eid, _, _ in g.edges)
-    sep_pair = any(
-        g.disconnects_without([a, b])
-        for (a, _, _), (b, _, _) in itertools.combinations(g.edges, 2)
-    )
-
     return ShapeReport(
-        valence_profile=g.valence_profile(),
         vertex_ranks=tuple(sorted(r for _, r in g.vertices)),
-        rose=rose,
-        cage=cage,
-        theta_with_loop=theta_with_loop,
-        has_separating_edge=sep_edge,
-        has_separating_edge_pair=sep_pair,
+        rose=n_edges if (n_vertices == 1 and loops == n_edges) else None,
+        cage=n_edges if (n_vertices == 2 and not loops and bundles == (n_edges,)) else None,
+        theta_with_loop=n_vertices == 2 and n_edges == 4 and loops == 1 and bundles == (3,),
+        graph=g,
     )
 
 

@@ -70,6 +70,7 @@ class _Recorder:
     """Collects case counts and failure witnesses for a verifier run."""
 
     def __init__(self) -> None:
+        self.started = time.perf_counter()
         self.cases = 0
         self.failures: List[str] = []
         self.details: Dict[str, object] = {}
@@ -85,13 +86,13 @@ class _Recorder:
             self.failures.append(witness % tuple(a() if callable(a) else a for a in args))
         return ok
 
-    def report(self, lemma: str, rank: Optional[int], started: float) -> VerificationReport:
+    def report(self, lemma: str, rank: Optional[int]) -> VerificationReport:
         return VerificationReport(
             lemma=lemma,
             rank=rank,
             cases_checked=self.cases,
             failures=tuple(self.failures),
-            elapsed_s=time.perf_counter() - started,
+            elapsed_s=time.perf_counter() - self.started,
             details=tuple(sorted(self.details.items())),
         )
 
@@ -166,7 +167,6 @@ def verify_rigid_blowup(rank: int, mutated: bool = False) -> VerificationReport:
     """
     if not (4 <= rank <= 6):
         raise ValueError("rigid blow-up verification runs at ranks 4..6")
-    started = time.perf_counter()
     rec = _Recorder()
 
     petals, companions, tau = rigid_blowup_family(rank)
@@ -199,7 +199,7 @@ def verify_rigid_blowup(rank: int, mutated: bool = False) -> VerificationReport:
     except ValueError as exc:
         rec.check(False, "family does not blow up: %s", exc)
     else:
-        ranks = tuple(sorted(r for _, r in graph.vertices))
+        ranks = classify_shape(graph).vertex_ranks
         rec.check(set(ranks) == {0}, "blow-up has nontrivial vertex ranks %r", ranks)
 
     for p in petals:
@@ -208,7 +208,7 @@ def verify_rigid_blowup(rank: int, mutated: bool = False) -> VerificationReport:
     for c in companions:
         rec.check(classes_cagey(tau, c), "sign edge not cagey with %s", partial(encode_class, c))
 
-    return rec.report("rigid-blowup", rank, started)
+    return rec.report("rigid-blowup", rank)
 
 
 def verify_three_rose(rank: int, mutated: bool = False) -> VerificationReport:
@@ -217,7 +217,6 @@ def verify_three_rose(rank: int, mutated: bool = False) -> VerificationReport:
     """
     if rank not in (3, 4):
         raise ValueError("three-rose verification runs at ranks 3 and 4")
-    started = time.perf_counter()
     rec = _Recorder()
 
     sigmas, taus = three_rose_data(rank)
@@ -252,19 +251,16 @@ def verify_three_rose(rank: int, mutated: bool = False) -> VerificationReport:
         rec.check(circle_pairs == ["tau1/sigma2", "tau2/sigma1"],
                   "unexpected circle-compatible pairs %r", circle_pairs)
 
-    return rec.report("three-rose", rank, started)
+    return rec.report("three-rose", rank)
 
 
 def verify_clique_rank3(mutated: bool = False) -> VerificationReport:
     """Every 4-clique at rank 3 blows up to a 4-edge cage or a theta graph
     with a loop, with trivial vertex groups; both shapes occur.
 
-    Each clique is blown up once.  Both shape tests are read off the
-    quotient's vertex count, loops and bundles, as :func:`classify_shape`
-    reads them, without its separating-edge scans, which this statement
-    does not use.
+    Each clique is blown up once and its quotient read through
+    :func:`classify_shape`, whose separating-edge scans stay unread.
     """
-    started = time.perf_counter()
     rec = _Recorder()
     graph = complexes.build_star_graph(3, mode="ens")
     cliques = complexes.enumerate_cliques(graph, 4)
@@ -278,27 +274,23 @@ def verify_clique_rank3(mutated: bool = False) -> VerificationReport:
     shapes_seen = {"cage": 0, "theta_with_loop": 0}
     for indices in cliques:
         fam = [graph.vertices[i] for i in indices]
-        g = blow_up(fam, 3)
-        loops, bundles = len(g.loops()), g.bundles()
-        two_vertices_four_edges = len(g.vertices) == 2 and len(g.edges) == 4
-        is_cage4 = two_vertices_four_edges and not loops and bundles == (4,)
-        is_theta = two_vertices_four_edges and loops == 1 and bundles == (3,)
-        if is_cage4:
-            shapes_seen["cage"] += 1
-        if is_theta:
-            shapes_seen["theta_with_loop"] += 1
+        report = classify_shape(blow_up(fam, 3))
+        is_cage4 = report.cage == 4
+        is_theta = report.theta_with_loop
+        shapes_seen["cage"] += is_cage4
+        shapes_seen["theta_with_loop"] += is_theta
 
         def label():
             return ",".join(map(encode_class, fam))
 
         rec.check(is_cage4 or is_theta, "4-clique has unexpected shape: %s", label)
-        rec.check({r for _, r in g.vertices} == {0},
+        rec.check(set(report.vertex_ranks) == {0},
                   "4-clique has nontrivial vertex groups: %s", label)
     rec.details["clique_count"] = len(cliques)
     rec.details["shape_census"] = dict(sorted(shapes_seen.items()))
     rec.check(shapes_seen["cage"] > 0 and shapes_seen["theta_with_loop"] > 0,
               "expected both shapes to occur among 4-cliques")
-    return rec.report("clique-rank-3", 3, started)
+    return rec.report("clique-rank-3", 3)
 
 
 def _check_signed_permutation(rank: int, index: int, table: Sequence[int]) -> None:
@@ -344,7 +336,6 @@ def verify_boundary_types(rank: int, mutated: bool = False) -> VerificationRepor
     """
     if rank not in (3, 4, 5):
         raise ValueError("boundary-type verification runs at ranks 3 to 5")
-    started = time.perf_counter()
     rec = _Recorder()
     census: Dict[str, int] = {}
     edges = enumerate_ideal_edges(rank, thick_only=True)
@@ -397,7 +388,7 @@ def verify_boundary_types(rank: int, mutated: bool = False) -> VerificationRepor
             rec.check(False, "mutated: %s", exc)
     rec.details["census"] = dict(sorted(census.items()))
     rec.check(len(census) <= 6, "observed %d > 6 boundary classes", len(census))
-    return rec.report("boundary-types", rank, started)
+    return rec.report("boundary-types", rank)
 
 
 def verify_cagey_equivalence(rank: int = 3, mutated: bool = False) -> VerificationReport:
@@ -406,7 +397,6 @@ def verify_cagey_equivalence(rank: int = 3, mutated: bool = False) -> Verificati
     """
     if rank != 3:
         raise ValueError("the exhaustive equivalence scan runs at rank 3")
-    started = time.perf_counter()
     rec = _Recorder()
     graph = complexes.build_star_graph(rank, mode="ens")
     adj = graph.adjacency
@@ -427,7 +417,7 @@ def verify_cagey_equivalence(rank: int = 3, mutated: bool = False) -> Verificati
     rec.details["cagey_pairs"] = cagey_pairs
     rec.details["universe_witnessed"] = witnessed
     rec.details["clique_without_caginess"] = false_positives
-    return rec.report("cagey-equivalence", rank, started)
+    return rec.report("cagey-equivalence", rank)
 
 
 def verify_whitehead_factor(a_rank: int = 2, w: Optional[freegroup.Word] = None,
@@ -440,7 +430,6 @@ def verify_whitehead_factor(a_rank: int = 2, w: Optional[freegroup.Word] = None,
     statement quantified over the whole subgroup; it is recorded in the
     report.
     """
-    started = time.perf_counter()
     rec = _Recorder()
     if w is None:
         w = freegroup.Word.make(a_rank, (1, 2, -1, -2))
@@ -472,7 +461,7 @@ def verify_whitehead_factor(a_rank: int = 2, w: Optional[freegroup.Word] = None,
     rec.cases += elements - len(failing)
     for word in sorted(failing, key=lambda word: freegroup.length_then_letter_key(word.letters)):
         rec.check(False, "simple element outside both alternatives: %s", word.to_string)
-    return rec.report("whitehead-factor", ambient, started)
+    return rec.report("whitehead-factor", ambient)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +478,7 @@ VERIFIERS = {
 }
 
 #: The verifiers whose statement fixes the rank, and that rank; every other
-#: verifier needs a rank.  whitehead-factor runs at ``a_rank + 1``.
+#: verifier needs a rank.
 _FIXED_RANK = {"clique-rank-3": 3, "whitehead-factor": 3}
 
 BATTERY: Tuple[Tuple[str, Optional[int]], ...] = (
@@ -506,18 +495,18 @@ BATTERY: Tuple[Tuple[str, Optional[int]], ...] = (
 )
 
 
-def run_verifier(lemma: str, rank: Optional[int] = None, **kwargs) -> VerificationReport:
+def run_verifier(lemma: str, rank: Optional[int] = None) -> VerificationReport:
     if lemma not in VERIFIERS:
         raise ValueError("unknown lemma id %r" % (lemma,))
     fn = VERIFIERS[lemma]
     if lemma not in _FIXED_RANK:
         if rank is None:
             raise ValueError("verifier %s needs a rank" % lemma)
-        return fn(rank, **kwargs)
-    fixed = kwargs["a_rank"] + 1 if "a_rank" in kwargs else _FIXED_RANK[lemma]
+        return fn(rank)
+    fixed = _FIXED_RANK[lemma]
     if rank not in (None, fixed):
         raise ValueError("verifier %s runs at rank %d only, not rank %d" % (lemma, fixed, rank))
-    return fn(**kwargs)
+    return fn()
 
 
 def run_battery() -> List[VerificationReport]:

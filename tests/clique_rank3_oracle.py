@@ -1,9 +1,10 @@
 """Reference rank-3 clique verifier: one ``blow_up`` per 4-clique.
 
 Every 4-clique of the rank-3 rose graph is blown up and classified through
-``classify_shape``, so a test can require ``verify_clique_rank3``, which
-reads the two shapes off the quotient itself, to give the identical report,
-failure witnesses and their order included.
+``classify_shape``, with its own case counting and eagerly built witness
+labels, so a test can require ``verify_clique_rank3``, which reads the same
+report fields through its recorder and lazy labels, to give the identical
+report, failure witnesses and their order included.
 """
 
 from typing import List

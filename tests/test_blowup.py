@@ -173,6 +173,24 @@ def test_separating_pair_without_separating_edge():
     assert report.has_separating_edge_pair
 
 
+def test_separating_edge_scans_run_on_first_read_only(monkeypatch):
+    calls = []
+    real = GraphOfGroups.disconnects_without
+
+    def counting_disconnects_without(graph, edge_ids):
+        calls.append(tuple(edge_ids))
+        return real(graph, edge_ids)
+
+    monkeypatch.setattr(GraphOfGroups, "disconnects_without", counting_disconnects_without)
+    g = blow_up([petal_class(3, 1), petal_class(3, 2), petal_class(3, 3)], 3)
+    report = classify_shape(g)
+    assert report.rose == 3 and calls == []
+    first = report.to_json()
+    assert len(calls) == 3 + 3  # each edge, then each pair of edges
+    assert report.to_json() == first and len(calls) == 6
+    assert report == classify_shape(g) and "graph" not in repr(report)
+
+
 def test_graph_validation_rejects_rank_violations():
     with pytest.raises(ValueError):
         GraphOfGroups(rank=5, vertices=(("a", 0),), edges=(("e", ("a", "a"), "e"),))

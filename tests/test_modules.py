@@ -50,3 +50,15 @@ def test_every_public_function_and_class_has_a_reader():
         and node.name not in read | exported
     ]
     assert unread == []
+
+
+def test_only_blowup_reads_loops_and_bundles():
+    # Quotient shapes are read through classify_shape, not copied elsewhere.
+    calls = [
+        "%s:%d" % (name, node.lineno)
+        for name, tree in _trees(SRC).items() if name != "blowup.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("loops", "bundles")
+    ]
+    assert calls == []

@@ -357,9 +357,11 @@ def test_run_verifier_refuses_a_rank_other_than_3_for_fixed_rank_lemmas(lemma, r
 
 
 def test_run_verifier_checks_the_rank_whitehead_factor_runs_at():
-    # with a_rank=3 the verifier runs in rank 4, so rank 3 would be ignored
-    with pytest.raises(ValueError, match="whitehead-factor runs at rank 4 only, not rank 3"):
+    # run_verifier passes no keyword on, so the rank it checks is the one run
+    with pytest.raises(TypeError):
         run_verifier("whitehead-factor", 3, a_rank=3)
+    with pytest.raises(ValueError, match="whitehead-factor runs at rank 3 only, not rank 4"):
+        run_verifier("whitehead-factor", 4)
 
 
 @pytest.mark.parametrize("lemma", ["rigid-blowup", "three-rose", "boundary-types",
@@ -414,3 +416,18 @@ def test_the_battery_blows_up_boundary_pairs_once_per_orbit(monkeypatch):
         monkeypatch.setattr(module, "blow_up", counting_blow_up)
     run_battery()
     assert len(calls) == 363
+
+
+def test_the_battery_runs_no_separating_edge_scan(monkeypatch):
+    # No battery statement reads a separating edge, so classify_shape's
+    # lazy scans must stay unread: three-rose reads only the sigma rose.
+    calls = []
+    real = GraphOfGroups.disconnects_without
+
+    def counting_disconnects_without(graph, edge_ids):
+        calls.append(graph)
+        return real(graph, edge_ids)
+
+    monkeypatch.setattr(GraphOfGroups, "disconnects_without", counting_disconnects_without)
+    run_battery()
+    assert len(calls) == 0
