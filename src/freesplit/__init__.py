@@ -40,9 +40,6 @@ from .freegroup import (
     WhiteheadGraph,
     Word,
     connected_no_cutvertex,
-    conjugate_into_factor,
-    enumerate_factor_product,
-    is_conjugate,
     is_simple,
     nielsen,
     twist,

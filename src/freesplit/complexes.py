@@ -1,10 +1,9 @@
 """Finite induced splitting graphs on the partition universe, and cliques.
 
-The vertices are the splitting classes of the universe at a fixed rank; an
-edge records either rose compatibility (mode "ens") or any compatibility
-between distinct splittings (mode "ns", where non-rose edges are circle
-edges).  Adjacency is one int row per vertex, bit j of row i set iff {i, j}
-is an edge, and vertex sets are bitsets over the vertex indices.
+The vertices are the splitting classes of the universe at a fixed rank, and
+an edge joins two rose compatible classes.  Adjacency is one int row per
+vertex, bit j of row i set iff {i, j} is an edge, and vertex sets are
+bitsets over the vertex indices.
 
 One lazy search, ``cliques_within``, yields the cliques of an exact size
 inside a candidate bitset in lexicographic order; exact enumeration, rose
@@ -34,20 +33,18 @@ from .partitions import (
 @dataclass(frozen=True)
 class SplittingGraph:
     rank: int
-    mode: str  # "ens" | "ns"
+    mode: str  # always "ens": rose edges only
     vertices: Tuple[Partition, ...]  # classes, as canonical partitions
-    edges: Tuple[Tuple[int, int, str], ...]  # (i, j, kind) with i < j
+    edges: Tuple[Tuple[int, int, str], ...]  # (i, j, "rose") with i < j
 
     def __post_init__(self):
-        if self.mode not in ("ens", "ns"):
-            raise ValueError("mode must be 'ens' or 'ns'")
+        if self.mode != "ens":
+            raise ValueError("mode must be 'ens'")
         for i, j, kind in self.edges:
             if not (0 <= i < j < len(self.vertices)):
                 raise ValueError("bad edge endpoints (%d, %d)" % (i, j))
-            if kind not in ("rose", "circle"):
+            if kind != "rose":
                 raise ValueError("bad edge kind %r" % (kind,))
-            if self.mode == "ens" and kind != "rose":
-                raise ValueError("ens graphs carry only rose edges")
 
     @cached_property
     def adjacency(self) -> Tuple[int, ...]:
@@ -70,19 +67,15 @@ class SplittingGraph:
             raise KeyError("class %s is not a vertex" % encode_class(cls)) from None
 
 
-def build_star_graph(rank: int, mode: str = "ens") -> SplittingGraph:
-    """Induced splitting graph on all universe classes at the given rank."""
+def build_star_graph(rank: int) -> SplittingGraph:
+    """Rose compatibility graph on all universe classes at the given rank."""
     classes = tuple(enumerate_splitting_classes(rank))
-    edges: List[Tuple[int, int, str]] = []
-    for i, j in itertools.combinations(range(len(classes)), 2):
-        s, t = classes[i], classes[j]
-        if not classes_compatible(s, t):
-            continue
-        kind = "rose" if classes_rose_compatible(s, t) else "circle"
-        if mode == "ens" and kind != "rose":
-            continue
-        edges.append((i, j, kind))
-    return SplittingGraph(rank=rank, mode=mode, vertices=classes, edges=tuple(edges))
+    edges = tuple(
+        (i, j, "rose") for i, j in itertools.combinations(range(len(classes)), 2)
+        if classes_compatible(classes[i], classes[j])
+        and classes_rose_compatible(classes[i], classes[j])
+    )
+    return SplittingGraph(rank=rank, mode="ens", vertices=classes, edges=edges)
 
 
 def cliques_within(g: SplittingGraph, candidates: int, size: int) -> Iterator[Tuple[int, ...]]:
@@ -163,7 +156,7 @@ class RoseVertex:
 
 def is_rose_family(classes: Iterable[Partition], rank: int) -> bool:
     fam = tuple(classes)
-    if len(set(fam)) != rank:
+    if len(set(map(class_of, fam))) != rank:
         return False
     try:
         graph = blow_up(fam, rank)
@@ -178,7 +171,7 @@ def rose_vertices(rank: int, graph: Optional[SplittingGraph] = None) -> List[Ros
     if rank not in (3, 4):
         raise ValueError("rose vertices are enumerated at ranks 3 and 4 only")
     if graph is None:
-        graph = build_star_graph(rank, mode="ens")
+        graph = build_star_graph(rank)
     out = []
     for indices in cliques_within(graph, (1 << len(graph.vertices)) - 1, rank):
         fam = tuple(graph.vertices[i] for i in indices)
@@ -220,7 +213,7 @@ def k_graph_local(rank: int) -> KLocalGraph:
     """
     if rank != 3:
         raise ValueError("the local rose graph is built exhaustively at rank 3 only")
-    graph = build_star_graph(rank, mode="ens")
+    graph = build_star_graph(rank)
     adj = graph.adjacency
     roses = rose_vertices(rank, graph=graph)
     members = [[graph.index_of(c) for c in r.classes] for r in roses]

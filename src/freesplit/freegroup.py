@@ -163,13 +163,6 @@ class CyclicWord:
         return Word(self.rank, self.letters)
 
 
-def is_conjugate(u: Word, v: Word) -> bool:
-    """True iff the canonical cyclic forms of u and v agree."""
-    if u.rank != v.rank:
-        raise ValueError("cannot compare words of different ranks")
-    return CyclicWord.of(u) == CyclicWord.of(v)
-
-
 # ---------------------------------------------------------------------------
 # Automorphisms
 # ---------------------------------------------------------------------------
@@ -344,36 +337,6 @@ class WhiteheadGraph:
 
     rank: int
     rows: Tuple[Tuple[int, ...], ...]
-
-    def _vertex(self, v: int) -> int:
-        if not (1 <= abs(v) <= self.rank):
-            raise ValueError("letter %d out of range for rank %d" % (v, self.rank))
-        return _bit(v)
-
-    @property
-    def edges(self) -> Tuple[Tuple[Tuple[int, int], int], ...]:
-        """((u, v), multiplicity) for every edge, u before v, in vertex order."""
-        return tuple(
-            ((_letter(i), _letter(j)), row[j])
-            for i, row in enumerate(self.rows)
-            for j in range(i + 1, len(row))
-            if row[j]
-        )
-
-    def vertices(self) -> Tuple[int, ...]:
-        return tuple(_letter(b) for b in range(2 * self.rank))
-
-    def multiplicity(self, u: int, v: int) -> int:
-        return self.rows[self._vertex(u)][self._vertex(v)]
-
-    def neighbors(self, v: int) -> Tuple[int, ...]:
-        return tuple(_letter(b) for b, m in enumerate(self.rows[self._vertex(v)]) if m)
-
-    def degree(self, v: int) -> int:
-        return sum(self.rows[self._vertex(v)])
-
-    def total_multiplicity(self) -> int:
-        return sum(map(sum, self.rows)) // 2
 
 
 def _multiplicities(rank: int, cyc: Sequence[int]) -> List[List[int]]:
@@ -583,26 +546,3 @@ def factor_product_letters(a_rank: int, w: Word, max_len: int) -> Iterator[Tuple
                         yield from extend(g, rest, "a")
 
     return extend((), max_len, None)
-
-
-def enumerate_factor_product(a_rank: int, w: Word, max_len: int) -> List[Word]:
-    """All nontrivial elements of A * <t w t^-1> of reduced length <= max_len,
-    sorted by :func:`length_then_letter_key`.
-
-    The elements are those of :func:`factor_product_letters`, as words of
-    the ambient rank ``a_rank + 1``.
-    """
-    letters = sorted(factor_product_letters(a_rank, w, max_len), key=length_then_letter_key)
-    return [Word(a_rank + 1, g) for g in letters]
-
-
-def conjugate_into_factor(g: Word, a_rank: int) -> bool:
-    """True iff g is conjugate into the factor on the first a_rank generators.
-
-    Valid exactly for this coordinate factor: the cyclic reduction must
-    omit every generator beyond the first a_rank.
-    """
-    if a_rank >= g.rank:
-        raise ValueError("ambient rank must exceed the factor rank")
-    cyc = cyclic_reduce_letters(g.letters)
-    return all(abs(l) <= a_rank for l in cyc)

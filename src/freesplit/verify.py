@@ -262,7 +262,7 @@ def verify_clique_rank3(mutated: bool = False) -> VerificationReport:
     :func:`classify_shape`, whose separating-edge scans stay unread.
     """
     rec = _Recorder()
-    graph = complexes.build_star_graph(3, mode="ens")
+    graph = complexes.build_star_graph(3)
     cliques = complexes.enumerate_cliques(graph, 4)
     if mutated:
         tau1 = graph.index_of(class_of(_edge(3, (2, 1), (3, -1))))
@@ -398,7 +398,7 @@ def verify_cagey_equivalence(rank: int = 3, mutated: bool = False) -> Verificati
     if rank != 3:
         raise ValueError("the exhaustive equivalence scan runs at rank 3")
     rec = _Recorder()
-    graph = complexes.build_star_graph(rank, mode="ens")
+    graph = complexes.build_star_graph(rank)
     adj = graph.adjacency
     target = 3 * rank - 4
     if mutated:

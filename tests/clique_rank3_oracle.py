@@ -25,7 +25,7 @@ def oracle_clique_rank3(mutated: bool = False) -> VerificationReport:
         if not ok:
             failures.append(witness)
 
-    graph = complexes.build_star_graph(3, mode="ens")
+    graph = complexes.build_star_graph(3)
     cliques = complexes.enumerate_cliques(graph, 4)
     if mutated:
         # tau1 = {x2+, x3-} and sigma2 = {x2-, x3+} with petals 1 and 2

@@ -194,7 +194,7 @@ def test_criterion_8_property_suites():
     assert len(enumerate_ideal_edges(3, thick_only=True)) == 22
 
     # Clique bound at N=3.
-    ens = complexes.build_star_graph(3, "ens")
+    ens = complexes.build_star_graph(3)
     assert max(len(c) for c in complexes.maximal_cliques(ens)) == 3 * 3 - 3
 
     elapsed = time.perf_counter() - started

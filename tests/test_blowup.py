@@ -216,7 +216,7 @@ def boundary_and_clique_graphs():
     families = {(rank, boundary_classes(p, q)) for rank in (3, 4)
                 for p, q in crossing_thick_pairs(rank)}
     graphs = [blow_up(family, rank) for rank, family in families]
-    ens3 = build_star_graph(3, "ens")
+    ens3 = build_star_graph(3)
     for indices in enumerate_cliques(ens3, 4):
         graphs.append(blow_up([ens3.vertices[i] for i in indices], 3))
     return graphs

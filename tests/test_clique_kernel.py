@@ -21,7 +21,7 @@ from freesplit.complexes import (
 
 @pytest.fixture(scope="module", params=[3, 4])
 def ens(request):
-    return build_star_graph(request.param, "ens")
+    return build_star_graph(request.param)
 
 
 def test_adjacency_rows_match_the_edges(ens):

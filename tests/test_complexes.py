@@ -4,6 +4,7 @@ import pytest
 
 from freesplit.blowup import blow_up, classify_shape
 from freesplit.complexes import (
+    SplittingGraph,
     build_star_graph,
     cliques_within,
     enumerate_cliques,
@@ -14,8 +15,10 @@ from freesplit.complexes import (
 )
 from freesplit.partitions import (
     Partition,
+    circle_compatible,
     class_of,
     classes_cagey,
+    classes_compatible,
     petal_class,
 )
 from freesplit.verify import chain_partition, rigid_blowup_family
@@ -23,26 +26,22 @@ from freesplit.verify import chain_partition, rigid_blowup_family
 
 @pytest.fixture(scope="module")
 def ens3():
-    return build_star_graph(3, "ens")
-
-
-@pytest.fixture(scope="module")
-def ns3():
-    return build_star_graph(3, "ns")
+    return build_star_graph(3)
 
 
 def test_star_graph_vertex_count(ens3):
     assert len(ens3.vertices) == 25
 
 
-def test_every_ens_edge_is_an_ns_edge(ens3, ns3):
-    assert ens3.vertices == ns3.vertices
+def test_every_ens_edge_is_an_ns_edge(ens3):
+    # The ns edges are the compatible pairs: the rose edges and the circle pairs.
+    vertices = ens3.vertices
     ens_edges = {(i, j) for i, j, _ in ens3.edges}
-    ns_edges = {(i, j) for i, j, _ in ns3.edges}
-    assert ens_edges <= ns_edges
+    assert all(classes_compatible(vertices[i], vertices[j]) for i, j in ens_edges)
     assert all(kind == "rose" for _, _, kind in ens3.edges)
-    circle = [e for e in ns3.edges if e[2] == "circle"]
-    assert circle and all((i, j) not in ens_edges for i, j, _ in circle)
+    circle = [(i, j) for i, j in itertools.combinations(range(len(vertices)), 2)
+              if circle_compatible(vertices[i], vertices[j])]
+    assert circle and all(pair not in ens_edges for pair in circle)
 
 
 def test_chain_edges_span_an_ens_edge(ens3):
@@ -64,9 +63,13 @@ def test_index_of_finds_a_petal_by_either_partition(ens3):
     assert ens3.index_of(Partition.parse(3, "x2+")) == petal2
 
 
-def test_mode_validation():
-    with pytest.raises(ValueError):
-        build_star_graph(3, "bogus")
+def test_mode_validation(ens3):
+    with pytest.raises(ValueError, match="mode"):
+        SplittingGraph(rank=3, mode="ns", vertices=ens3.vertices, edges=())
+    with pytest.raises(ValueError, match="edge kind"):
+        SplittingGraph(rank=3, mode="ens", vertices=ens3.vertices, edges=((0, 1, "circle"),))
+    with pytest.raises(TypeError):
+        build_star_graph(3, "ens")
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +148,14 @@ def test_rose_vertices_blow_up_to_roses(ens3):
         assert report.vertex_ranks == (0,)
 
 
+def test_two_partitions_of_one_class_are_not_a_rose():
+    # x1+ and x1- name petal 1 twice: two loops on a vertex of rank 1.
+    fam = (Partition.parse(3, "x1+"), Partition.parse(3, "x1-"), petal_class(3, 2))
+    assert not is_rose_family(fam, 3)
+    assert not rose_by_shape(fam, 3)
+    assert is_rose_family((Partition.parse(3, "x1+"), petal_class(3, 2), petal_class(3, 3)), 3)
+
+
 def rose_by_shape(fam, rank):
     """The rose test read off the full shape report."""
     try:
@@ -155,7 +166,7 @@ def rose_by_shape(fam, rank):
 
 
 def test_rose_test_agrees_with_the_shape_report(ens3):
-    ens4 = build_star_graph(4, "ens")
+    ens4 = build_star_graph(4)
     for graph, rank, cliques in ((ens3, 3, enumerate_cliques(ens3, 3)),
                                  (ens4, 4, itertools.islice(enumerate_cliques(ens4, 4), 2000))):
         verdicts = []

@@ -1,5 +1,5 @@
-"""Each library module uses only the public names of the others, and every
-public function and class has a reader."""
+"""Each library module uses only the public names of the others, every
+public function and class has a reader, and every export is read or documented."""
 
 import ast
 import os
@@ -7,6 +7,7 @@ import re
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "freesplit")
 BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 PRIVATE_REACH = re.compile(r"\b(partitions|blowup|complexes|freegroup|verify|cli)\._\w*")
 
 
@@ -50,6 +51,26 @@ def test_every_public_function_and_class_has_a_reader():
         and node.name not in read | exported
     ]
     assert unread == []
+
+
+def _library_use_names():
+    """The names in backticks in README's ``## Library use`` section."""
+    with open(README, encoding="utf-8") as handle:
+        text = handle.read()
+    section = text.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"`(\w+)`", section))
+
+
+def test_every_export_is_read_or_documented():
+    # An export needs a reader elsewhere in src/ or in the benchmark, or a
+    # stated reason in README's library-use section; tests do not count.
+    modules = _trees(SRC)
+    init = modules.pop("__init__.py")
+    exported = [alias.name for node in init.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names]
+    read = set().union(*map(_reads, modules.values()), *map(_reads, _trees(BENCH).values()))
+    documented = _library_use_names()
+    assert [name for name in exported if name not in read | documented] == []
 
 
 def test_only_blowup_reads_loops_and_bundles():

@@ -20,9 +20,10 @@ check of ``FreeAutomorphism``, substituting by concatenate-then-reduce.
 
 ``reference_whitehead_factor`` is the other kind of reference: the
 whitehead-factor verifier's loop on the library's ``Word`` objects, one
-``conjugate_into_factor``, ``is_conjugate`` and ``is_simple`` per sorted
-element of ``enumerate_factor_product``.  The verifier checks the same
-alternatives on letter tuples, and a test requires the same report.
+``Word`` per element of ``factor_product_letters`` in this module's key
+order.  It decides the two alternatives with this module's own cyclic
+reduction and canonical rotation, and calls the library's ``is_simple``
+only on the rest.  A test requires the verifier's report to equal it.
 """
 
 import itertools
@@ -295,14 +296,18 @@ def reference_whitehead_factor(a_rank, w, max_len, mutated=False):
     """The whitehead-factor report built one ``Word`` per element."""
     if freegroup.is_simple(w):
         raise ValueError("hypothesis violated: w is simple in the factor")
-    u = freegroup.stable_conjugate(a_rank, w)
+    u_cycle = _canon(freegroup.stable_conjugate(a_rank, w).letters)
     factor_rank = a_rank - 1 if mutated else a_rank
-    elements = freegroup.enumerate_factor_product(a_rank, w, max_len)
+    elements = [
+        freegroup.Word(a_rank + 1, g)
+        for g in sorted(freegroup.factor_product_letters(a_rank, w, max_len),
+                        key=lambda g: (len(g), [_key(l) for l in g]))
+    ]
     failures = tuple(
         "simple element outside both alternatives: %s" % g.to_string()
         for g in elements
-        if not (freegroup.conjugate_into_factor(g, factor_rank)
-                or freegroup.is_conjugate(g, u)
+        if not (all(abs(l) <= factor_rank for l in _cyclic(g.letters))
+                or _canon(g.letters) == u_cycle
                 or not freegroup.is_simple(g))
     )
     return VerificationReport(
