@@ -11,7 +11,6 @@ Modules:
 """
 
 from .partitions import (
-    Direction,
     Partition,
     class_of,
     compatible,
@@ -49,7 +48,6 @@ from .freegroup import (
 )
 from .complexes import (
     KLocalGraph,
-    RoseVertex,
     SplittingGraph,
     build_star_graph,
     enumerate_cliques,

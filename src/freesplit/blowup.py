@@ -322,14 +322,6 @@ _BOUNDARY_SHAPES = {
 BOUNDARY_TAGS = tuple(_BOUNDARY_SHAPES.values())
 
 
-def _boundary_tag(g: GraphOfGroups) -> str:
-    shape = (len(g.loops()), g.bundles())
-    tag = _BOUNDARY_SHAPES.get(shape)
-    if tag is None:
-        raise ValueError("unrecognized boundary shape: loops=%d bundles=%r" % shape)
-    return tag
-
-
 @dataclass(frozen=True)
 class BoundaryType:
     """Classified boundary splitting of a crossing ideal pair."""
@@ -337,10 +329,6 @@ class BoundaryType:
     tag: str
     graph: GraphOfGroups
     family: Tuple[Partition, ...]
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.family)
 
 
 def boundary_classes(p: Partition, q: Partition) -> Tuple[Partition, ...]:
@@ -357,22 +345,18 @@ def boundary_classes(p: Partition, q: Partition) -> Tuple[Partition, ...]:
     return tuple(sorted(seen, key=class_key))
 
 
-def classify_boundary(family: Tuple[Partition, ...], rank: int) -> BoundaryType:
-    """Blow up the rose along a boundary family and classify the quotient.
-
-    The result depends only on the family (``blow_up`` is canonical in it),
-    so pairs that share their corner classes share their boundary type.
-    Raises ``ValueError`` when the family does not blow up or its quotient
-    is none of the six shapes in :data:`BOUNDARY_TAGS`.
-    """
-    graph = blow_up(family, rank)
-    return BoundaryType(tag=_boundary_tag(graph), graph=graph, family=family)
-
-
 def boundary_splitting(p: Partition, q: Partition) -> BoundaryType:
     """Blow up the rose along the corner classes of a crossing pair and classify.
 
-    The resulting quotient graph falls into one of the six shapes listed in
-    :data:`BOUNDARY_TAGS`; the raw graph is returned alongside the tag.
+    The result depends only on the corner classes (``blow_up`` is canonical
+    in its family), so pairs that share them share their boundary type.
+    The quotient is returned alongside its tag, one of the six shapes in
+    :data:`BOUNDARY_TAGS`.  Raises ``ValueError`` when the family does not
+    blow up or its quotient is none of the six.
     """
-    return classify_boundary(boundary_classes(p, q), p.rank)
+    family = boundary_classes(p, q)
+    graph = blow_up(family, p.rank)
+    shape = (len(graph.loops()), graph.bundles())
+    if shape not in _BOUNDARY_SHAPES:
+        raise ValueError("unrecognized boundary shape: loops=%d bundles=%r" % shape)
+    return BoundaryType(tag=_BOUNDARY_SHAPES[shape], graph=graph, family=family)

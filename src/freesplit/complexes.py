@@ -23,10 +23,9 @@ from .blowup import blow_up
 from .partitions import (
     Partition,
     class_of,
-    classes_compatible,
-    classes_rose_compatible,
     encode_class,
     enumerate_splitting_classes,
+    rose_compatible_masks,
 )
 
 
@@ -70,10 +69,12 @@ class SplittingGraph:
 def build_star_graph(rank: int) -> SplittingGraph:
     """Rose compatibility graph on all universe classes at the given rank."""
     classes = tuple(enumerate_splitting_classes(rank))
+    # Universe classes are distinct and ideal, so the unchecked mask kernel
+    # decides; it is False on a crossing pair.
+    masks = [c.mask for c in classes]
     edges = tuple(
-        (i, j, "rose") for i, j in itertools.combinations(range(len(classes)), 2)
-        if classes_compatible(classes[i], classes[j])
-        and classes_rose_compatible(classes[i], classes[j])
+        (i, j, "rose") for (i, a), (j, b) in itertools.combinations(enumerate(masks), 2)
+        if rose_compatible_masks(a, b, rank)
     )
     return SplittingGraph(rank=rank, mode="ens", vertices=classes, edges=edges)
 
@@ -144,16 +145,6 @@ def maximal_cliques(g: SplittingGraph) -> List[Tuple[int, ...]]:
     return sorted(out)
 
 
-@dataclass(frozen=True)
-class RoseVertex:
-    """A set of N splitting classes blowing up to an N-rose with trivial ranks."""
-
-    classes: Tuple[Partition, ...]
-
-    def encode(self) -> Tuple[str, ...]:
-        return tuple(map(encode_class, self.classes))
-
-
 def is_rose_family(classes: Iterable[Partition], rank: int) -> bool:
     fam = tuple(classes)
     if len(set(map(class_of, fam))) != rank:
@@ -166,8 +157,13 @@ def is_rose_family(classes: Iterable[Partition], rank: int) -> bool:
     return len(graph.vertices) == 1
 
 
-def rose_vertices(rank: int, graph: Optional[SplittingGraph] = None) -> List[RoseVertex]:
-    """All N-subsets of universe classes forming an N-rose, at rank 3 or 4."""
+def rose_vertices(rank: int,
+                  graph: Optional[SplittingGraph] = None) -> List[Tuple[Partition, ...]]:
+    """All N-subsets of universe classes forming an N-rose, at rank 3 or 4.
+
+    A rose is the tuple of its classes in vertex order; it blows up to an
+    N-rose with trivial vertex ranks.
+    """
     if rank not in (3, 4):
         raise ValueError("rose vertices are enumerated at ranks 3 and 4 only")
     if graph is None:
@@ -176,7 +172,7 @@ def rose_vertices(rank: int, graph: Optional[SplittingGraph] = None) -> List[Ros
     for indices in cliques_within(graph, (1 << len(graph.vertices)) - 1, rank):
         fam = tuple(graph.vertices[i] for i in indices)
         if is_rose_family(fam, rank):
-            out.append(RoseVertex(classes=fam))
+            out.append(fam)
     return out
 
 
@@ -185,20 +181,20 @@ class KLocalGraph:
     """Graph of N-roses joined along fat one-edge common refinements."""
 
     rank: int
-    vertices: Tuple[RoseVertex, ...]
+    vertices: Tuple[Tuple[Partition, ...], ...]  # roses, as tuples of classes
     edges: Tuple[Tuple[int, int], ...]
 
     def to_json(self) -> dict:
         return {
             "rank": self.rank,
-            "vertices": [list(v.encode()) for v in self.vertices],
+            "vertices": [list(map(encode_class, v)) for v in self.vertices],
             "edges": [list(e) for e in self.edges],
         }
 
     def to_dot(self) -> str:
         lines = ["graph roses {"]
         for n, v in enumerate(self.vertices):
-            lines.append('  %d [label="%s"];' % (n, "|".join(v.encode())))
+            lines.append('  %d [label="%s"];' % (n, "|".join(map(encode_class, v))))
         for a, b in self.edges:
             lines.append("  %d -- %d;" % (a, b))
         lines.append("}")
@@ -216,7 +212,7 @@ def k_graph_local(rank: int) -> KLocalGraph:
     graph = build_star_graph(rank)
     adj = graph.adjacency
     roses = rose_vertices(rank, graph=graph)
-    members = [[graph.index_of(c) for c in r.classes] for r in roses]
+    members = [[graph.index_of(c) for c in r] for r in roses]
     masks = [sum(1 << i for i in m) for m in members]
     edges = []
     for a, b in itertools.combinations(range(len(roses)), 2):

@@ -97,10 +97,6 @@ class Word:
         return cls(rank, free_reduce(letters))
 
     @classmethod
-    def identity(cls, rank: int) -> "Word":
-        return cls(rank, ())
-
-    @classmethod
     def from_string(cls, rank: int, text: str) -> "Word":
         text = "".join(text.split())
         pos = 0
@@ -127,12 +123,6 @@ class Word:
 
     def inverse(self) -> "Word":
         return Word(self.rank, tuple(-l for l in reversed(self.letters)))
-
-    def conjugate_by(self, g: "Word") -> "Word":
-        return g * self * g.inverse()
-
-    def cyclic_reduce(self) -> "Word":
-        return Word(self.rank, cyclic_reduce_letters(self.letters))
 
     def is_trivial(self) -> bool:
         return not self.letters
@@ -195,11 +185,6 @@ class FreeAutomorphism:
             if _substitute_letters(forward, backward[i - 1]) != (i,):
                 raise ValueError("stored inverse is not a right inverse on x%d" % i)
 
-    @classmethod
-    def identity(cls, rank: int) -> "FreeAutomorphism":
-        gens = tuple(Word(rank, (i,)) for i in range(1, rank + 1))
-        return cls(rank, gens, gens)
-
     def apply(self, w: Word) -> Word:
         if w.rank != self.rank:
             raise ValueError("word rank %d does not match automorphism rank %d"
@@ -209,15 +194,6 @@ class FreeAutomorphism:
 
     def inverse(self) -> "FreeAutomorphism":
         return FreeAutomorphism(self.rank, self.inverse_images, self.images)
-
-    def compose(self, other: "FreeAutomorphism") -> "FreeAutomorphism":
-        """The automorphism ``w -> self(other(w))``."""
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch in composition")
-        images = tuple(self.apply(img) for img in other.images)
-        undo = other.inverse()
-        inverse_images = tuple(undo.apply(img) for img in self.inverse_images)
-        return FreeAutomorphism(self.rank, images, inverse_images)
 
 
 def _substitute_letters(images: Sequence[Tuple[int, ...]],

@@ -7,8 +7,8 @@ A side is stored as an int over 2N bits, ``xi+`` at bit 2i-2 and ``xi-`` at
 bit 2i-1, so bit order is the sort order x1+ < x1- < x2+ < ... and every
 pairwise predicate (thick, ideal, crossing, rose compatible, cagey) is a
 handful of bit operations.  ``Partition(rank, mask)`` is the one
-constructor; :class:`Direction` appears only where text is parsed
-(:meth:`Partition.parse`) and encoded (:func:`side_names`).
+constructor; text is read straight to bits by :meth:`Partition.parse` and
+written from them by :func:`side_names`.
 
 A splitting class is its canonical partition: the two petal partitions
 {xi+} and {xi-} name one splitting, whose class is the partition of
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, NamedTuple, Tuple
+from typing import Optional, Tuple
 
 #: Inclusive bounds accepted by the exhaustive enumerators.  The universe
 #: holds 2**(2N-1) - 1 bipartitions, which stops being desk scale past 7.
@@ -75,27 +75,20 @@ def side_names(mask: int) -> Tuple[str, ...]:
     return tuple(map(_bit_name, bit_positions(mask)))
 
 
-class Direction(NamedTuple):
-    """One half-edge germ at the rose vertex, as read from text."""
-
-    index: int
-    sign: int
-
-    def encode(self) -> str:
-        return "x%d%s" % (self.index, "+" if self.sign > 0 else "-")
-
-    @classmethod
-    def parse(cls, text: str) -> "Direction":
-        text = text.strip()
-        if len(text) < 3 or text[0] != "x" or text[-1] not in "+-":
-            raise ValueError("bad direction %r (expected e.g. 'x2+')" % (text,))
+def _direction_bit_index(text: str) -> int:
+    """The bit index of one ``x<i><sign>`` token: 2i-2 for +, 2i-1 for -."""
+    text = text.strip()
+    index = None
+    if len(text) >= 3 and text[0] == "x" and text[-1] in "+-":
         try:
             index = int(text[1:-1])
         except ValueError:
-            raise ValueError("bad direction %r (expected e.g. 'x2+')" % (text,)) from None
-        if index < 1:
-            raise ValueError("direction index must be >= 1, got %r" % (text,))
-        return cls(index, 1 if text[-1] == "+" else -1)
+            pass
+    if index is None:
+        raise ValueError("bad direction %r (expected e.g. 'x2+')" % (text,))
+    if index < 1:
+        raise ValueError("direction index must be >= 1, got %r" % (text,))
+    return 2 * index - 2 + (text[-1] == "-")
 
 
 @dataclass(frozen=True)
@@ -127,13 +120,15 @@ class Partition:
         items = [piece for piece in text.split(",") if piece.strip()]
         if not items:
             raise ValueError("empty partition side spec")
-        directions = [Direction.parse(piece) for piece in items]
+        bits = [_direction_bit_index(piece) for piece in items]
         _check_rank(rank)
         mask = 0
-        for d in directions:
-            if d.index > rank:
-                raise ValueError("direction %s exceeds rank %d" % (d.encode(), rank))
-            mask |= direction_bit(d.index, d.sign)
+        for bit in bits:
+            if bit >= 2 * rank:
+                # Named past the cache, which holds one entry per valid bit.
+                name = _bit_name.__wrapped__(bit)
+                raise ValueError("direction %s exceeds rank %d" % (name, rank))
+            mask |= 1 << bit
         return cls(rank, mask)
 
     def encode(self) -> str:
@@ -327,7 +322,12 @@ def parse_class(rank: int, text: str) -> Partition:
     """Parse ``"petal:3"`` or a side spec such as ``"x1-,x2+"``."""
     text = text.strip()
     if text.startswith("petal:"):
-        return petal_class(rank, int(text[len("petal:"):]))
+        try:
+            index = int(text[len("petal:"):])
+        except ValueError:
+            raise ValueError("bad class spec %r (expected 'petal:<i>' or a side spec "
+                             "such as 'x1-,x2+')" % (text,)) from None
+        return petal_class(rank, index)
     return class_of(Partition.parse(rank, text))
 
 
@@ -368,7 +368,7 @@ def enumerate_ideal_edges(rank: int, thick_only: bool = False) -> list:
         p = Partition(rank, mask)
         if is_ideal(p) and (not thick_only or is_thick(p)):
             found.append(p)
-    # Direction order, read past the bounded bit_positions cache: from rank 6
+    # In direction order, read past the bounded bit_positions cache: from rank 6
     # on every lookup would miss and evict the small masks labels reuse.
     found.sort(key=lambda p: bit_positions.__wrapped__(p.mask))
     return found

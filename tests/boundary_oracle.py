@@ -38,8 +38,8 @@ def oracle_boundary_types(rank: int, mutated: bool = False) -> VerificationRepor
             check(False, "%s: %s" % (pair, exc))
             continue
         census[boundary.tag] = census.get(boundary.tag, 0) + 1
-        check(boundary.edge_count in (3, 4),
-              "%s: %d boundary edges" % (pair, boundary.edge_count))
+        edge_count = len(boundary.family)
+        check(edge_count in (3, 4), "%s: %d boundary edges" % (pair, edge_count))
         if is_cagey(p, q):
             check(boundary.tag == "cage-3",
                   "%s: cagey pair classified %s" % (pair, boundary.tag))

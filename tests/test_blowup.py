@@ -240,7 +240,7 @@ def test_separating_edges_match_the_set_bfs_reference(boundary_and_clique_graphs
 def test_sign_vs_interval_boundary_is_the_cage():
     b = boundary_splitting(sign_partition(6), interval_partition(6, 2))
     assert b.tag == "cage-3"
-    assert b.edge_count == 4
+    assert len(b.family) == 4
     assert classify_shape(b.graph).cage == 4
 
 
@@ -273,7 +273,7 @@ def test_boundary_census_rank3_is_frozen():
 def test_boundary_edge_counts_and_cagey_pairs_land_on_the_cage():
     for rank in (3, 4):
         for p, q, b in exhaustive_boundaries(rank):
-            assert b.edge_count in (3, 4)
+            assert len(b.family) in (3, 4)
             assert b.tag in BOUNDARY_TAGS
             if is_cagey(p, q):
                 assert b.tag == "cage-3"
@@ -320,9 +320,9 @@ def test_cagey_iff_cage_boundary_with_pairwise_rose_compatible_edges():
 
 def test_three_edge_boundaries_exist_and_dedup_petal_corners():
     smallest = min(
-        (b for _, _, b in exhaustive_boundaries(3)), key=lambda b: b.edge_count
+        (b for _, _, b in exhaustive_boundaries(3)), key=lambda b: len(b.family)
     )
-    assert smallest.edge_count == 3
+    assert len(smallest.family) == 3
     assert any(petal_index(c) is not None for c in smallest.family)
 
 

@@ -6,7 +6,7 @@ import sys
 import pytest
 from jsonschema import validate
 
-from freesplit import freegroup
+from freesplit import freegroup, partitions
 from freesplit.cli import main
 
 from conftest import load_schema
@@ -35,6 +35,33 @@ def test_enum_thick_only(capsys):
     code, out, _ = run_cli(capsys, "enum", "--rank", "3", "--thick-only")
     assert code == 0
     assert json.loads(out)["count"] == 22
+
+
+@pytest.mark.parametrize("rank", [3, 4, 5])
+@pytest.mark.parametrize("thick_only", [False, True])
+def test_enum_scans_the_universe_once_and_prints_the_same_bytes(monkeypatch, capsys,
+                                                                rank, thick_only):
+    # class_count is read off the one scan; the payload is rebuilt here from
+    # the library's own enumerators.
+    edges = partitions.enumerate_ideal_edges(rank, thick_only=thick_only)
+    expected = json.dumps({
+        "rank": rank,
+        "count": len(edges),
+        "class_count": len(partitions.enumerate_splitting_classes(rank)),
+        "partitions": [p.to_json() for p in edges],
+    }, indent=2, sort_keys=True) + "\n"
+    calls = []
+    real = partitions.enumerate_ideal_edges
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(partitions, "enumerate_ideal_edges", counting)
+    argv = ["enum", "--rank", str(rank)] + ["--thick-only"] * thick_only
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err, len(calls)) == (0, "", 1)
+    assert out == expected
 
 
 def test_pair_verdicts(capsys):
@@ -124,6 +151,15 @@ def test_blowup_incompatible_family_is_an_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "blowup", "--rank", "3", "--family", str(family))
     assert code == 2
     assert "cross" in err
+
+
+def test_blowup_bad_petal_spec_names_the_spec_and_the_forms(tmp_path, capsys):
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps(["petal:x"]))
+    code, out, err = run_cli(capsys, "blowup", "--rank", "3", "--family", str(family))
+    assert (code, out) == (2, "")
+    assert err == ("error: bad class spec 'petal:x' "
+                   "(expected 'petal:<i>' or a side spec such as 'x1-,x2+')\n")
 
 
 @pytest.mark.parametrize("entry", [5, ["x1-"]])

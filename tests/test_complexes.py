@@ -127,7 +127,7 @@ def test_known_cagey_pair_has_a_witness(ens3):
 def test_base_rose_is_a_rose_vertex(ens3):
     roses = rose_vertices(3, graph=ens3)
     base = {petal_class(3, i) for i in (1, 2, 3)}
-    assert any(set(r.classes) == base for r in roses)
+    assert any(set(r) == base for r in roses)
 
 
 def test_mixed_rose_vertex_appears(ens3):
@@ -137,13 +137,13 @@ def test_mixed_rose_vertex_appears(ens3):
         class_of(chain_partition(3, 2)),
         petal_class(3, 3),
     }
-    assert any(set(r.classes) == mixed for r in roses)
+    assert any(set(r) == mixed for r in roses)
     assert is_rose_family(tuple(mixed), 3)
 
 
 def test_rose_vertices_blow_up_to_roses(ens3):
     for r in rose_vertices(3, graph=ens3)[:40]:
-        report = classify_shape(blow_up(list(r.classes), 3))
+        report = classify_shape(blow_up(list(r), 3))
         assert report.rose == 3
         assert report.vertex_ranks == (0,)
 
@@ -187,9 +187,9 @@ def test_rank_guard_for_rose_enumeration():
 def test_rank4_rose_scan_is_exhaustive():
     roses = rose_vertices(4)
     assert len(roses) == 22809
-    assert len({frozenset(r.classes) for r in roses}) == 22809
+    assert len({frozenset(r) for r in roses}) == 22809
     for r in roses[:10]:
-        assert is_rose_family(r.classes, 4)
+        assert is_rose_family(r, 4)
 
 
 def test_k_graph_is_nonempty_with_finite_degrees():
@@ -203,7 +203,7 @@ def test_k_graph_is_nonempty_with_finite_degrees():
 def test_k_graph_edges_are_ens_cliques(ens3):
     k = k_graph_local(3)
     for a, b in k.edges[:80]:
-        union = set(k.vertices[a].classes) | set(k.vertices[b].classes)
+        union = set(k.vertices[a]) | set(k.vertices[b])
         assert len(union) == 4
         idx = [ens3.index_of(c) for c in union]
         assert all(ens3.adjacency[i] >> j & 1 for i, j in itertools.combinations(idx, 2))

@@ -73,6 +73,25 @@ def test_every_export_is_read_or_documented():
     assert [name for name in exported if name not in read | documented] == []
 
 
+def test_every_public_method_has_a_reader():
+    # A method, property or classmethod of a public class needs an attribute
+    # read elsewhere in src/ or in the benchmark, or a name in README's
+    # library-use section; tests do not count.
+    modules = _trees(SRC)
+    read = {node.attr for tree in [*modules.values(), *_trees(BENCH).values()]
+            for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    read |= _library_use_names()
+    unread = [
+        "%s:%s.%s" % (name, cls.name, method.name)
+        for name, tree in modules.items() for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef) and not method.name.startswith("_")
+        and method.name not in read
+    ]
+    assert unread == []
+
+
 def test_only_blowup_reads_loops_and_bundles():
     # Quotient shapes are read through classify_shape, not copied elsewhere.
     calls = [

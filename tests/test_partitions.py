@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 import partition_oracle as oracle
 from freesplit.partitions import (
-    Direction,
     Partition,
     bit_positions,
     class_key,
@@ -34,13 +33,10 @@ from freesplit.partitions import (
 from freesplit.verify import chain_partition, interval_partition, sign_partition
 
 
-def D(text):
-    return Direction.parse(text)
-
-
 def S(*names):
-    """A side as the oracle's frozenset of (index, sign) directions."""
-    return frozenset(D(name) for name in names)
+    """A side as the oracle's frozenset of (index, sign) directions, read from
+    ``x<i><sign>`` names here rather than by the library's parser."""
+    return frozenset((int(name[1:-1]), 1 if name[-1] == "+" else -1) for name in names)
 
 
 def P(rank, text):
@@ -81,12 +77,24 @@ def test_canonical_orientation_swaps_on_construction():
 
 
 def test_direction_parse_and_encode():
-    assert D("x3-") == Direction(3, -1)
-    assert Direction(2, 1).encode() == "x2+"
-    with pytest.raises(ValueError):
-        Direction.parse("y1+")
-    with pytest.raises(ValueError):
-        Direction.parse("x0+")
+    # Partition.parse reads each x<i><sign> token straight to its mask bit.
+    assert P(3, "x3-").mask == direction_bit(3, -1)
+    assert P(3, " x2+ , x3- ,").encode() == "x2+,x3-"
+    messages = {
+        "y1+": "bad direction 'y1+' (expected e.g. 'x2+')",
+        "x+": "bad direction 'x+' (expected e.g. 'x2+')",
+        "xa+": "bad direction 'xa+' (expected e.g. 'x2+')",
+        "x0+": "direction index must be >= 1, got 'x0+'",
+        "": "empty partition side spec",
+        " , ": "empty partition side spec",
+        "x9-": "direction x9- exceeds rank 3",
+        "x2+,x09-": "direction x9- exceeds rank 3",
+        "x99999999999+": "direction x99999999999+ exceeds rank 3",
+    }
+    for text, message in messages.items():
+        with pytest.raises(ValueError) as info:
+            P(3, text)
+        assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
