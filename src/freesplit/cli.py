@@ -102,7 +102,8 @@ def _cmd_whitehead(args) -> int:
     _emit({
         "rank": args.rank,
         "word": w.to_string(),
-        "simple": freegroup.is_simple(w),
+        # Simplicity is invariant under automorphisms, so the minimum answers for w.
+        "simple": freegroup.is_simple(minimized.as_word()),
         "minimized": minimized.as_word().to_string(),
         "cyclic_length": len(minimized),
     })

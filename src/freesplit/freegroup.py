@@ -64,7 +64,7 @@ def canonical_cycle(letters: Sequence[int]) -> Tuple[int, ...]:
     return letters[k:] + letters[:k]
 
 
-_TOKEN = re.compile(r"([xX])(\d+)")
+_TOKEN = re.compile(r"([xX])([0-9]+)")
 
 
 @dataclass(frozen=True)
@@ -358,32 +358,37 @@ def connected_no_cutvertex(g: WhiteheadGraph) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _wh_moves(rank: int) -> Tuple[Tuple[int, int], ...]:
-    """Every nonidentity Whitehead move (A, a) as (mask of A, bit of a).
-
-    Bit b of a mask stands for the letter with vertex index b (see _bit).
-    Moves are sorted by their encoding, (bit of a, sorted bits of A - {a}),
-    which orders them for deterministic tie-breaking.
+def _wh_moves(rank: int) -> Tuple[Tuple[int, ...], ...]:
+    """Entry a: the mask of A (bit b is the letter of vertex index b, see _bit)
+    of every nonidentity Whitehead move (A, a), in encoding order (sorted
+    bits of A - {a}).  A mask holding the top vertex is stored as its
+    complement, the half that _cut_capacities builds; it holds a iff unflipped.
     """
-    moves = []
+    # Nonempty subsets of the 2N - 2 slots off a's generator in lexicographic
+    # order: those with least slot s are {s}, then {s} joined to each later one.
+    combos: List[int] = []
+    for slot in reversed(range(2 * rank - 2)):
+        combos = [1 << slot] + [1 << slot | c for c in combos] + combos
+    full = (1 << 2 * rank) - 1
+    top = 1 << 2 * rank - 1
+    groups = []
     for a in range(2 * rank):
-        others = [b for b in range(2 * rank) if b // 2 != a // 2]
-        for size in range(1, len(others) + 1):
-            for combo in itertools.combinations(others, size):
-                moves.append(((a, combo), sum(1 << b for b in combo) | 1 << a))
-    moves.sort()
-    return tuple((mask, a) for (a, _), mask in moves)
+        keep = (1 << (a & ~1)) - 1  # the bits below a's generator
+        masks = [(c & keep) | (c & ~keep) << 2 | 1 << a for c in combos]
+        groups.append(tuple(m ^ full if m & top else m for m in masks))
+    return tuple(groups)
 
 
 def _cut_capacities(mult: List[List[int]]) -> List[int]:
-    """cap[A] for every vertex mask A: the multiplicity of edges leaving A.
+    """cap[A], the multiplicity of edges leaving A, for every vertex mask A
+    without the top vertex (a mask with it cuts what its complement cuts).
 
     Adding a vertex v above every vertex of S gives
     cap(S + v) = cap(S) + deg(v) - 2 * mult(v, S); ``into`` holds
     mult(v, S) for every S below v.
     """
     cap = [0]
-    for v, row in enumerate(mult):
+    for v, row in enumerate(mult[:-1]):
         into = [0]
         for u in range(v):
             m = row[u]
@@ -402,25 +407,37 @@ def whitehead_minimize(w: Word) -> CyclicWord:
 
     At each step every move (A, a) is scored from the Whitehead graph of
     the current word: the change in cyclic length is cap(A, A') - deg(a)
-    (Higgins-Lyndon).  Among the moves achieving the largest strict
-    decrease, the lexicographically least encoding wins, and only that move
-    rewrites the word.  Cyclic length strictly decreases, so the loop halts.
+    (Higgins-Lyndon), taken per multiplier a as its least cap less deg(a);
+    cap >= 0, so an a with -deg(a) no better than the best so far is
+    skipped.  The first a with the least score, and its first mask reaching
+    it, is the least encoding among the moves with the largest strict
+    decrease; only that move rewrites the word.  Cyclic length strictly
+    decreases, so the loop halts.
     """
     if w.is_trivial():
         raise ValueError("cannot minimize the trivial word")
     rank = w.rank
-    moves = _wh_moves(rank)
+    groups = _wh_moves(rank)
+    full = (1 << 2 * rank) - 1
     current = _cyclic_canon(w.letters)
     while True:
         mult = _multiplicities(rank, current)
         cap = _cut_capacities(mult)
         deg = [sum(row) for row in mult]
-        best = min(moves, key=lambda move: cap[move[0]] - deg[move[1]], default=None)
-        if best is None or cap[best[0]] - deg[best[1]] >= 0:
+        best, winner = 0, None
+        for a, masks in enumerate(groups):
+            if masks and -deg[a] < best:
+                score = min(map(cap.__getitem__, masks)) - deg[a]
+                if score < best:
+                    best, winner = score, a
+        if winner is None:
             return CyclicWord(rank, current)
-        mask, a = best
+        masks = groups[winner]
+        mask = masks[list(map(cap.__getitem__, masks)).index(best + deg[winner])]
+        if not mask >> winner & 1:
+            mask ^= full
         A = frozenset(_letter(b) for b in range(2 * rank) if mask >> b & 1)
-        images = tuple(_wh_image(g, A, _letter(a)) for g in range(1, rank + 1))
+        images = tuple(_wh_image(g, A, _letter(winner)) for g in range(1, rank + 1))
         current = _cyclic_canon(_substitute_letters(images, current))
 
 

@@ -78,14 +78,11 @@ def side_names(mask: int) -> Tuple[str, ...]:
 def _direction_bit_index(text: str) -> int:
     """The bit index of one ``x<i><sign>`` token: 2i-2 for +, 2i-1 for -."""
     text = text.strip()
-    index = None
-    if len(text) >= 3 and text[0] == "x" and text[-1] in "+-":
-        try:
-            index = int(text[1:-1])
-        except ValueError:
-            pass
-    if index is None:
+    digits = text[1:-1]  # an index is ASCII digits only, [0-9]+
+    if not (text[:1] == "x" and text[-1:] in ("+", "-")
+            and digits.isascii() and digits.isdigit()):
         raise ValueError("bad direction %r (expected e.g. 'x2+')" % (text,))
+    index = int(digits)
     if index < 1:
         raise ValueError("direction index must be >= 1, got %r" % (text,))
     return 2 * index - 2 + (text[-1] == "-")
@@ -322,12 +319,11 @@ def parse_class(rank: int, text: str) -> Partition:
     """Parse ``"petal:3"`` or a side spec such as ``"x1-,x2+"``."""
     text = text.strip()
     if text.startswith("petal:"):
-        try:
-            index = int(text[len("petal:"):])
-        except ValueError:
+        index = text[len("petal:"):]
+        if not (index.isascii() and index.isdigit()):
             raise ValueError("bad class spec %r (expected 'petal:<i>' or a side spec "
-                             "such as 'x1-,x2+')" % (text,)) from None
-        return petal_class(rank, index)
+                             "such as 'x1-,x2+')" % (text,))
+        return petal_class(rank, int(index))
     return class_of(Partition.parse(rank, text))
 
 

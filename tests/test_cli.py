@@ -223,6 +223,37 @@ def test_whitehead_simple(capsys):
     assert json.loads(out)["simple"] is True
 
 
+def test_whitehead_simple_minimizes_the_word_once(monkeypatch, capsys):
+    calls = []
+    cut_capacities = freegroup._cut_capacities
+
+    def counted(mult):
+        calls.append(1)
+        return cut_capacities(mult)
+
+    monkeypatch.setattr(freegroup, "_cut_capacities", counted)
+    w = freegroup.Word.from_string(3, "x1x2x1x2x3x2X1")
+    minimized = freegroup.whitehead_minimize(w)
+    steps = len(calls)
+    assert steps >= 3
+    del calls[:]
+    code, out, _ = run_cli(capsys, "whitehead", "simple", "--rank", "3",
+                           "--word", "x1x2x1x2x3x2X1")
+    assert code == 0
+    # The greedy descent once, then one scoring step on the minimal word.
+    assert len(calls) == steps + 1
+    payload = json.loads(out)
+    assert payload["minimized"] == minimized.as_word().to_string()
+    assert payload["simple"] is freegroup.is_simple(w)
+
+
+def test_whitehead_simple_at_rank_one(capsys):
+    code, out, err = run_cli(capsys, "whitehead", "simple", "--rank", "1", "--word", "x1x1")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"rank": 1, "word": "x1x1", "simple": False,
+                               "minimized": "x1x1", "cyclic_length": 2}
+
+
 def test_whitehead_rank_guard(capsys):
     built = freegroup._wh_moves.cache_info().misses
     code, out, err = run_cli(capsys, "whitehead", "simple", "--rank", "9", "--word", "x1x2")

@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freesplit import freegroup
 from freesplit.freegroup import (
     CyclicWord,
     FreeAutomorphism,
@@ -83,6 +84,12 @@ def test_word_string_round_trip():
         W(2, "x1y2")
     with pytest.raises(ValueError):
         W(2, "x3")
+
+
+@pytest.mark.parametrize("text", ["x\uff12X\u0663", "x\u0661", "X\uff11"])
+def test_word_indices_are_ascii_digits_only(text):
+    with pytest.raises(ValueError, match="bad word syntax"):
+        W(3, text)
 
 
 def test_cyclic_reduction_and_canonical_form():
@@ -405,6 +412,43 @@ def test_length_change_is_cut_capacity_minus_degree():
                 assert change == cap - sum(row(graph, a)), (rank, letters, sorted(cut), a)
 
 
+def unfolded_moves(rank):
+    """The library's move table as (frozenset A, a) letter pairs, group by group."""
+    full = (1 << 2 * rank) - 1
+    letter = [sign * i for i in range(1, rank + 1) for sign in (1, -1)]
+    moves = []
+    for a, masks in enumerate(freegroup._wh_moves(rank)):
+        for mask in masks:
+            if not mask >> a & 1:  # folded: the table stores the complement
+                mask ^= full
+            moves.append((frozenset(letter[b] for b in range(2 * rank) if mask >> b & 1),
+                          letter[a]))
+    return moves
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+def test_move_table_unfolds_to_the_oracle_moves_in_encoding_order(rank):
+    top = 1 << 2 * rank - 1
+    groups = freegroup._wh_moves(rank)
+    assert len(groups) == 2 * rank
+    assert all(mask < top for masks in groups for mask in masks)
+    assert unfolded_moves(rank) == whitehead_moves(rank)
+
+
+@pytest.mark.parametrize("rank, max_len", [(1, 6), (2, 5), (3, 4), (4, 3)])
+def test_half_cut_table_counts_the_edges_leaving_every_mask(rank, max_len):
+    full = (1 << 2 * rank) - 1
+    top = 1 << 2 * rank - 1
+    for letters in all_cyclically_reduced(rank, max_len):
+        rows = whitehead_graph(Word(rank, letters)).rows
+        edges = [(u, v, m) for u, r in enumerate(rows) for v, m in enumerate(r) if u < v and m]
+        cap = freegroup._cut_capacities([list(r) for r in rows])
+        assert len(cap) == top
+        for mask in range(full + 1):
+            leaving = sum(m for u, v, m in edges if (mask >> u ^ mask >> v) & 1)
+            assert cap[mask ^ full if mask & top else mask] == leaving, (letters, mask)
+
+
 def test_two_distinct_edges_at_the_stable_letter():
     # For g in the factor product not conjugate into the factor, the stable
     # letter has edges to the inverse of the first letter of w and to the
@@ -454,6 +498,13 @@ def test_minimizer_matches_the_rewrite_every_move_reference():
             assert whitehead_minimize(Word(rank, letters)) == expected, (rank, letters)
             checked += 1
     assert checked == 2254
+
+
+def test_rank_one_has_no_moves_and_every_word_is_minimal():
+    assert freegroup._wh_moves(1) == ((), ())
+    for letters in ((1,), (1, 1), (-1, -1, -1)):
+        assert whitehead_minimize(Word(1, letters)) == CyclicWord(1, letters)
+        assert not is_simple(Word(1, letters))
 
 
 def pushed_words(rank, length, count, seed):

@@ -97,6 +97,21 @@ def test_direction_parse_and_encode():
         assert str(info.value) == message
 
 
+@pytest.mark.parametrize("text", ["x+2+", "x 2+", "x0_2-", "x\uff12+", "x-2-"])
+def test_direction_index_is_ascii_digits_only(text):
+    with pytest.raises(ValueError) as info:
+        P(3, text)
+    assert str(info.value) == "bad direction %r (expected e.g. 'x2+')" % (text,)
+
+
+@pytest.mark.parametrize("text", ["petal: +2", "petal:+2", "petal:2_0", "petal:\uff12", "petal: 2"])
+def test_petal_index_is_ascii_digits_only(text):
+    with pytest.raises(ValueError) as info:
+        parse_class(3, text)
+    assert str(info.value) == ("bad class spec %r (expected 'petal:<i>' or a side spec "
+                               "such as 'x1-,x2+')" % (text,))
+
+
 # ---------------------------------------------------------------------------
 # is_thick / is_ideal
 # ---------------------------------------------------------------------------
