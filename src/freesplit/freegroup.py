@@ -4,15 +4,15 @@ Letters of a rank-N free group are the nonzero integers ``i`` / ``-i`` for
 ``1 <= i <= N`` (``-i`` is the inverse of the i-th generator).  Words are
 stored freely reduced; cyclic words are stored as the lexicographically
 least rotation of the cyclic reduction, ordering letters 1 < -1 < 2 < -2 <
-...  The string form uses tokens ``x<i>`` and ``X<i>`` (inverse),
-concatenated without separators, e.g. ``x1X2`` for ``x1 * x2^-1``.
+...  The string form concatenates tokens ``x<i>`` and ``X<i>`` (inverse), e.g.
+``x1X2`` for ``x1 * x2^-1``; parsing allows whitespace between tokens, not in one.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -64,7 +64,7 @@ def canonical_cycle(letters: Sequence[int]) -> Tuple[int, ...]:
     return letters[k:] + letters[:k]
 
 
-_TOKEN = re.compile(r"([xX])([0-9]+)")
+_TOKEN = re.compile(r"\s*([xX])([0-9]+)")
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ class Word:
 
     @classmethod
     def from_string(cls, rank: int, text: str) -> "Word":
-        text = "".join(text.split())
+        text = text.strip()
         pos = 0
         letters: List[int] = []
         while pos < len(text):
@@ -139,6 +139,12 @@ class CyclicWord:
     letters: Tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "letters", tuple(self.letters))
+        if self.rank < 1:
+            raise ValueError("word rank must be >= 1")
+        for l in self.letters:
+            if not 1 <= abs(l) <= self.rank:
+                raise ValueError("letter %d out of range for rank %d" % (l, self.rank))
         if self.letters != canonical_cycle(cyclic_reduce_letters(free_reduce(self.letters))):
             raise ValueError("letters are not a canonical cyclic form")
 
@@ -160,11 +166,14 @@ class CyclicWord:
 
 @dataclass(frozen=True)
 class FreeAutomorphism:
-    """A basis-image automorphism with a stored, verified inverse."""
+    """A basis-image automorphism with a verified inverse and its letter table (_letter_table)."""
 
     rank: int
     images: Tuple[Word, ...]
     inverse_images: Tuple[Word, ...]
+    table: Tuple[Tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    _inverse: Optional[FreeAutomorphism] = field(
+        default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.rank < 1:
@@ -177,36 +186,41 @@ class FreeAutomorphism:
             if img.rank != self.rank:
                 raise ValueError("image rank %d does not match automorphism rank %d"
                                  % (img.rank, self.rank))
-        forward = tuple(img.letters for img in self.images)
-        backward = tuple(img.letters for img in self.inverse_images)
+        object.__setattr__(self, "table", _letter_table([img.letters for img in self.images]))
+        backward = _letter_table([img.letters for img in self.inverse_images])
         for i in range(1, self.rank + 1):
-            if _substitute_letters(backward, forward[i - 1]) != (i,):
+            if _substitute_letters(backward, self.table[i]) != (i,):
                 raise ValueError("stored inverse does not invert the map on x%d" % i)
-            if _substitute_letters(forward, backward[i - 1]) != (i,):
+            if _substitute_letters(self.table, backward[i]) != (i,):
                 raise ValueError("stored inverse is not a right inverse on x%d" % i)
 
     def apply(self, w: Word) -> Word:
         if w.rank != self.rank:
             raise ValueError("word rank %d does not match automorphism rank %d"
                              % (w.rank, self.rank))
-        images = tuple(img.letters for img in self.images)
-        return Word(w.rank, _substitute_letters(images, w.letters))
+        return Word(w.rank, _substitute_letters(self.table, w.letters))
 
     def inverse(self) -> "FreeAutomorphism":
-        return FreeAutomorphism(self.rank, self.inverse_images, self.images)
+        """The inverse map, built and verified on the first call; its inverse is self."""
+        if self._inverse is None:
+            inverse = FreeAutomorphism(self.rank, self.inverse_images, self.images)
+            object.__setattr__(inverse, "_inverse", self)
+            object.__setattr__(self, "_inverse", inverse)
+        return self._inverse
 
 
-def _substitute_letters(images: Sequence[Tuple[int, ...]],
+def _letter_table(images: Sequence[Tuple[int, ...]]) -> Tuple[Tuple[int, ...], ...]:
+    """Slot i holds xi's image run ``images[i-1]``, slot -i (from the end) its inverse."""
+    inverses = [tuple(-x for x in reversed(img)) for img in reversed(images)]
+    return ((),) + tuple(images) + tuple(inverses)
+
+
+def _substitute_letters(table: Sequence[Tuple[int, ...]],
                         letters: Iterable[int]) -> Tuple[int, ...]:
-    """The freely reduced product of the images of ``letters``.
-
-    ``images[i-1]`` is the letter tuple of the image of xi, and the letter
-    -i maps to its inverse.  Every letter goes through one stack, which
-    cancels against the top as it goes.
-    """
+    """The freely reduced product of the runs ``table[l]``, cancelled on one stack as it goes."""
     out: List[int] = []
     for l in letters:
-        for x in images[l - 1] if l > 0 else [-y for y in reversed(images[-l - 1])]:
+        for x in table[l]:
             if out and out[-1] == -x:
                 out.pop()
             else:
@@ -225,6 +239,14 @@ def nielsen(rank: int, i: int, j: int, side: str = "right") -> FreeAutomorphism:
     for idx in (i, j):
         if not (1 <= idx <= rank):
             raise ValueError("generator index %d out of range for rank %d" % (idx, rank))
+    if side not in ("right", "left"):
+        raise ValueError("side must be 'right' or 'left'")
+    return _nielsen(rank, i, j, side)
+
+
+@lru_cache(maxsize=256)
+def _nielsen(rank: int, i: int, j: int, side: str) -> FreeAutomorphism:
+    """One shared map per checked (rank, i, j, side); 256 holds every map at ranks <= 7."""
     return twist(rank, i, Word(rank, (j,)), side)
 
 
@@ -284,7 +306,8 @@ def whitehead_automorphism(rank: int, letters: Iterable[int], multiplier: int) -
 
 
 def _wh_image(g: int, A: frozenset, a: int) -> Tuple[int, ...]:
-    if g == abs(a):
+    """Image run of the letter g, of either sign, under the Whitehead map (A, a)."""
+    if abs(g) == abs(a):
         return (g,)
     pos, neg = g in A, -g in A
     if pos and not neg:
@@ -420,6 +443,7 @@ def whitehead_minimize(w: Word) -> CyclicWord:
     groups = _wh_moves(rank)
     full = (1 << 2 * rank) - 1
     current = _cyclic_canon(w.letters)
+    signed = [*range(1, rank + 1), *range(-rank, 0)]  # the slots of a _letter_table
     while True:
         mult = _multiplicities(rank, current)
         cap = _cut_capacities(mult)
@@ -437,8 +461,9 @@ def whitehead_minimize(w: Word) -> CyclicWord:
         if not mask >> winner & 1:
             mask ^= full
         A = frozenset(_letter(b) for b in range(2 * rank) if mask >> b & 1)
-        images = tuple(_wh_image(g, A, _letter(winner)) for g in range(1, rank + 1))
-        current = _cyclic_canon(_substitute_letters(images, current))
+        multiplier = _letter(winner)
+        table = ((),) + tuple([_wh_image(l, A, multiplier) for l in signed])
+        current = _cyclic_canon(_substitute_letters(table, current))
 
 
 def is_simple(w: Word) -> bool:

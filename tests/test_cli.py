@@ -223,6 +223,15 @@ def test_whitehead_simple(capsys):
     assert json.loads(out)["simple"] is True
 
 
+def test_whitehead_simple_refuses_a_split_token(capsys):
+    code, out, err = run_cli(capsys, "whitehead", "simple", "--rank", "3", "--word", "x 1")
+    assert (code, out) == (2, "")
+    assert "bad word syntax" in err
+    code, out, _ = run_cli(capsys, "whitehead", "simple", "--rank", "3", "--word", "x1 x2")
+    assert code == 0
+    assert json.loads(out)["word"] == "x1x2"
+
+
 def test_whitehead_simple_minimizes_the_word_once(monkeypatch, capsys):
     calls = []
     cut_capacities = freegroup._cut_capacities

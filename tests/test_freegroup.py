@@ -35,6 +35,7 @@ from whitehead_oracle import (
     reference_connected_no_cutvertex,
     reference_inverse_error,
     reference_minimize,
+    reference_substitute,
     reference_word_error,
     whitehead_moves,
 )
@@ -80,6 +81,7 @@ def test_word_string_round_trip():
     assert w.letters == (1, -2, 3)
     assert w.to_string() == "x1X2x3"
     assert W(3, " x1 X2 ").letters == (1, -2)
+    assert W(3, "\tx1X2\n x3  ").letters == (1, -2, 3)
     with pytest.raises(ValueError):
         W(2, "x1y2")
     with pytest.raises(ValueError):
@@ -90,6 +92,12 @@ def test_word_string_round_trip():
 def test_word_indices_are_ascii_digits_only(text):
     with pytest.raises(ValueError, match="bad word syntax"):
         W(3, text)
+
+
+@pytest.mark.parametrize("text", ["x1 2", "x 1", "X1x 2", "x1\t1"])
+def test_whitespace_may_not_split_a_token(text):
+    with pytest.raises(ValueError, match="bad word syntax"):
+        W(12, text)
 
 
 def test_cyclic_reduction_and_canonical_form():
@@ -109,6 +117,23 @@ def test_conjugacy():
     assert CyclicWord.of(W(2, "x1x2")) == CyclicWord.of(W(2, "x2x1"))
     assert CyclicWord.of(W(2, "x1")) != CyclicWord.of(W(2, "x2"))
     assert CyclicWord.of(W(2, "x1x2X1X2")) != CyclicWord.of(W(2, "x2x1X2X1"))
+
+
+def test_cyclic_word_refuses_a_letter_out_of_range():
+    with pytest.raises(ValueError, match="letter 5 out of range for rank 2"):
+        CyclicWord(2, (5,))
+
+
+def test_cyclic_word_refuses_rank_below_one():
+    with pytest.raises(ValueError, match="word rank must be >= 1"):
+        CyclicWord(0, ())
+
+
+def test_cyclic_word_given_as_a_list_is_stored_as_a_tuple():
+    cyc = CyclicWord(2, [1, 2])
+    assert cyc.letters == (1, 2)
+    assert cyc == CyclicWord.of(W(2, "x2x1"))
+    assert hash(cyc) == hash(CyclicWord.of(W(2, "x2x1")))
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +166,54 @@ def test_nielsen_checks_come_in_order():
         nielsen(2, 3, 1, side="up")
     with pytest.raises(ValueError, match="side must be 'right' or 'left'"):
         nielsen(2, 1, 2, side="up")
+
+
+def test_nielsen_map_and_its_inverse_are_built_once():
+    for rank in (2, 3, 4):
+        for i, j in itertools.permutations(range(1, rank + 1), 2):
+            for side in ("right", "left"):
+                phi = nielsen(rank, i, j, side)
+                assert nielsen(rank, i, j, side) is phi
+                assert phi.inverse() is phi.inverse()
+                assert phi.inverse().inverse() is phi
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_shared_nielsen_map_equals_a_fresh_one(rank):
+    for i, j in itertools.permutations(range(1, rank + 1), 2):
+        for side in ("right", "left"):
+            phi = nielsen(rank, i, j, side)
+            phi.inverse()  # the stored inverse must not show in eq, hash or repr
+            fresh = [twist(rank, i, Word(rank, (j,)), side),
+                     FreeAutomorphism(rank, phi.images, phi.inverse_images)]
+            for other in fresh:
+                assert phi == other
+                assert hash(phi) == hash(other)
+                assert repr(phi) == repr(other)
+
+
+def test_unhashable_side_is_refused_by_the_side_check():
+    with pytest.raises(ValueError, match="side must be 'right' or 'left'"):
+        nielsen(2, 1, 2, side=["right"])
+
+
+def test_random_nielsen_walk_builds_each_map_once(monkeypatch):
+    built = []
+    verify = FreeAutomorphism.__post_init__
+
+    def counting(self):
+        built.append(self.images)
+        verify(self)
+
+    monkeypatch.setattr(FreeAutomorphism, "__post_init__", counting)
+    rng = random.Random(20)
+    for _ in range(1000):
+        i, j = rng.sample(range(1, 5), 2)
+        phi = nielsen(4, i, j, rng.choice(("right", "left")))
+        if rng.random() < 0.5:
+            phi = phi.inverse()
+    # 24 maps and their 24 inverses
+    assert len(built) <= 48
 
 
 def test_twist_maps_stable_letter():
@@ -235,6 +308,25 @@ def test_inverse_check_matches_the_reference():
     # both checks fire, and some altered variants still pass
     assert {None, "stored inverse does not invert the map on x1",
             "stored inverse is not a right inverse on x1"} <= verdicts
+
+
+def test_apply_matches_the_reference_substitution():
+    """Every word up to a length bound, under every Nielsen map at ranks 2-4 and
+    every Whitehead map at ranks 2-3, each with its inverse."""
+    maps = {rank: [] for rank in (2, 3, 4)}
+    for rank in (2, 3, 4):
+        maps[rank] += [nielsen(rank, i, j, side)
+                       for i, j in itertools.permutations(range(1, rank + 1), 2)
+                       for side in ("right", "left")]
+    for rank in (2, 3):
+        maps[rank] += [whitehead_automorphism(rank, cut, a) for cut, a in whitehead_moves(rank)]
+    for rank, max_len in ((2, 5), (3, 4), (4, 3)):
+        words = [Word(rank, letters) for letters in all_reduced(rank, max_len)]
+        for phi in maps[rank]:
+            for psi in (phi, phi.inverse()):
+                images = [img.letters for img in psi.images]
+                for w in words:
+                    assert psi.apply(w).letters == reference_substitute(images, w.letters)
 
 
 @pytest.mark.parametrize("stray", [Word(2, (1, 2)), Word(4, (3, 4))])
