@@ -8,6 +8,7 @@ Modules:
 * :mod:`freesplit.complexes` - splitting graphs, cliques, the rose graph
 * :mod:`freesplit.verify` - runnable verifiers with witness reports
 * :mod:`freesplit.cli` - command-line driver
+* :mod:`freesplit.values` - the base of the immutable value classes
 """
 
 from .partitions import (

@@ -11,7 +11,6 @@ the Euler identity  (#edges - #vertices + 1) + sum of vertex ranks = N.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -28,25 +27,25 @@ from .partitions import (
     is_ideal,
     petal_index,
 )
+from .values import Value
 
 
 class IncompatibleFamilyError(ValueError):
     """Raised when a blow-up is requested for a family with a crossing pair."""
 
 
-@dataclass(frozen=True)
-class GraphOfGroups:
+class GraphOfGroups(Value):
     """A finite connected graph with a free-rank label on each vertex.
 
     ``vertices`` is a tuple of (vertex id, free rank); ``edges`` is a tuple
     of (edge id, (end id, end id), label).  Edges carry no orientation.
     """
 
-    rank: int
-    vertices: Tuple[Tuple[str, int], ...]
-    edges: Tuple[Tuple[str, Tuple[str, str], str], ...]
+    __slots__ = _fields = ("rank", "vertices", "edges")
 
-    def __post_init__(self):
+    def __init__(self, rank: int, vertices: Tuple[Tuple[str, int], ...],
+                 edges: Tuple[Tuple[str, Tuple[str, str], str], ...]):
+        super().__init__(rank, vertices, edges)
         ids = [vid for vid, _ in self.vertices]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate vertex ids")
@@ -238,21 +237,22 @@ def blow_up(family: Iterable[Partition], rank: int) -> GraphOfGroups:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShapeReport:
+class ShapeReport(Value):
     """Structural summary of a quotient graph of groups.
 
     ``valence_profile`` and the two separation flags are computed from
     ``graph`` on first read, so a reader of the ranks or of the rose, cage
     and theta tests pays no O(E^2) separating-edge scan.  Equality, hash and
-    repr use the four eager fields only.
+    repr use the four eager fields only; the cached readers keep their
+    values in the instance ``__dict__``.
     """
 
-    vertex_ranks: Tuple[int, ...]
-    rose: Optional[int]
-    cage: Optional[int]
-    theta_with_loop: bool
-    graph: GraphOfGroups = field(repr=False, compare=False)
+    _fields = ("vertex_ranks", "rose", "cage", "theta_with_loop")
+    __slots__ = _fields + ("graph", "__dict__")
+
+    def __init__(self, vertex_ranks: Tuple[int, ...], rose: Optional[int],
+                 cage: Optional[int], theta_with_loop: bool, graph: GraphOfGroups):
+        super().__init__(vertex_ranks, rose, cage, theta_with_loop, graph)
 
     @cached_property
     def valence_profile(self) -> Tuple[int, ...]:
@@ -322,13 +322,13 @@ _BOUNDARY_SHAPES = {
 BOUNDARY_TAGS = tuple(_BOUNDARY_SHAPES.values())
 
 
-@dataclass(frozen=True)
-class BoundaryType:
+class BoundaryType(Value):
     """Classified boundary splitting of a crossing ideal pair."""
 
-    tag: str
-    graph: GraphOfGroups
-    family: Tuple[Partition, ...]
+    __slots__ = _fields = ("tag", "graph", "family")
+
+    def __init__(self, tag: str, graph: GraphOfGroups, family: Tuple[Partition, ...]):
+        super().__init__(tag, graph, family)
 
 
 def boundary_classes(p: Partition, q: Partition) -> Tuple[Partition, ...]:

@@ -15,7 +15,6 @@ deterministic so verification logs reproduce.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -27,23 +26,27 @@ from .partitions import (
     enumerate_splitting_classes,
     rose_compatible_masks,
 )
+from .values import Value
 
 
-@dataclass(frozen=True)
-class SplittingGraph:
-    rank: int
-    mode: str  # always "ens": rose edges only
-    vertices: Tuple[Partition, ...]  # classes, as canonical partitions
-    edges: Tuple[Tuple[int, int, str], ...]  # (i, j, "rose") with i < j
+class SplittingGraph(Value):
+    """The rose graph on splitting classes; its cached readers use ``__dict__``."""
 
-    def __post_init__(self):
-        if self.mode != "ens":
+    _fields = ("rank", "mode", "vertices", "edges")
+    __slots__ = _fields + ("__dict__",)
+
+    def __init__(self, rank: int,
+                 mode: str,  # always "ens": rose edges only
+                 vertices: Tuple[Partition, ...],  # classes, as canonical partitions
+                 edges: Tuple[Tuple[int, int, str], ...]):  # (i, j, "rose") with i < j
+        if mode != "ens":
             raise ValueError("mode must be 'ens'")
-        for i, j, kind in self.edges:
-            if not (0 <= i < j < len(self.vertices)):
+        for i, j, kind in edges:
+            if not (0 <= i < j < len(vertices)):
                 raise ValueError("bad edge endpoints (%d, %d)" % (i, j))
             if kind != "rose":
                 raise ValueError("bad edge kind %r" % (kind,))
+        super().__init__(rank, mode, vertices, edges)
 
     @cached_property
     def adjacency(self) -> Tuple[int, ...]:
@@ -176,13 +179,15 @@ def rose_vertices(rank: int,
     return out
 
 
-@dataclass(frozen=True)
-class KLocalGraph:
+class KLocalGraph(Value):
     """Graph of N-roses joined along fat one-edge common refinements."""
 
-    rank: int
-    vertices: Tuple[Tuple[Partition, ...], ...]  # roses, as tuples of classes
-    edges: Tuple[Tuple[int, int], ...]
+    __slots__ = _fields = ("rank", "vertices", "edges")
+
+    def __init__(self, rank: int,
+                 vertices: Tuple[Tuple[Partition, ...], ...],  # roses, as tuples of classes
+                 edges: Tuple[Tuple[int, int], ...]):
+        super().__init__(rank, vertices, edges)
 
     def to_json(self) -> dict:
         return {

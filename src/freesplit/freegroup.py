@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
+
+from .values import Value
 
 
 def free_reduce(letters: Iterable[int]) -> Tuple[int, ...]:
@@ -67,19 +68,15 @@ def canonical_cycle(letters: Sequence[int]) -> Tuple[int, ...]:
 _TOKEN = re.compile(r"\s*([xX])([0-9]+)")
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Value):
     """A freely reduced word in the rank-N free group."""
 
-    rank: int
-    letters: Tuple[int, ...]
+    __slots__ = _fields = ("rank", "letters")
 
-    def __post_init__(self):
-        if self.rank < 1:
+    def __init__(self, rank: int, letters: Tuple[int, ...]):
+        if rank < 1:
             raise ValueError("word rank must be >= 1")
-        rank = self.rank
-        letters = tuple(self.letters)
-        object.__setattr__(self, "letters", letters)
+        letters = tuple(letters)
         # One pass over the letters; a range fault anywhere outranks a cancelling pair.
         prev, reduced = 0, True
         for l in letters:
@@ -90,6 +87,9 @@ class Word:
             prev = l
         if not reduced:
             raise ValueError("word is not freely reduced")
+        # Stored directly: a hot constructor skips the loop in Value.__init__.
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "letters", letters)
 
     @classmethod
     def make(cls, rank: int, letters: Iterable[int]) -> "Word":
@@ -131,26 +131,32 @@ class Word:
         return "Word(%d, %s)" % (self.rank, self.to_string() or "1")
 
 
-@dataclass(frozen=True)
-class CyclicWord:
+class CyclicWord(Value):
     """Canonical rotation of a cyclically reduced word."""
 
-    rank: int
-    letters: Tuple[int, ...]
+    __slots__ = _fields = ("rank", "letters")
 
-    def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(self.letters))
-        if self.rank < 1:
+    def __init__(self, rank: int, letters: Tuple[int, ...]):
+        letters = tuple(letters)
+        if rank < 1:
             raise ValueError("word rank must be >= 1")
-        for l in self.letters:
-            if not 1 <= abs(l) <= self.rank:
-                raise ValueError("letter %d out of range for rank %d" % (l, self.rank))
-        if self.letters != canonical_cycle(cyclic_reduce_letters(free_reduce(self.letters))):
+        for l in letters:
+            if not 1 <= abs(l) <= rank:
+                raise ValueError("letter %d out of range for rank %d" % (l, rank))
+        if letters != canonical_cycle(cyclic_reduce_letters(free_reduce(letters))):
             raise ValueError("letters are not a canonical cyclic form")
+        super().__init__(rank, letters)
+
+    @classmethod
+    def _trusted(cls, rank: int, letters: Tuple[int, ...]) -> "CyclicWord":
+        """A cyclic word built unchecked, from the canonical cycle of a valid word."""
+        cyc = object.__new__(cls)
+        Value.__init__(cyc, rank, letters)
+        return cyc
 
     @classmethod
     def of(cls, w: Word) -> "CyclicWord":
-        return cls(w.rank, canonical_cycle(cyclic_reduce_letters(w.letters)))
+        return cls._trusted(w.rank, canonical_cycle(cyclic_reduce_letters(w.letters)))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -164,35 +170,34 @@ class CyclicWord:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FreeAutomorphism:
-    """A basis-image automorphism with a verified inverse and its letter table (_letter_table)."""
+class FreeAutomorphism(Value):
+    """A basis-image automorphism with a verified inverse and its letter table (_letter_table).
 
-    rank: int
-    images: Tuple[Word, ...]
-    inverse_images: Tuple[Word, ...]
-    table: Tuple[Tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
-    _inverse: Optional[FreeAutomorphism] = field(
-        default=None, init=False, compare=False, repr=False)
+    ``table`` and the paired inverse take no part in equality, hash or repr.
+    """
 
-    def __post_init__(self):
-        if self.rank < 1:
+    _fields = ("rank", "images", "inverse_images")
+    __slots__ = _fields + ("table", "_inverse")
+
+    def __init__(self, rank: int, images: Tuple[Word, ...], inverse_images: Tuple[Word, ...]):
+        if rank < 1:
             raise ValueError("automorphism rank must be >= 1")
-        object.__setattr__(self, "images", tuple(self.images))
-        object.__setattr__(self, "inverse_images", tuple(self.inverse_images))
-        if len(self.images) != self.rank or len(self.inverse_images) != self.rank:
+        images = tuple(images)
+        inverse_images = tuple(inverse_images)
+        if len(images) != rank or len(inverse_images) != rank:
             raise ValueError("need one image per generator")
-        for img in itertools.chain(self.images, self.inverse_images):
-            if img.rank != self.rank:
+        for img in itertools.chain(images, inverse_images):
+            if img.rank != rank:
                 raise ValueError("image rank %d does not match automorphism rank %d"
-                                 % (img.rank, self.rank))
-        object.__setattr__(self, "table", _letter_table([img.letters for img in self.images]))
-        backward = _letter_table([img.letters for img in self.inverse_images])
-        for i in range(1, self.rank + 1):
-            if _substitute_letters(backward, self.table[i]) != (i,):
+                                 % (img.rank, rank))
+        table = _letter_table([img.letters for img in images])
+        backward = _letter_table([img.letters for img in inverse_images])
+        for i in range(1, rank + 1):
+            if _substitute_letters(backward, table[i]) != (i,):
                 raise ValueError("stored inverse does not invert the map on x%d" % i)
-            if _substitute_letters(self.table, backward[i]) != (i,):
+            if _substitute_letters(table, backward[i]) != (i,):
                 raise ValueError("stored inverse is not a right inverse on x%d" % i)
+        super().__init__(rank, images, inverse_images, table, None)
 
     def apply(self, w: Word) -> Word:
         if w.rank != self.rank:
@@ -324,8 +329,7 @@ def _wh_image(g: int, A: frozenset, a: int) -> Tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WhiteheadGraph:
+class WhiteheadGraph(Value):
     """Graph on the 2N signed letters recording adjacencies of a cyclic word.
 
     Each cyclically adjacent letter pair (u, v) contributes the edge
@@ -334,8 +338,10 @@ class WhiteheadGraph:
     loop edges, and the total multiplicity equals the cyclic word length.
     """
 
-    rank: int
-    rows: Tuple[Tuple[int, ...], ...]
+    __slots__ = _fields = ("rank", "rows")
+
+    def __init__(self, rank: int, rows: Tuple[Tuple[int, ...], ...]):
+        super().__init__(rank, rows)
 
 
 def _multiplicities(rank: int, cyc: Sequence[int]) -> List[List[int]]:
@@ -455,7 +461,7 @@ def whitehead_minimize(w: Word) -> CyclicWord:
                 if score < best:
                     best, winner = score, a
         if winner is None:
-            return CyclicWord(rank, current)
+            return CyclicWord._trusted(rank, current)
         masks = groups[winner]
         mask = masks[list(map(cap.__getitem__, masks)).index(best + deg[winner])]
         if not mask >> winner & 1:
@@ -510,7 +516,28 @@ def length_then_letter_key(letters: Tuple[int, ...]) -> Tuple[int, Tuple[int, ..
 
 def factor_product_letters(a_rank: int, w: Word, max_len: int) -> Iterator[Tuple[int, ...]]:
     """The letter tuple of every nontrivial element of A * <t w t^-1> of
-    reduced length <= max_len, each once, in depth-first order.
+    reduced length <= max_len, each once: the single A-syllables by length,
+    then :func:`factor_power_products`.
+    """
+    products = factor_power_products(a_rank, w, max_len)
+    return itertools.chain(itertools.chain.from_iterable(_a_syllables(a_rank, max_len)),
+                           products)
+
+
+def _a_syllables(a_rank: int, max_len: int) -> Iterator[List[Tuple[int, ...]]]:
+    """The nontrivial reduced words on the first ``a_rank`` generators, one
+    list per length from 1 to max_len."""
+    frontier: List[Tuple[int, ...]] = [()]
+    a_letters = [l for i in range(1, a_rank + 1) for l in (i, -i)]
+    for _ in range(max_len):
+        frontier = [word + (l,) for word in frontier for l in a_letters
+                    if not word or word[-1] != -l]
+        yield frontier
+
+
+def factor_power_products(a_rank: int, w: Word, max_len: int) -> Iterator[Tuple[int, ...]]:
+    """The letter tuple of every element of A * <t w t^-1> of reduced length
+    <= max_len that holds a power of t w t^-1, each once, in depth-first order.
 
     A is the free factor on the first ``a_rank`` generators of the ambient
     rank ``a_rank + 1`` group, and t is the stable letter.  Elements are
@@ -518,7 +545,8 @@ def factor_product_letters(a_rank: int, w: Word, max_len: int) -> Iterator[Tuple
     t*w*t^-1.  A power's run starts with t and ends with t^-1, so products
     of that shape reduce without cross-syllable cancellation, lengths add,
     and the t letters mark the syllables off: distinct products are
-    distinct tuples.
+    distinct tuples.  The other elements are the single A-syllables,
+    2a(2a-1)^(k-1) of each length k for a = ``a_rank``.
     """
     _check_factor_word(a_rank, w)
     t = a_rank + 1
@@ -534,20 +562,14 @@ def factor_product_letters(a_rank: int, w: Word, max_len: int) -> Iterator[Tuple
         u_powers.append(run)
         u_powers.append(tuple(-x for x in reversed(run)))
 
-    a_words: Dict[int, List[Tuple[int, ...]]] = {}
-    frontier: List[Tuple[int, ...]] = [()]
-    a_letters = [l for i in range(1, a_rank + 1) for l in (i, -i)]
-    for length in range(1, max_len + 1):
-        frontier = [word + (l,) for word in frontier for l in a_letters
-                    if not word or word[-1] != -l]
-        a_words[length] = frontier
-
     # The first power is the shortest; an A-syllable that leaves less room
-    # ends its product, so no generator is started for it.
+    # ends its product, so no syllable in a product is longer than
+    # max_len - shortest.  a_words[k] lists the syllables of length k.
     shortest = len(u_powers[0]) if u_powers else max_len + 1
+    a_words = [[()]] + list(_a_syllables(a_rank, max_len - shortest))
 
     def extend(letters: Tuple[int, ...], budget: int,
-               last: Optional[str]) -> Iterator[Tuple[int, ...]]:
+               last: str) -> Iterator[Tuple[int, ...]]:
         if last != "u":
             for run in u_powers:
                 if len(run) <= budget:
@@ -563,4 +585,6 @@ def factor_product_letters(a_rank: int, w: Word, max_len: int) -> Iterator[Tuple
                     if rest >= shortest:
                         yield from extend(g, rest, "a")
 
-    return extend((), max_len, None)
+    # A product starts with a power, or with one A-syllable and then a power.
+    starts = itertools.chain.from_iterable(a_words)
+    return itertools.chain.from_iterable(extend(s, max_len - len(s), "a") for s in starts)

@@ -20,9 +20,10 @@ so exhaustive scans can be evaluated concurrently without shared state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Tuple
+
+from .values import Value
 
 #: Inclusive bounds accepted by the exhaustive enumerators.  The universe
 #: holds 2**(2N-1) - 1 bipartitions, which stops being desk scale past 7.
@@ -88,8 +89,7 @@ def _direction_bit_index(text: str) -> int:
     return 2 * index - 2 + (text[-1] == "-")
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Value):
     """A two-block split of the 2N directions, stored as ``(rank, mask)``.
 
     ``mask`` is either side.  The stored mask is the canonical side1, the
@@ -98,18 +98,20 @@ class Partition:
     pair of sides.
     """
 
-    rank: int
-    mask: int
+    __slots__ = _fields = ("rank", "mask")
 
-    def __post_init__(self):
-        _check_rank(self.rank)
-        full = full_mask(self.rank)
-        if not 0 <= self.mask <= full:
-            raise ValueError("partition sides must cover all %d directions" % (2 * self.rank))
-        if self.mask & 1:
-            object.__setattr__(self, "mask", self.mask ^ full)
-        if not self.mask:
+    def __init__(self, rank: int, mask: int):
+        _check_rank(rank)
+        full = full_mask(rank)
+        if not 0 <= mask <= full:
+            raise ValueError("partition sides must cover all %d directions" % (2 * rank))
+        if mask & 1:
+            mask ^= full
+        if not mask:
             raise ValueError("both sides of a partition must be nonempty")
+        # Stored directly: a hot constructor skips the loop in Value.__init__.
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "mask", mask)
 
     @classmethod
     def parse(cls, rank: int, text: str) -> "Partition":

@@ -1,0 +1,56 @@
+"""The base of the library's immutable value classes.
+
+These are the methods ``@dataclass(frozen=True)`` would generate, written
+once: importing ``dataclasses`` loads ``inspect``, ``ast``, ``dis`` and
+``tokenize``, and each decorated class compiles its methods from generated
+source, which together cost every command about 17 ms of start-up (see
+README, "Value classes").
+"""
+
+from operator import attrgetter
+from typing import Tuple
+
+
+class Value:
+    """An immutable record compared, hashed and shown by its ``_fields``.
+
+    A subclass names the fields that make its value in ``_fields``: equality
+    and hashing read them as one tuple, and ``repr`` shows them as
+    ``Name(field=value, ...)``.  It stores them, and any derived attributes
+    after them, in ``__slots__``.  Its ``__init__`` checks its arguments and
+    passes the values to ``Value.__init__`` in slot order; after that,
+    assignment and deletion raise ``AttributeError``.
+    """
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._key = attrgetter(*cls._fields)
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        shown = ", ".join("%s=%r" % (name, getattr(self, name)) for name in self._fields)
+        return "%s(%s)" % (self.__class__.__qualname__, shown)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % (name,))
+
+    def __setstate__(self, state):
+        """Restore a copied or unpickled instance past the frozen ``__setattr__``."""
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from dataclasses import dataclass
 from functools import partial
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
@@ -31,16 +30,18 @@ from .partitions import (
     petal_class,
     rose_compatible_masks,
 )
+from .values import Value
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    lemma: str
-    rank: Optional[int]
-    cases_checked: int
-    failures: Tuple[str, ...]
-    elapsed_s: float
-    details: Tuple[Tuple[str, object], ...] = ()
+class VerificationReport(Value):
+    """One verifier run: its cases, failure witnesses, timing and details."""
+
+    __slots__ = _fields = ("lemma", "rank", "cases_checked", "failures", "elapsed_s", "details")
+
+    def __init__(self, lemma: str, rank: Optional[int], cases_checked: int,
+                 failures: Tuple[str, ...], elapsed_s: float,
+                 details: Tuple[Tuple[str, object], ...] = ()):
+        super().__init__(lemma, rank, cases_checked, failures, elapsed_s, details)
 
     @property
     def passed(self) -> bool:
@@ -435,9 +436,15 @@ def verify_whitehead_factor(a_rank: int = 2, w: Optional[freegroup.Word] = None,
     factor_rank = a_rank - 1 if mutated else a_rank
     u = freegroup.stable_conjugate(a_rank, w)
     u_cycle = freegroup.canonical_cycle(freegroup.cyclic_reduce_letters(u.letters))
-    elements = 0
+    if factor_rank == a_rank:
+        # Each single A-syllable lies in the factor: counted, not walked.
+        elements = sum(2 * a_rank * (2 * a_rank - 1) ** (k - 1) for k in range(1, max_len + 1))
+        products = freegroup.factor_power_products(a_rank, w, max_len)
+    else:
+        elements = 0
+        products = freegroup.factor_product_letters(a_rank, w, max_len)
     failing = []
-    for g in freegroup.factor_product_letters(a_rank, w, max_len):
+    for g in products:
         elements += 1
         if -factor_rank <= min(g) and max(g) <= factor_rank:
             continue  # in the factor

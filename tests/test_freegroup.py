@@ -13,6 +13,7 @@ from freesplit.freegroup import (
     canonical_cycle,
     connected_no_cutvertex,
     cyclic_reduce_letters,
+    factor_power_products,
     factor_product_letters,
     free_reduce,
     is_simple,
@@ -136,6 +137,36 @@ def test_cyclic_word_given_as_a_list_is_stored_as_a_tuple():
     assert hash(cyc) == hash(CyclicWord.of(W(2, "x2x1")))
 
 
+def test_cyclic_word_of_canonicalizes_once(monkeypatch):
+    calls = []
+    canonical = freegroup.canonical_cycle
+
+    def counting(letters):
+        calls.append(letters)
+        return canonical(letters)
+
+    monkeypatch.setattr(freegroup, "canonical_cycle", counting)
+    CyclicWord.of(W(3, "X1x2x1X3x1"))
+    assert len(calls) == 1
+
+
+def test_cyclic_word_of_equals_the_checked_constructor():
+    rng = random.Random(21)
+    for _ in range(1500):
+        rank = rng.randint(1, 5)
+        letters = [rng.choice((1, -1)) * rng.randint(1, rank) for _ in range(rng.randint(0, 12))]
+        cyc = CyclicWord.of(Word.make(rank, letters))
+        checked = CyclicWord(rank, cyc.letters)
+        assert type(cyc.letters) is tuple
+        assert (cyc, hash(cyc), repr(cyc)) == (checked, hash(checked), repr(checked))
+
+
+@pytest.mark.parametrize("letters", [(2, 1), (2, -1), (1, 2, -1), (1, -1)])
+def test_cyclic_word_refuses_letters_not_in_canonical_form(letters):
+    with pytest.raises(ValueError, match="letters are not a canonical cyclic form"):
+        CyclicWord(2, letters)
+
+
 # ---------------------------------------------------------------------------
 # automorphisms
 # ---------------------------------------------------------------------------
@@ -199,13 +230,13 @@ def test_unhashable_side_is_refused_by_the_side_check():
 
 def test_random_nielsen_walk_builds_each_map_once(monkeypatch):
     built = []
-    verify = FreeAutomorphism.__post_init__
+    verify = FreeAutomorphism.__init__
 
-    def counting(self):
-        built.append(self.images)
-        verify(self)
+    def counting(self, rank, images, inverse_images):
+        built.append(images)
+        verify(self, rank, images, inverse_images)
 
-    monkeypatch.setattr(FreeAutomorphism, "__post_init__", counting)
+    monkeypatch.setattr(FreeAutomorphism, "__init__", counting)
     rng = random.Random(20)
     for _ in range(1000):
         i, j = rng.sample(range(1, 5), 2)
@@ -357,13 +388,13 @@ def test_images_given_as_lists_are_stored_as_tuples():
 def test_automorphism_check_builds_no_words(monkeypatch):
     maps = [nielsen(4, 1, 2), whitehead_automorphism(3, (1, 2, -3), 1)]
     built = []
-    validate = Word.__post_init__
+    validate = Word.__init__
 
-    def counting(self):
-        built.append(self.letters)
-        validate(self)
+    def counting(self, rank, letters):
+        built.append(letters)
+        validate(self, rank, letters)
 
-    monkeypatch.setattr(Word, "__post_init__", counting)
+    monkeypatch.setattr(Word, "__init__", counting)
     for phi in maps:
         assert FreeAutomorphism(phi.rank, phi.images, phi.inverse_images) == phi
     assert built == []
@@ -755,6 +786,21 @@ def test_factor_product_peak_memory_stays_small():
         tracemalloc.stop()
     assert len(got) == 13218
     assert peak < 6_000_000, "peak %.2f MB" % (peak / 1e6)
+
+
+@pytest.mark.parametrize("a_rank, w, max_len", [
+    (2, "x1x2X1X2", 8),
+    (3, "x1x2X3", 6),
+    (2, "x1x2", 3),  # no power fits
+])
+def test_factor_power_products_are_the_elements_holding_the_stable_letter(a_rank, w, max_len):
+    w = W(a_rank, w)
+    every = list(factor_product_letters(a_rank, w, max_len))
+    t = a_rank + 1
+    assert list(factor_power_products(a_rank, w, max_len)) == [g for g in every if t in g]
+    a = 2 * a_rank
+    singles = sum(a * (a - 1) ** (k - 1) for k in range(1, max_len + 1))
+    assert len([g for g in every if t not in g]) == singles
 
 
 def test_factor_product_rejects_words_with_the_stable_letter():

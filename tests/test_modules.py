@@ -1,14 +1,17 @@
 """Each library module uses only the public names of the others, every
-public function and class has a reader, and every export is read or documented."""
+public function and class has a reader, every export is read or documented,
+and importing the CLI loads no ``dataclasses`` or what it pulls in."""
 
 import ast
 import os
 import re
+import subprocess
+import sys
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "freesplit")
 BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-PRIVATE_REACH = re.compile(r"\b(partitions|blowup|complexes|freegroup|verify|cli)\._\w*")
+PRIVATE_REACH = re.compile(r"\b(partitions|blowup|complexes|freegroup|verify|cli|values)\._\w*")
 
 
 def test_no_module_uses_another_modules_private_name():
@@ -102,3 +105,25 @@ def test_only_blowup_reads_loops_and_bundles():
         and node.func.attr in ("loops", "bundles")
     ]
     assert calls == []
+
+
+def test_no_module_imports_dataclasses():
+    imports = [
+        "%s:%d" % (name, node.lineno)
+        for name, tree in _trees(SRC).items() for node in ast.walk(tree)
+        if (isinstance(node, ast.Import) and any(
+            alias.name.split(".")[0] == "dataclasses" for alias in node.names))
+        or (isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[0] == "dataclasses")
+    ]
+    assert imports == []
+
+
+def test_importing_the_cli_loads_no_dataclasses_machinery():
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    code = "import sys, freesplit.cli; print(sorted(set(%r) & set(sys.modules)))" % (heavy,)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.join(SRC, os.pardir), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"

@@ -1,0 +1,250 @@
+"""The library's value classes behave as ``@dataclass(frozen=True)`` classes would.
+
+Each twin below is a frozen dataclass with the field flags of the class of
+the same name, so the two must agree on ``repr``, ``==``, ``!=`` and
+``hash``.  The library itself does not import ``dataclasses``.
+"""
+
+import copy
+import itertools
+import pickle
+from dataclasses import dataclass, field
+from typing import Optional, Tuple
+
+import pytest
+
+from freesplit import blowup, complexes, freegroup, partitions, verify
+
+
+@dataclass(frozen=True)
+class Partition:
+    rank: int
+    mask: int
+
+    __repr__ = partitions.Partition.__repr__
+    encode = partitions.Partition.encode
+
+
+@dataclass(frozen=True)
+class GraphOfGroups:
+    rank: int
+    vertices: tuple
+    edges: tuple
+
+
+@dataclass(frozen=True)
+class ShapeReport:
+    vertex_ranks: Tuple[int, ...]
+    rose: Optional[int]
+    cage: Optional[int]
+    theta_with_loop: bool
+    graph: object = field(repr=False, compare=False)
+
+
+@dataclass(frozen=True)
+class BoundaryType:
+    tag: str
+    graph: object
+    family: tuple
+
+
+@dataclass(frozen=True)
+class SplittingGraph:
+    rank: int
+    mode: str
+    vertices: tuple
+    edges: tuple
+
+
+@dataclass(frozen=True)
+class KLocalGraph:
+    rank: int
+    vertices: tuple
+    edges: tuple
+
+
+@dataclass(frozen=True)
+class Word:
+    rank: int
+    letters: Tuple[int, ...]
+
+    __repr__ = freegroup.Word.__repr__
+    to_string = freegroup.Word.to_string
+
+
+@dataclass(frozen=True)
+class CyclicWord:
+    rank: int
+    letters: Tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class FreeAutomorphism:
+    rank: int
+    images: tuple
+    inverse_images: tuple
+    table: tuple = field(default=None, init=False, compare=False, repr=False)
+    _inverse: object = field(default=None, init=False, compare=False, repr=False)
+
+
+@dataclass(frozen=True)
+class WhiteheadGraph:
+    rank: int
+    rows: tuple
+
+
+@dataclass(frozen=True)
+class VerificationReport:
+    lemma: str
+    rank: Optional[int]
+    cases_checked: int
+    failures: Tuple[str, ...]
+    elapsed_s: float
+    details: tuple = ()
+
+
+#: Each library class with its twin and the names of its __init__ arguments.
+CLASSES = [
+    (partitions.Partition, Partition, ("rank", "mask")),
+    (blowup.GraphOfGroups, GraphOfGroups, ("rank", "vertices", "edges")),
+    (blowup.ShapeReport, ShapeReport,
+     ("vertex_ranks", "rose", "cage", "theta_with_loop", "graph")),
+    (blowup.BoundaryType, BoundaryType, ("tag", "graph", "family")),
+    (complexes.SplittingGraph, SplittingGraph, ("rank", "mode", "vertices", "edges")),
+    (complexes.KLocalGraph, KLocalGraph, ("rank", "vertices", "edges")),
+    (freegroup.Word, Word, ("rank", "letters")),
+    (freegroup.CyclicWord, CyclicWord, ("rank", "letters")),
+    (freegroup.FreeAutomorphism, FreeAutomorphism, ("rank", "images", "inverse_images")),
+    (freegroup.WhiteheadGraph, WhiteheadGraph, ("rank", "rows")),
+    (verify.VerificationReport, VerificationReport,
+     ("lemma", "rank", "cases_checked", "failures", "elapsed_s", "details")),
+]
+#: The classes whose cached readers keep a __dict__.
+WITH_DICT = (blowup.ShapeReport, complexes.SplittingGraph)
+
+
+def _partition(rank, side):
+    return partitions.Partition.parse(rank, side)
+
+
+def _samples():
+    """Constructor arguments per class; some samples are equal, some not."""
+    p, q = _partition(3, "x2+,x3-"), _partition(3, "x2-,x3+")
+    rose = blowup.blow_up([partitions.petal_class(3, i) for i in (1, 2, 3)], 3)
+    thick = blowup.blow_up([p], 3)
+    shape = blowup.classify_shape(rose)
+    boundary = blowup.boundary_splitting(_partition(3, "x1-,x2+"), _partition(3, "x1-,x2-"))
+    star = complexes.build_star_graph(3)
+    local = complexes.k_graph_local(3)
+    nielsen = freegroup.nielsen(3, 1, 2)
+    twist = freegroup.twist(3, 3, freegroup.Word(3, (1, -2)), "left")
+    w = freegroup.Word(3, (1, 2, -3, 2))
+    return {
+        partitions.Partition: [(4, 0b0110), (4, 0b11111001), (3, 0b000110), (3, p.mask)],
+        blowup.GraphOfGroups: [(g.rank, g.vertices, g.edges) for g in (rose, thick, rose)],
+        blowup.ShapeReport: [
+            (shape.vertex_ranks, shape.rose, shape.cage, shape.theta_with_loop, rose),
+            (shape.vertex_ranks, shape.rose, shape.cage, shape.theta_with_loop, thick),
+            ((0, 1), None, None, False, thick),
+        ],
+        blowup.BoundaryType: [
+            (boundary.tag, boundary.graph, boundary.family),
+            ("cage-3", boundary.graph, boundary.family),
+            (boundary.tag, thick, (p, q)),
+        ],
+        complexes.SplittingGraph: [
+            (3, "ens", star.vertices, star.edges),
+            (3, "ens", (p, q), ()),
+            (3, "ens", (p, q), ((0, 1, "rose"),)),
+        ],
+        complexes.KLocalGraph: [(3, local.vertices, local.edges), (3, (), ()), (4, (), ())],
+        freegroup.Word: [(3, (1, 2)), (3, [1, 2]), (3, ()), (2, (1, 2))],
+        freegroup.CyclicWord: [(2, (1, 2)), (2, [1, 2]), (3, (1, 2)), (3, ())],
+        freegroup.FreeAutomorphism: [
+            (3, nielsen.images, nielsen.inverse_images),
+            (3, list(nielsen.images), list(nielsen.inverse_images)),
+            (3, twist.images, twist.inverse_images),
+        ],
+        freegroup.WhiteheadGraph: [
+            (3, freegroup.whitehead_graph(w).rows), (3, ((0, 1), (1, 0))), (2, ((0, 1), (1, 0))),
+        ],
+        verify.VerificationReport: [
+            ("three-rose", 3, 9, (), 0.5),
+            ("three-rose", 3, 9, (), 0.5, ()),
+            ("three-rose", 3, 9, ("tau1/sigma2 not compatible",), 0.5, (("k", 1),)),
+            ("whitehead-factor", None, 9, (), 0.25),
+        ],
+    }
+
+
+SAMPLES = _samples()
+
+
+def _built(cls, names, args):
+    """The instance built positionally, after checking the keyword build matches it."""
+    positional = cls(*args)
+    keyword = cls(**dict(zip(names, args)))
+    assert positional == keyword and hash(positional) == hash(keyword)
+    assert repr(positional) == repr(keyword)
+    return positional
+
+
+def _twin(twin, names, value):
+    """The twin holding the library instance's stored arguments."""
+    return twin(**{name: getattr(value, name) for name in names})
+
+
+@pytest.mark.parametrize("cls, twin, names", CLASSES, ids=[c[0].__name__ for c in CLASSES])
+def test_value_class_agrees_with_its_dataclass_twin(cls, twin, names):
+    # The first sample is built twice, so some pairs are equal but not identical.
+    values = [_built(cls, names, args) for args in SAMPLES[cls] + SAMPLES[cls][:1]]
+    twins = [_twin(twin, names, value) for value in values]
+    for value, other in zip(values, twins):
+        assert repr(value) == repr(other)
+        assert hash(value) == hash(other)
+        assert value.__eq__(other) is NotImplemented
+        assert value.__eq__(object()) is NotImplemented
+    for (a, a_twin), (b, b_twin) in itertools.product(zip(values, twins), repeat=2):
+        assert (a == b, a != b) == (a_twin == b_twin, a_twin != b_twin)
+    assert len(set(values)) == len(set(twins)) < len(values)
+
+
+@pytest.mark.parametrize("cls, twin, names", CLASSES, ids=[c[0].__name__ for c in CLASSES])
+def test_value_class_is_frozen(cls, twin, names):
+    value = _built(cls, names, SAMPLES[cls][0])
+    for name in names + ("unknown",):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert hasattr(value, "__dict__") == (cls in WITH_DICT)
+
+
+@pytest.mark.parametrize("cls, twin, names", CLASSES, ids=[c[0].__name__ for c in CLASSES])
+def test_value_class_survives_copy_and_pickle(cls, twin, names):
+    value = _built(cls, names, SAMPLES[cls][0])
+    for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert clone == value and repr(clone) == repr(value)
+
+
+def test_cached_readers_still_work():
+    p = _partition(3, "x2+,x3-")
+    thick = blowup.blow_up([p], 3)
+    shape = blowup.classify_shape(thick)
+    before = hash(shape)
+    assert shape.valence_profile == thick.valence_profile()
+    assert shape.has_separating_edge is shape.has_separating_edge
+    assert shape.has_separating_edge_pair in (True, False)
+    assert hash(shape) == before and "valence_profile" not in repr(shape)
+    graph = complexes.build_star_graph(3)
+    assert graph.adjacency is graph.adjacency
+    assert graph.index_of(graph.vertices[2]) == 2
+    assert graph == complexes.SplittingGraph(3, "ens", graph.vertices, graph.edges)
+
+
+def test_automorphism_keeps_its_table_and_paired_inverse_out_of_the_value():
+    phi = freegroup.nielsen(3, 1, 2)
+    fresh = freegroup.FreeAutomorphism(3, phi.images, phi.inverse_images)
+    assert phi.inverse().inverse() is phi
+    assert fresh == phi and hash(fresh) == hash(phi) and repr(fresh) == repr(phi)
+    assert fresh.table == phi.table

@@ -300,19 +300,19 @@ def test_whitehead_factor_matches_the_word_by_word_oracle(a_rank, w, max_len, mu
 
 def test_whitehead_factor_builds_words_only_for_simplicity_tests(monkeypatch):
     built = []
-    validate_word = freegroup.Word.__post_init__
+    validate_word = freegroup.Word.__init__
     tested = []
     is_simple = freegroup.is_simple
 
-    def counting_word(self):
-        built.append(self.letters)
-        validate_word(self)
+    def counting_word(self, rank, letters):
+        built.append(letters)
+        validate_word(self, rank, letters)
 
     def counting_is_simple(w):
         tested.append(w)
         return is_simple(w)
 
-    monkeypatch.setattr(freegroup.Word, "__post_init__", counting_word)
+    monkeypatch.setattr(freegroup.Word, "__init__", counting_word)
     monkeypatch.setattr(freegroup, "is_simple", counting_is_simple)
     assert verify_whitehead_factor().passed
     assert tested
