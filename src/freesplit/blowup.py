@@ -38,21 +38,24 @@ class GraphOfGroups(Value):
     """A finite connected graph with a free-rank label on each vertex.
 
     ``vertices`` is a tuple of (vertex id, free rank); ``edges`` is a tuple
-    of (edge id, (end id, end id), label).  Edges carry no orientation.
+    of (label, (end id, end id)).  A label names one edge, as an id names
+    one vertex, and edges carry no orientation.
     """
 
     __slots__ = _fields = ("rank", "vertices", "edges")
 
     def __init__(self, rank: int, vertices: Tuple[Tuple[str, int], ...],
-                 edges: Tuple[Tuple[str, Tuple[str, str], str], ...]):
+                 edges: Tuple[Tuple[str, Tuple[str, str]], ...]):
         super().__init__(rank, vertices, edges)
         ids = [vid for vid, _ in self.vertices]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate vertex ids")
+        if len({label for label, _ in self.edges}) != len(self.edges):
+            raise ValueError("duplicate edge labels")
         known = set(ids)
-        for eid, (u, v), _ in self.edges:
+        for label, (u, v) in self.edges:
             if u not in known or v not in known:
-                raise ValueError("edge %r has unknown endpoint" % (eid,))
+                raise ValueError("edge %r has unknown endpoint" % (label,))
         if not self._connected():
             raise ValueError("graph of groups must be connected")
         euler = len(self.edges) - len(self.vertices) + 1
@@ -67,7 +70,7 @@ class GraphOfGroups(Value):
 
     def degree(self, vid: str) -> int:
         deg = 0
-        for _, (u, v), _ in self.edges:
+        for _, (u, v) in self.edges:
             if u == vid:
                 deg += 1
             if v == vid:
@@ -75,12 +78,12 @@ class GraphOfGroups(Value):
         return deg
 
     def loops(self) -> Tuple[str, ...]:
-        return tuple(eid for eid, (u, v), _ in self.edges if u == v)
+        return tuple(label for label, (u, v) in self.edges if u == v)
 
     def bundles(self) -> Tuple[int, ...]:
         """Sorted multiplicities of the non-loop edge bundles between vertex pairs."""
         counts: Dict[Tuple[str, str], int] = {}
-        for _, (u, v), _ in self.edges:
+        for _, (u, v) in self.edges:
             if u != v:
                 pair = (u, v) if u <= v else (v, u)
                 counts[pair] = counts.get(pair, 0) + 1
@@ -93,8 +96,8 @@ class GraphOfGroups(Value):
         if not self.vertices:
             return True
         neighbours: Dict[str, List[str]] = {}
-        for eid, (u, v), _ in self.edges:
-            if eid not in skip and u != v:
+        for label, (u, v) in self.edges:
+            if label not in skip and u != v:
                 neighbours.setdefault(u, []).append(v)
                 neighbours.setdefault(v, []).append(u)
         start = self.vertices[0][0]
@@ -106,8 +109,8 @@ class GraphOfGroups(Value):
                     todo.append(w)
         return len(seen) == len(self.vertices)
 
-    def disconnects_without(self, edge_ids: Iterable[str]) -> bool:
-        return not self._connected(frozenset(edge_ids))
+    def disconnects_without(self, labels: Iterable[str]) -> bool:
+        return not self._connected(frozenset(labels))
 
     # -- exports -----------------------------------------------------------
 
@@ -116,8 +119,8 @@ class GraphOfGroups(Value):
             "rank": self.rank,
             "vertices": [{"id": vid, "free_rank": r} for vid, r in self.vertices],
             "edges": [
-                {"id": eid, "ends": [u, v], "label": label}
-                for eid, (u, v), label in self.edges
+                {"id": label, "ends": [u, v], "label": label}
+                for label, (u, v) in self.edges
             ],
         }
 
@@ -125,7 +128,7 @@ class GraphOfGroups(Value):
         lines = ["graph blowup {"]
         for vid, r in self.vertices:
             lines.append('  "%s" [label="%s (rank %d)"];' % (vid, vid, r))
-        for eid, (u, v), label in self.edges:
+        for label, (u, v) in self.edges:
             lines.append('  "%s" -- "%s" [label="%s"];' % (u, v, label))
         lines.append("}")
         return "\n".join(lines)
@@ -225,7 +228,7 @@ def blow_up(family: Iterable[Partition], rank: int) -> GraphOfGroups:
     )
     edges = tuple(
         sorted(
-            (label, tuple(sorted((names[u], names[v]))), label)
+            (label, tuple(sorted((names[u], names[v]))))
             for label, u, v in edge_records
         )
     )
@@ -260,13 +263,13 @@ class ShapeReport(Value):
 
     @cached_property
     def has_separating_edge(self) -> bool:
-        return any(self.graph.disconnects_without([eid]) for eid, _, _ in self.graph.edges)
+        return any(self.graph.disconnects_without([label]) for label, _ in self.graph.edges)
 
     @cached_property
     def has_separating_edge_pair(self) -> bool:
         return any(
             self.graph.disconnects_without([a, b])
-            for (a, _, _), (b, _, _) in itertools.combinations(self.graph.edges, 2)
+            for (a, _), (b, _) in itertools.combinations(self.graph.edges, 2)
         )
 
     def to_json(self) -> dict:

@@ -56,7 +56,7 @@ def _cmd_pair(args) -> int:
         verdict["rose_compatible"] = partitions.rose_compatible(p, q)
         verdict["circle_compatible"] = partitions.circle_compatible(p, q)
     if both_ideal:
-        verdict["cagey"] = partitions.is_cagey(p, q)
+        verdict["cagey"] = distinct and partitions.is_cagey(p, q)
     if both_ideal and crossing:
         verdict["boundary_type"] = blowup.boundary_splitting(p, q).tag
     _emit(verdict)

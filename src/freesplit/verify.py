@@ -1,15 +1,14 @@
 """Runnable verifiers, one per combinatorial statement, with witness reports.
 
-Every verifier is deterministic: the same inputs give the same report,
-including the order of failure witnesses.  Reports serialize without
-timing data so that repeated runs are byte identical.
+Every verifier is deterministic: the same inputs give an equal report,
+including the order of failure witnesses.  Reports carry no timing data,
+so repeated runs compare equal and serialize byte for byte alike.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import time
 from functools import partial
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
@@ -18,9 +17,7 @@ from .blowup import blow_up, boundary_splitting, classify_shape
 from .partitions import (
     Partition,
     class_of,
-    classes_cagey,
-    classes_compatible,
-    classes_rose_compatible,
+    compatible,
     direction_bit,
     encode_class,
     enumerate_ideal_edges,
@@ -28,27 +25,27 @@ from .partitions import (
     full_mask,
     is_cagey,
     petal_class,
+    rose_compatible,
     rose_compatible_masks,
 )
 from .values import Value
 
 
 class VerificationReport(Value):
-    """One verifier run: its cases, failure witnesses, timing and details."""
+    """One verifier run: its cases, failure witnesses and details."""
 
-    __slots__ = _fields = ("lemma", "rank", "cases_checked", "failures", "elapsed_s", "details")
+    __slots__ = _fields = ("lemma", "rank", "cases_checked", "failures", "details")
 
     def __init__(self, lemma: str, rank: Optional[int], cases_checked: int,
-                 failures: Tuple[str, ...], elapsed_s: float,
-                 details: Tuple[Tuple[str, object], ...] = ()):
-        super().__init__(lemma, rank, cases_checked, failures, elapsed_s, details)
+                 failures: Tuple[str, ...], details: Tuple[Tuple[str, object], ...] = ()):
+        super().__init__(lemma, rank, cases_checked, failures, details)
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
     def to_json(self) -> dict:
-        """The report without ``elapsed_s``, so that runs repeat byte for byte."""
+        """The report as a JSON object, with ``passed`` derived from the failures."""
         return {
             "lemma": self.lemma,
             "rank": self.rank,
@@ -63,7 +60,6 @@ class _Recorder:
     """Collects case counts and failure witnesses for a verifier run."""
 
     def __init__(self) -> None:
-        self.started = time.perf_counter()
         self.cases = 0
         self.failures: List[str] = []
         self.details: Dict[str, object] = {}
@@ -85,7 +81,6 @@ class _Recorder:
             rank=rank,
             cases_checked=self.cases,
             failures=tuple(self.failures),
-            elapsed_s=time.perf_counter() - self.started,
             details=tuple(sorted(self.details.items())),
         )
 
@@ -172,7 +167,7 @@ def verify_rigid_blowup(rank: int, mutated: bool = False) -> VerificationReport:
               "family size %d != %d", len(set(family)), 3 * rank - 3)
     for a, b in itertools.combinations(family, 2):
         rec.check(
-            classes_rose_compatible(a, b),
+            rose_compatible(a, b),
             "family pair not rose compatible: %s / %s",
             partial(encode_class, a), partial(encode_class, b),
         )
@@ -196,10 +191,10 @@ def verify_rigid_blowup(rank: int, mutated: bool = False) -> VerificationReport:
         rec.check(set(ranks) == {0}, "blow-up has nontrivial vertex ranks %r", ranks)
 
     for p in petals:
-        rec.check(classes_rose_compatible(tau, p),
+        rec.check(rose_compatible(tau, p),
                   "sign edge not rose compatible with %s", partial(encode_class, p))
     for c in companions:
-        rec.check(classes_cagey(tau, c), "sign edge not cagey with %s", partial(encode_class, c))
+        rec.check(is_cagey(tau, c), "sign edge not cagey with %s", partial(encode_class, c))
 
     return rec.report("rigid-blowup", rank)
 
@@ -220,11 +215,11 @@ def verify_three_rose(rank: int, mutated: bool = False) -> VerificationReport:
     shape = classify_shape(rose_graph)
     rec.check(shape.rose == 3, "sigma family is not a 3-rose: %r", shape)
 
-    rec.check(classes_rose_compatible(taus[0], taus[1]),
+    rec.check(rose_compatible(taus[0], taus[1]),
               "tau1/tau2 not rose compatible")
 
     for i in (0, 1):
-        rec.check(classes_cagey(taus[i], sigmas[i]),
+        rec.check(is_cagey(taus[i], sigmas[i]),
                   "tau%d not cagey with sigma%d", i + 1, i + 1)
 
     circle_pairs = []
@@ -233,11 +228,11 @@ def verify_three_rose(rank: int, mutated: bool = False) -> VerificationReport:
             if i == j:
                 continue
             pair = "tau%d/sigma%d" % (i + 1, j + 1)
-            ok = rec.check(classes_compatible(taus[i], sigmas[j]), "%s not compatible", pair)
+            ok = rec.check(compatible(taus[i], sigmas[j]), "%s not compatible", pair)
             if rank == 4:
-                rec.check(ok and classes_rose_compatible(taus[i], sigmas[j]),
+                rec.check(ok and rose_compatible(taus[i], sigmas[j]),
                           "%s not rose compatible", pair)
-            elif ok and not classes_rose_compatible(taus[i], sigmas[j]):
+            elif ok and not rose_compatible(taus[i], sigmas[j]):
                 circle_pairs.append(pair)
     if rank == 3:
         rec.details["circle_pairs"] = circle_pairs
@@ -401,7 +396,7 @@ def verify_cagey_equivalence(rank: int = 3, mutated: bool = False) -> Verificati
     witnessed = 0
     false_positives = 0
     for (i, s), (j, t) in itertools.combinations(enumerate(graph.vertices), 2):
-        direct = classes_cagey(s, t)
+        direct = is_cagey(s, t)
         searched = any(complexes.cliques_within(graph, adj[i] & adj[j], target))
         cagey_pairs += direct
         witnessed += direct and searched
@@ -514,6 +509,6 @@ def run_battery() -> List[VerificationReport]:
 
 
 def battery_json(reports: Sequence[VerificationReport]) -> str:
-    """Canonical JSON for a battery run; timing is omitted so bytes repeat."""
+    """Canonical JSON for a battery run: sorted keys, no whitespace, one line."""
     payload = [r.to_json() for r in reports]
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"

@@ -55,6 +55,5 @@ def oracle_boundary_types(rank: int, mutated: bool = False) -> VerificationRepor
         rank=rank,
         cases_checked=cases,
         failures=tuple(failures),
-        elapsed_s=0.0,
         details=(("census", dict(sorted(census.items()))),),
     )

@@ -52,7 +52,6 @@ def oracle_clique_rank3(mutated: bool = False) -> VerificationReport:
         rank=3,
         cases_checked=cases,
         failures=tuple(failures),
-        elapsed_s=0.0,
         details=(("clique_count", len(cliques)),
                  ("shape_census", dict(sorted(shapes_seen.items())))),
     )

@@ -25,7 +25,7 @@ def canonical_form(g: GraphOfGroups, include_ranks: bool = True) -> Tuple:
     vids = [vid for vid, _ in g.vertices]
     loops_at: Dict[str, int] = {vid: 0 for vid in vids}
     adj: Dict[str, List[str]] = {vid: [] for vid in vids}
-    for _, (u, v), _ in g.edges:
+    for _, (u, v) in g.edges:
         if u == v:
             loops_at[u] += 1
         else:
@@ -55,7 +55,7 @@ def canonical_form(g: GraphOfGroups, include_ranks: bool = True) -> Tuple:
         label = {vid: n for n, vid in enumerate(order)}
         vert_code = tuple(base[vid] for vid in order)
         edge_code = tuple(sorted(
-            tuple(sorted((label[u], label[v]))) for _, (u, v), _ in g.edges
+            tuple(sorted((label[u], label[v]))) for _, (u, v) in g.edges
         ))
         return (vert_code, edge_code)
 
@@ -87,12 +87,12 @@ def canonical_form(g: GraphOfGroups, include_ranks: bool = True) -> Tuple:
     return best
 
 
-def disconnects_without(g: GraphOfGroups, edge_ids: Iterable[str]) -> bool:
-    """Whether removing the given edges leaves the graph disconnected."""
-    skip = set(edge_ids)
+def disconnects_without(g: GraphOfGroups, labels: Iterable[str]) -> bool:
+    """Whether removing the edges with the given labels leaves the graph disconnected."""
+    skip = set(labels)
     adj: Dict[str, set] = {vid: set() for vid, _ in g.vertices}
-    for eid, (u, v), _ in g.edges:
-        if eid not in skip:
+    for label, (u, v) in g.edges:
+        if label not in skip:
             adj[u].add(v)
             adj[v].add(u)
     start = g.vertices[0][0]

@@ -280,6 +280,6 @@ def blow_up(family, rank):
         rank=rank,
         vertices=tuple(sorted((names[r], extra[r]) for r in roots)),
         edges=tuple(sorted(
-            (label, tuple(sorted((names[u], names[v]))), label) for label, u, v in records
+            (label, tuple(sorted((names[u], names[v])))) for label, u, v in records
         )),
     )

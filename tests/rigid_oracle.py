@@ -75,5 +75,4 @@ def oracle_rigid_blowup(rank: int, mutated: bool = False) -> VerificationReport:
         rank=rank,
         cases_checked=cases,
         failures=tuple(failures),
-        elapsed_s=0.0,
     )

@@ -16,10 +16,13 @@ import json
 import random
 import time
 
+import pytest
+
 from freesplit import complexes, verify
 from freesplit.blowup import blow_up
 from freesplit.freegroup import Word, canonical_cycle, is_simple
 from freesplit.partitions import (
+    class_of,
     classes_compatible,
     crosses,
     enumerate_ideal_edges,
@@ -166,7 +169,12 @@ def test_criterion_8_property_suites():
             assert crosses(gp, gq) == crosses(p, q)
             assert is_thick(gp) == is_thick(p)
             assert is_ideal(gp) == is_ideal(p)
-            if gp != gq:
+            if class_of(p) == class_of(q):
+                assert class_of(gp) == class_of(gq)
+                for relation in (rose_compatible, is_cagey):
+                    with pytest.raises(ValueError, match="distinct splittings"):
+                        relation(gp, gq)
+            else:
                 assert rose_compatible(gp, gq) == rose_compatible(p, q)
                 assert is_cagey(gp, gq) == is_cagey(p, q)
 

@@ -70,7 +70,7 @@ def test_both_partitions_of_a_petal_name_one_edge():
     # {x2-} is the other partition of petal 2: the family has two members.
     family = [Partition.parse(3, "x2-"), petal_class(3, 2), thick(3, "x1-,x2+")]
     g = blow_up(family, 3)
-    assert [label for _, _, label in g.edges] == ["petal:2", "x1-,x2+"]
+    assert [label for label, _ in g.edges] == ["petal:2", "x1-,x2+"]
     assert g == blow_up(family[1:], 3)
 
 
@@ -155,7 +155,7 @@ def test_separating_edge_detection():
     g = GraphOfGroups(
         rank=2,
         vertices=(("a", 1), ("b", 1)),
-        edges=(("e", ("a", "b"), "e"),),
+        edges=(("e", ("a", "b")),),
     )
     report = classify_shape(g)
     assert report.has_separating_edge
@@ -166,7 +166,7 @@ def test_separating_pair_without_separating_edge():
     g = GraphOfGroups(
         rank=2,
         vertices=(("a", 0), ("b", 1)),
-        edges=(("e1", ("a", "b"), "e1"), ("e2", ("a", "b"), "e2")),
+        edges=(("e1", ("a", "b")), ("e2", ("a", "b"))),
     )
     report = classify_shape(g)
     assert not report.has_separating_edge
@@ -177,9 +177,9 @@ def test_separating_edge_scans_run_on_first_read_only(monkeypatch):
     calls = []
     real = GraphOfGroups.disconnects_without
 
-    def counting_disconnects_without(graph, edge_ids):
-        calls.append(tuple(edge_ids))
-        return real(graph, edge_ids)
+    def counting_disconnects_without(graph, labels):
+        calls.append(tuple(labels))
+        return real(graph, labels)
 
     monkeypatch.setattr(GraphOfGroups, "disconnects_without", counting_disconnects_without)
     g = blow_up([petal_class(3, 1), petal_class(3, 2), petal_class(3, 3)], 3)
@@ -193,7 +193,7 @@ def test_separating_edge_scans_run_on_first_read_only(monkeypatch):
 
 def test_graph_validation_rejects_rank_violations():
     with pytest.raises(ValueError):
-        GraphOfGroups(rank=5, vertices=(("a", 0),), edges=(("e", ("a", "a"), "e"),))
+        GraphOfGroups(rank=5, vertices=(("a", 0),), edges=(("e", ("a", "a")),))
     with pytest.raises(ValueError):
         GraphOfGroups(
             rank=3,
@@ -205,7 +205,18 @@ def test_graph_validation_rejects_rank_violations():
         GraphOfGroups(
             rank=2,
             vertices=(("a", 1), ("b", 1)),
-            edges=(("e", ("a", "a"), "e"),),
+            edges=(("e", ("a", "a")),),
+        )
+
+
+def test_graph_validation_rejects_a_repeated_edge_label():
+    # Two edges named "e" would both be skipped by disconnects_without(["e"]),
+    # so this bigon would report a separating edge it does not have.
+    with pytest.raises(ValueError, match="duplicate edge labels"):
+        GraphOfGroups(
+            rank=2,
+            vertices=(("a", 0), ("b", 1)),
+            edges=(("e", ("a", "b")), ("e", ("a", "b"))),
         )
 
 
@@ -226,9 +237,9 @@ def test_separating_edges_match_the_set_bfs_reference(boundary_and_clique_graphs
     assert len(boundary_and_clique_graphs) == 1761 + 328
     for g in boundary_and_clique_graphs:
         assert not disconnects_without(g, ())
-        eids = [eid for eid, _, _ in g.edges]
+        labels = [label for label, _ in g.edges]
         for size in (1, 2):
-            for removed in itertools.combinations(eids, size):
+            for removed in itertools.combinations(labels, size):
                 assert g.disconnects_without(removed) == disconnects_without(g, removed)
 
 
@@ -337,8 +348,8 @@ def relabeled(g, prefix="w"):
         rank=g.rank,
         vertices=tuple(sorted((names[v], r) for v, r in g.vertices)),
         edges=tuple(sorted(
-            (eid, tuple(sorted((names[u], names[v]))), label)
-            for eid, (u, v), label in g.edges
+            (label, tuple(sorted((names[u], names[v]))))
+            for label, (u, v) in g.edges
         )),
     )
 
@@ -352,15 +363,15 @@ def test_canonical_form_is_relabeling_invariant():
 
     bigon = GraphOfGroups(
         rank=2, vertices=(("a", 0), ("b", 1)),
-        edges=(("e1", ("a", "b"), "e1"), ("e2", ("a", "b"), "e2")),
+        edges=(("e1", ("a", "b")), ("e2", ("a", "b"))),
     )
     loop = GraphOfGroups(
-        rank=2, vertices=(("a", 1),), edges=(("e1", ("a", "a"), "e1"),),
+        rank=2, vertices=(("a", 1),), edges=(("e1", ("a", "a")),),
     )
     assert canonical_form(bigon) != canonical_form(loop)
     ranked = GraphOfGroups(
         rank=3, vertices=(("a", 1), ("b", 1)),
-        edges=(("e1", ("a", "b"), "e1"), ("e2", ("a", "b"), "e2")),
+        edges=(("e1", ("a", "b")), ("e2", ("a", "b"))),
     )
     assert canonical_form(bigon) != canonical_form(ranked)
     assert canonical_form(bigon, include_ranks=False) == canonical_form(ranked, include_ranks=False)

@@ -93,6 +93,9 @@ def test_pair_compatible_verdicts(capsys):
     ("pair-crossing", "x2+,x3-", "x1-,x2+"),
     ("pair-compatible", "x1-,x2+", "x2-,x3+"),
     ("pair-non-ideal", "x1+,x1-", "x2+"),
+    # Both partitions of petal 2: one splitting, so every relation but
+    # compatibility stays null or false.
+    ("pair-one-splitting", "x2+", "x2-"),
 ])
 def test_pair_stdout_is_byte_identical_to_the_golden_file(capsys, name, p, q):
     # The files pin the whole verdict, corner sets included, byte for byte.

@@ -58,8 +58,14 @@ def test_pair_predicates_match_the_oracle_on_every_ordered_pair(rank):
         assert compatible(p, q) != oracle.crosses(p, q)
         corners = tuple(oracle.side(rank, k) for k in corner_masks(p, q))
         assert corners == oracle.corner_sets(p, q)
-        assert is_cagey(p, q) == oracle.is_cagey(p, q)
-        if p != q:
+        if class_of(p) == class_of(q):
+            # p itself, or {xi+} against {xi-}: one splitting named twice.
+            assert oracle.class_of(p) == oracle.class_of(q) and not oracle.is_cagey(p, q)
+            for relation in (is_cagey, rose_compatible, circle_compatible):
+                with pytest.raises(ValueError, match="distinct splittings"):
+                    relation(p, q)
+        else:
+            assert is_cagey(p, q) == oracle.is_cagey(p, q)
             assert rose_compatible(p, q) == oracle.rose_compatible(p, q)
             assert circle_compatible(p, q) == oracle.circle_compatible(p, q)
 

@@ -1,12 +1,15 @@
 """Each library module uses only the public names of the others, every
 public function and class has a reader, every export is read or documented,
-and importing the CLI loads no ``dataclasses`` or what it pulls in."""
+each relation has one function, and importing the CLI loads no
+``dataclasses`` or what it pulls in."""
 
 import ast
 import os
 import re
 import subprocess
 import sys
+
+from freesplit import partitions
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "freesplit")
 BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
@@ -53,6 +56,45 @@ def test_every_public_function_and_class_has_a_reader():
         and not node.name.startswith("_")
         and node.name not in read | exported
     ]
+    assert unread == []
+
+
+def test_the_class_bindings_are_the_relations_themselves():
+    assert partitions.classes_compatible is partitions.compatible
+    assert partitions.classes_rose_compatible is partitions.rose_compatible
+    assert partitions.classes_cagey is partitions.is_cagey
+
+
+def test_no_module_but_partitions_reads_a_class_binding():
+    # The library calls each relation by its one name; the classes_* names
+    # are kept for the benchmark alone.
+    reads = [
+        "%s:%s" % (name, read)
+        for name, tree in _trees(SRC).items() if name != "partitions.py"
+        for read in sorted(_reads(tree) | {node.name for node in ast.walk(tree)
+                                           if isinstance(node, ast.alias)})
+        if read.startswith("classes_")
+    ]
+    assert reads == []
+
+
+def test_every_second_name_of_a_function_is_read_by_the_benchmark():
+    # A module-level name bound to another public function of its module is
+    # kept only while the benchmark calls it; once nothing there reads it,
+    # delete the binding.
+    bench_reads = set().union(*map(_reads, _trees(BENCH).values()))
+    unread = []
+    for name, tree in _trees(SRC).items():
+        functions = {node.name for node in tree.body
+                     if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+        unread += [
+            "%s:%s" % (name, target.id)
+            for node in tree.body
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name)
+            and node.value.id in functions
+            for target in node.targets
+            if isinstance(target, ast.Name) and target.id not in bench_reads
+        ]
     assert unread == []
 
 

@@ -7,6 +7,7 @@ import partition_oracle as oracle
 from freesplit.partitions import (
     Partition,
     bit_positions,
+    circle_compatible,
     class_key,
     class_mask,
     class_of,
@@ -188,6 +189,11 @@ def test_rose_compatibility_is_alignment_independent():
     # Evaluate the separating condition on every valid alignment.
     edges = enumerate_ideal_edges(3)
     for p, q in itertools.combinations(edges, 2):
+        if class_of(p) == class_of(q):
+            # {xi+} and {xi-}: one splitting named twice is refused.
+            with pytest.raises(ValueError, match="distinct splittings"):
+                rose_compatible(p, q)
+            continue
         for a, b in oracle.all_alignments(p, q):
             assert oracle.separates_some_pair(a | b, 3) == rose_compatible(p, q)
 
@@ -227,7 +233,7 @@ def test_rose_compatible_requires_ideal_inputs():
 
 def test_rose_compatible_requires_distinct_partitions():
     p = P(3, "x1-,x2+")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rose compatibility is defined for distinct splittings"):
         rose_compatible(p, p)
 
 
@@ -399,6 +405,20 @@ def test_class_predicates_see_both_petal_partitions_as_one_splitting():
     assert classes_cagey(minus, thick) is False
 
 
+def test_every_relation_but_compatibility_refuses_one_splitting_named_twice():
+    refusing = (rose_compatible, is_cagey, circle_compatible,
+                classes_rose_compatible, classes_cagey)
+    for rank in (3, 4):
+        for i in range(1, rank + 1):
+            plus = Partition(rank, direction_bit(i, 1))
+            minus = Partition(rank, direction_bit(i, -1))
+            for p, q in ((plus, minus), (minus, plus), (minus, minus)):
+                assert compatible(p, q) and classes_compatible(p, q)
+                for relation in refusing:
+                    with pytest.raises(ValueError, match="is defined for distinct splittings"):
+                        relation(p, q)
+
+
 # ---------------------------------------------------------------------------
 # invariants, exhaustively at rank 3
 # ---------------------------------------------------------------------------
@@ -408,9 +428,16 @@ def test_symmetry_dichotomy_and_implications_rank3():
     edges = enumerate_ideal_edges(3)
     for p, q in itertools.combinations(edges, 2):
         assert crosses(p, q) == crosses(q, p)
+        assert crosses(p, q) != compatible(p, q)
+        if class_of(p) == class_of(q):
+            assert compatible(p, q)
+            for relation in (rose_compatible, is_cagey):
+                for pair in ((p, q), (q, p)):
+                    with pytest.raises(ValueError, match="distinct splittings"):
+                        relation(*pair)
+            continue
         assert rose_compatible(p, q) == rose_compatible(q, p)
         assert is_cagey(p, q) == is_cagey(q, p)
-        assert crosses(p, q) != compatible(p, q)
         if rose_compatible(p, q):
             assert not crosses(p, q)
         if is_cagey(p, q):
@@ -439,7 +466,12 @@ def test_equivariance_under_all_signed_permutations_rank3():
             assert crosses(gp, gq) == crosses(p, q)
             assert is_thick(gp) == is_thick(p)
             assert is_ideal(gp) == is_ideal(p)
-            if gp != gq:
+            if class_of(p) == class_of(q):
+                assert class_of(gp) == class_of(gq)
+                for relation in (rose_compatible, is_cagey):
+                    with pytest.raises(ValueError, match="distinct splittings"):
+                        relation(gp, gq)
+            else:
                 assert rose_compatible(gp, gq) == rose_compatible(p, q)
                 assert is_cagey(gp, gq) == is_cagey(p, q)
 
@@ -468,7 +500,10 @@ def test_pair_invariants_random_ranks(pair):
     assert sum(corners) == full_mask(p.rank)
     assert corners[0] | corners[1] | corners[2] | corners[3] == full_mask(p.rank)
     assert crosses(p, q) == all(bool(c) for c in corners)
-    if is_ideal(p) and is_ideal(q) and p != q:
+    if is_ideal(p) and is_ideal(q) and class_of(p) == class_of(q):
+        with pytest.raises(ValueError, match="distinct splittings"):
+            rose_compatible(p, q)
+    elif is_ideal(p) and is_ideal(q):
         assert rose_compatible(p, q) == rose_compatible(q, p)
         if rose_compatible(p, q):
             ((a, b),) = oracle.all_alignments(p, q)

@@ -99,7 +99,6 @@ class VerificationReport:
     rank: Optional[int]
     cases_checked: int
     failures: Tuple[str, ...]
-    elapsed_s: float
     details: tuple = ()
 
 
@@ -117,7 +116,7 @@ CLASSES = [
     (freegroup.FreeAutomorphism, FreeAutomorphism, ("rank", "images", "inverse_images")),
     (freegroup.WhiteheadGraph, WhiteheadGraph, ("rank", "rows")),
     (verify.VerificationReport, VerificationReport,
-     ("lemma", "rank", "cases_checked", "failures", "elapsed_s", "details")),
+     ("lemma", "rank", "cases_checked", "failures", "details")),
 ]
 #: The classes whose cached readers keep a __dict__.
 WITH_DICT = (blowup.ShapeReport, complexes.SplittingGraph)
@@ -169,10 +168,10 @@ def _samples():
             (3, freegroup.whitehead_graph(w).rows), (3, ((0, 1), (1, 0))), (2, ((0, 1), (1, 0))),
         ],
         verify.VerificationReport: [
-            ("three-rose", 3, 9, (), 0.5),
-            ("three-rose", 3, 9, (), 0.5, ()),
-            ("three-rose", 3, 9, ("tau1/sigma2 not compatible",), 0.5, (("k", 1),)),
-            ("whitehead-factor", None, 9, (), 0.25),
+            ("three-rose", 3, 9, ()),
+            ("three-rose", 3, 9, (), ()),
+            ("three-rose", 3, 9, ("tau1/sigma2 not compatible",), (("k", 1),)),
+            ("whitehead-factor", None, 9, ()),
         ],
     }
 

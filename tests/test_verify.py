@@ -107,7 +107,7 @@ def test_clique_rank3_reports_nontrivial_vertex_groups(monkeypatch):
     # A rank-3 cage or theta has trivial vertex groups by rank conservation,
     # so only a quotient of another shape can carry a rank-1 vertex.
     three_edges = GraphOfGroups(rank=3, vertices=(("v0", 0), ("v1", 1)), edges=tuple(
-        ("e%d" % i, ("v0", "v1"), "e%d" % i) for i in range(3)))
+        ("e%d" % i, ("v0", "v1")) for i in range(3)))
     monkeypatch.setattr(verify, "blow_up", lambda family, rank: three_edges)
     failures = verify_clique_rank3().failures
     assert sum(f.startswith("4-clique has nontrivial vertex groups: ") for f in failures) == 328
@@ -393,6 +393,14 @@ def test_battery_covers_every_verifier_and_repeats_bytewise():
     assert first == second
 
 
+def test_equal_runs_give_equal_reports():
+    # A report holds no clock, so two runs compare equal as values too.
+    first, second = run_battery(), run_battery()
+    assert len(first) == len(second) == len(BATTERY)
+    for a, b in zip(first, second):
+        assert a == b
+
+
 def test_battery_output_matches_the_benchmark_reference():
     # The benchmark checks `freesplit verify battery` stdout against this file.
     reference = Path(__file__).resolve().parents[1] / "bench" / "reference" / "battery.json"
@@ -422,9 +430,9 @@ def test_the_battery_runs_no_separating_edge_scan(monkeypatch):
     calls = []
     real = GraphOfGroups.disconnects_without
 
-    def counting_disconnects_without(graph, edge_ids):
+    def counting_disconnects_without(graph, labels):
         calls.append(graph)
-        return real(graph, edge_ids)
+        return real(graph, labels)
 
     monkeypatch.setattr(GraphOfGroups, "disconnects_without", counting_disconnects_without)
     run_battery()

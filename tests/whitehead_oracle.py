@@ -315,6 +315,5 @@ def reference_whitehead_factor(a_rank, w, max_len, mutated=False):
         rank=a_rank + 1,
         cases_checked=len(elements),
         failures=failures,
-        elapsed_s=0.0,
         details=(("elements", len(elements)), ("max_len", max_len)),
     )
