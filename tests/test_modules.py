@@ -78,26 +78,6 @@ def test_no_module_but_partitions_reads_a_class_binding():
     assert reads == []
 
 
-def test_every_second_name_of_a_function_is_read_by_the_benchmark():
-    # A module-level name bound to another public function of its module is
-    # kept only while the benchmark calls it; once nothing there reads it,
-    # delete the binding.
-    bench_reads = set().union(*map(_reads, _trees(BENCH).values()))
-    unread = []
-    for name, tree in _trees(SRC).items():
-        functions = {node.name for node in tree.body
-                     if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
-        unread += [
-            "%s:%s" % (name, target.id)
-            for node in tree.body
-            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name)
-            and node.value.id in functions
-            for target in node.targets
-            if isinstance(target, ast.Name) and target.id not in bench_reads
-        ]
-    assert unread == []
-
-
 def _library_use_names():
     """The names in backticks in README's ``## Library use`` section."""
     with open(README, encoding="utf-8") as handle:

@@ -388,17 +388,11 @@ def test_battery_covers_every_verifier_and_repeats_bytewise():
         "rigid-blowup", "three-rose", "clique-rank-3",
         "boundary-types", "cagey-equivalence", "whitehead-factor",
     }
-    first = battery_json(run_battery())
-    second = battery_json(run_battery())
-    assert first == second
-
-
-def test_equal_runs_give_equal_reports():
     # A report holds no clock, so two runs compare equal as values too.
     first, second = run_battery(), run_battery()
     assert len(first) == len(second) == len(BATTERY)
-    for a, b in zip(first, second):
-        assert a == b
+    assert first == second
+    assert battery_json(first) == battery_json(second)
 
 
 def test_battery_output_matches_the_benchmark_reference():
