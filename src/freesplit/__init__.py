@@ -37,7 +37,6 @@ from .blowup import (
 from .freegroup import (
     CyclicWord,
     FreeAutomorphism,
-    WhiteheadGraph,
     Word,
     connected_no_cutvertex,
     is_simple,

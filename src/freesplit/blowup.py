@@ -11,7 +11,6 @@ the Euler identity  (#edges - #vertices + 1) + sum of vertex ranks = N.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .partitions import (
@@ -68,15 +67,6 @@ class GraphOfGroups(Value):
 
     # -- basic structure ---------------------------------------------------
 
-    def degree(self, vid: str) -> int:
-        deg = 0
-        for _, (u, v) in self.edges:
-            if u == vid:
-                deg += 1
-            if v == vid:
-                deg += 1
-        return deg
-
     def loops(self) -> Tuple[str, ...]:
         return tuple(label for label, (u, v) in self.edges if u == v)
 
@@ -90,7 +80,12 @@ class GraphOfGroups(Value):
         return tuple(sorted(counts.values()))
 
     def valence_profile(self) -> Tuple[int, ...]:
-        return tuple(sorted(self.degree(vid) for vid, _ in self.vertices))
+        """Sorted vertex degrees; a loop adds two to its vertex."""
+        degree = {vid: 0 for vid, _ in self.vertices}
+        for _, (u, v) in self.edges:
+            degree[u] += 1
+            degree[v] += 1
+        return tuple(sorted(degree.values()))
 
     def _connected(self, skip: frozenset = frozenset()) -> bool:
         if not self.vertices:
@@ -243,50 +238,37 @@ def blow_up(family: Iterable[Partition], rank: int) -> GraphOfGroups:
 class ShapeReport(Value):
     """Structural summary of a quotient graph of groups.
 
-    ``valence_profile`` and the two separation flags are computed from
-    ``graph`` on first read, so a reader of the ranks or of the rose, cage
-    and theta tests pays no O(E^2) separating-edge scan.  Equality, hash and
-    repr use the four eager fields only; the cached readers keep their
-    values in the instance ``__dict__``.
+    ``graph`` is kept beside the four fields and takes no part in the value.
+    Only ``to_json`` reads valences and separating edges off it, so a reader
+    of the ranks or of the rose, cage and theta tests pays no O(E^2) scan.
     """
 
     _fields = ("vertex_ranks", "rose", "cage", "theta_with_loop")
-    __slots__ = _fields + ("graph", "__dict__")
+    __slots__ = _fields + ("graph",)
 
     def __init__(self, vertex_ranks: Tuple[int, ...], rose: Optional[int],
                  cage: Optional[int], theta_with_loop: bool, graph: GraphOfGroups):
         super().__init__(vertex_ranks, rose, cage, theta_with_loop, graph)
 
-    @cached_property
-    def valence_profile(self) -> Tuple[int, ...]:
-        return self.graph.valence_profile()
-
-    @cached_property
-    def has_separating_edge(self) -> bool:
-        return any(self.graph.disconnects_without([label]) for label, _ in self.graph.edges)
-
-    @cached_property
-    def has_separating_edge_pair(self) -> bool:
-        return any(
-            self.graph.disconnects_without([a, b])
-            for (a, _), (b, _) in itertools.combinations(self.graph.edges, 2)
-        )
-
     def to_json(self) -> dict:
+        g = self.graph
         return {
-            "valence_profile": list(self.valence_profile),
+            "valence_profile": list(g.valence_profile()),
             "vertex_ranks": list(self.vertex_ranks),
             "rose": self.rose,
             "cage": self.cage,
             "theta_with_loop": self.theta_with_loop,
-            "has_separating_edge": self.has_separating_edge,
-            "has_separating_edge_pair": self.has_separating_edge_pair,
+            "has_separating_edge": any(g.disconnects_without([a]) for a, _ in g.edges),
+            "has_separating_edge_pair": any(
+                g.disconnects_without([a, b])
+                for (a, _), (b, _) in itertools.combinations(g.edges, 2)
+            ),
         }
 
 
 def classify_shape(g: GraphOfGroups) -> ShapeReport:
     """Report ranks and rose/cage/theta recognition; valences and separating
-    edges are read lazily off the report."""
+    edges are computed by the report's ``to_json``."""
     n_vertices = len(g.vertices)
     n_edges = len(g.edges)
     loops = len(g.loops())
@@ -326,12 +308,13 @@ BOUNDARY_TAGS = tuple(_BOUNDARY_SHAPES.values())
 
 
 class BoundaryType(Value):
-    """Classified boundary splitting of a crossing ideal pair."""
+    """Classified boundary splitting of a crossing ideal pair: ``tag`` names
+    the quotient ``blow_up(family, rank)`` of its corner classes."""
 
-    __slots__ = _fields = ("tag", "graph", "family")
+    __slots__ = _fields = ("tag", "family")
 
-    def __init__(self, tag: str, graph: GraphOfGroups, family: Tuple[Partition, ...]):
-        super().__init__(tag, graph, family)
+    def __init__(self, tag: str, family: Tuple[Partition, ...]):
+        super().__init__(tag, family)
 
 
 def boundary_classes(p: Partition, q: Partition) -> Tuple[Partition, ...]:
@@ -352,14 +335,13 @@ def boundary_splitting(p: Partition, q: Partition) -> BoundaryType:
     """Blow up the rose along the corner classes of a crossing pair and classify.
 
     The result depends only on the corner classes (``blow_up`` is canonical
-    in its family), so pairs that share them share their boundary type.
-    The quotient is returned alongside its tag, one of the six shapes in
-    :data:`BOUNDARY_TAGS`.  Raises ``ValueError`` when the family does not
-    blow up or its quotient is none of the six.
+    in its family), so pairs that share them share their boundary type,
+    one of the six shapes in :data:`BOUNDARY_TAGS`.  Raises ``ValueError``
+    when the family does not blow up or its quotient is none of the six.
     """
     family = boundary_classes(p, q)
     graph = blow_up(family, p.rank)
     shape = (len(graph.loops()), graph.bundles())
     if shape not in _BOUNDARY_SHAPES:
         raise ValueError("unrecognized boundary shape: loops=%d bundles=%r" % shape)
-    return BoundaryType(tag=_BOUNDARY_SHAPES[shape], graph=graph, family=family)
+    return BoundaryType(tag=_BOUNDARY_SHAPES[shape], family=family)

@@ -15,8 +15,7 @@ deterministic so verification logs reproduce.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 from .blowup import blow_up
 from .partitions import (
@@ -30,10 +29,11 @@ from .values import Value
 
 
 class SplittingGraph(Value):
-    """The rose graph on splitting classes; its cached readers use ``__dict__``."""
+    """The rose graph on splitting classes; the constructor also builds its
+    ``adjacency`` rows and vertex index, which take no part in the value."""
 
     _fields = ("rank", "mode", "vertices", "edges")
-    __slots__ = _fields + ("__dict__",)
+    __slots__ = _fields + ("adjacency", "_index")
 
     def __init__(self, rank: int,
                  mode: str,  # always "ens": rose edges only
@@ -41,25 +41,16 @@ class SplittingGraph(Value):
                  edges: Tuple[Tuple[int, int, str], ...]):  # (i, j, "rose") with i < j
         if mode != "ens":
             raise ValueError("mode must be 'ens'")
+        rows = [0] * len(vertices)
         for i, j, kind in edges:
             if not (0 <= i < j < len(vertices)):
                 raise ValueError("bad edge endpoints (%d, %d)" % (i, j))
             if kind != "rose":
                 raise ValueError("bad edge kind %r" % (kind,))
-        super().__init__(rank, mode, vertices, edges)
-
-    @cached_property
-    def adjacency(self) -> Tuple[int, ...]:
-        """One int row per vertex: bit j of row i is set iff {i, j} is an edge."""
-        rows = [0] * len(self.vertices)
-        for i, j, _ in self.edges:
             rows[i] |= 1 << j
             rows[j] |= 1 << i
-        return tuple(rows)
-
-    @cached_property
-    def _index(self) -> Dict[Partition, int]:
-        return {cls: n for n, cls in enumerate(self.vertices)}
+        index = {cls: n for n, cls in enumerate(vertices)}
+        super().__init__(rank, mode, vertices, edges, tuple(rows), index)
 
     def index_of(self, cls: Partition) -> int:
         """The index of the vertex holding the class of ``cls``."""
@@ -160,17 +151,16 @@ def is_rose_family(classes: Iterable[Partition], rank: int) -> bool:
     return len(graph.vertices) == 1
 
 
-def rose_vertices(rank: int,
-                  graph: Optional[SplittingGraph] = None) -> List[Tuple[Partition, ...]]:
-    """All N-subsets of universe classes forming an N-rose, at rank 3 or 4.
+def rose_vertices(graph: SplittingGraph) -> List[Tuple[Partition, ...]]:
+    """All N-cliques of ``graph`` forming an N-rose, at rank 3 or 4.
 
+    On the universe graph ``build_star_graph(N)`` these are all the N-roses.
     A rose is the tuple of its classes in vertex order; it blows up to an
     N-rose with trivial vertex ranks.
     """
+    rank = graph.rank
     if rank not in (3, 4):
         raise ValueError("rose vertices are enumerated at ranks 3 and 4 only")
-    if graph is None:
-        graph = build_star_graph(rank)
     out = []
     for indices in cliques_within(graph, (1 << len(graph.vertices)) - 1, rank):
         fam = tuple(graph.vertices[i] for i in indices)
@@ -216,7 +206,7 @@ def k_graph_local(rank: int) -> KLocalGraph:
         raise ValueError("the local rose graph is built exhaustively at rank 3 only")
     graph = build_star_graph(rank)
     adj = graph.adjacency
-    roses = rose_vertices(rank, graph=graph)
+    roses = rose_vertices(graph)
     members = [[graph.index_of(c) for c in r] for r in roses]
     masks = [sum(1 << i for i in m) for m in members]
     edges = []

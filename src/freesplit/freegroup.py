@@ -329,21 +329,6 @@ def _wh_image(g: int, A: frozenset, a: int) -> Tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-class WhiteheadGraph(Value):
-    """Graph on the 2N signed letters recording adjacencies of a cyclic word.
-
-    Each cyclically adjacent letter pair (u, v) contributes the edge
-    {u, v^-1} with multiplicity.  ``rows`` is the 2N x 2N multiplicity
-    matrix, indexed by vertex index (see _bit).  Cyclic reduction rules out
-    loop edges, and the total multiplicity equals the cyclic word length.
-    """
-
-    __slots__ = _fields = ("rank", "rows")
-
-    def __init__(self, rank: int, rows: Tuple[Tuple[int, ...], ...]):
-        super().__init__(rank, rows)
-
-
 def _multiplicities(rank: int, cyc: Sequence[int]) -> List[List[int]]:
     """Whitehead-graph multiplicity rows of a cyclically reduced word."""
     mult = [[0] * (2 * rank) for _ in range(2 * rank)]
@@ -354,15 +339,22 @@ def _multiplicities(rank: int, cyc: Sequence[int]) -> List[List[int]]:
     return mult
 
 
-def whitehead_graph(w: Word) -> WhiteheadGraph:
-    """Whitehead graph of a nontrivial word's cyclic reduction."""
+def whitehead_graph(w: Word) -> Tuple[Tuple[int, ...], ...]:
+    """Whitehead graph of a nontrivial word's cyclic reduction, as its rows.
+
+    The graph is on the 2N signed letters: each cyclically adjacent letter
+    pair (u, v) contributes the edge {u, v^-1} with multiplicity.  The rows
+    are the 2N x 2N multiplicity matrix, indexed by vertex index (see
+    _bit).  Cyclic reduction rules out loop edges, and the total
+    multiplicity equals the cyclic word length.
+    """
     if w.is_trivial():
         raise ValueError("Whitehead graph of the trivial word is undefined")
     mult = _multiplicities(w.rank, cyclic_reduce_letters(w.letters))
-    return WhiteheadGraph(w.rank, tuple(map(tuple, mult)))
+    return tuple(map(tuple, mult))
 
 
-def connected_no_cutvertex(g: WhiteheadGraph) -> bool:
+def connected_no_cutvertex(rows: Sequence[Sequence[int]]) -> bool:
     """Connectivity and absence of cut vertices, on the full 2N-vertex set.
 
     Letters that do not occur in the word are isolated vertices, so a word
@@ -370,7 +362,7 @@ def connected_no_cutvertex(g: WhiteheadGraph) -> bool:
     the graph's use as a nonsimplicity certificate.  Vertex sets are
     bitsets over the vertex indices.
     """
-    adj = [sum(1 << b for b, m in enumerate(row) if m) for row in g.rows]
+    adj = [sum(1 << b for b, m in enumerate(row) if m) for row in rows]
 
     def connected(subset: int) -> bool:
         seen = todo = subset & -subset
@@ -482,8 +474,7 @@ def is_simple(w: Word) -> bool:
     if w.is_trivial():
         raise ValueError("simplicity of the trivial word is undefined")
     minimized = whitehead_minimize(w)
-    graph = whitehead_graph(minimized.as_word())
-    return not connected_no_cutvertex(graph)
+    return not connected_no_cutvertex(whitehead_graph(minimized.as_word()))
 
 
 # ---------------------------------------------------------------------------

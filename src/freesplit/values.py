@@ -16,10 +16,12 @@ class Value:
 
     A subclass names the fields that make its value in ``_fields``: equality
     and hashing read them as one tuple, and ``repr`` shows them as
-    ``Name(field=value, ...)``.  It stores them, and any derived attributes
-    after them, in ``__slots__``.  Its ``__init__`` checks its arguments and
-    passes the values to ``Value.__init__`` in slot order; after that,
-    assignment and deletion raise ``AttributeError``.
+    ``Name(field=value, ...)``.  It stores them in ``__slots__``, then any
+    attributes kept beside them outside the value; no value has a
+    ``__dict__``.  Its ``__init__`` checks its arguments, derives what it
+    keeps, and passes everything to ``Value.__init__`` in slot order; after
+    that, assignment and deletion raise ``AttributeError``.  A subclass
+    whose fields may hold lists or dicts sets ``__hash__ = None``.
     """
 
     __slots__ = ()

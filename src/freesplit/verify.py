@@ -35,6 +35,7 @@ class VerificationReport(Value):
     """One verifier run: its cases, failure witnesses and details."""
 
     __slots__ = _fields = ("lemma", "rank", "cases_checked", "failures", "details")
+    __hash__ = None  # detail values may be lists or dicts
 
     def __init__(self, lemma: str, rank: Optional[int], cases_checked: int,
                  failures: Tuple[str, ...], details: Tuple[Tuple[str, object], ...] = ()):

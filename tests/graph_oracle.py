@@ -24,15 +24,18 @@ def canonical_form(g: GraphOfGroups, include_ranks: bool = True) -> Tuple:
     """
     vids = [vid for vid, _ in g.vertices]
     loops_at: Dict[str, int] = {vid: 0 for vid in vids}
+    degree: Dict[str, int] = {vid: 0 for vid in vids}
     adj: Dict[str, List[str]] = {vid: [] for vid in vids}
     for _, (u, v) in g.edges:
+        degree[u] += 1
+        degree[v] += 1
         if u == v:
             loops_at[u] += 1
         else:
             adj[u].append(v)
             adj[v].append(u)
     base = {
-        vid: (r if include_ranks else 0, g.degree(vid), loops_at[vid])
+        vid: (r if include_ranks else 0, degree[vid], loops_at[vid])
         for vid, r in g.vertices
     }
 

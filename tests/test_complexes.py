@@ -125,13 +125,13 @@ def test_known_cagey_pair_has_a_witness(ens3):
 
 
 def test_base_rose_is_a_rose_vertex(ens3):
-    roses = rose_vertices(3, graph=ens3)
+    roses = rose_vertices(ens3)
     base = {petal_class(3, i) for i in (1, 2, 3)}
     assert any(set(r) == base for r in roses)
 
 
 def test_mixed_rose_vertex_appears(ens3):
-    roses = rose_vertices(3, graph=ens3)
+    roses = rose_vertices(ens3)
     mixed = {
         class_of(chain_partition(3, 1)),
         class_of(chain_partition(3, 2)),
@@ -142,7 +142,7 @@ def test_mixed_rose_vertex_appears(ens3):
 
 
 def test_rose_vertices_blow_up_to_roses(ens3):
-    for r in rose_vertices(3, graph=ens3)[:40]:
+    for r in rose_vertices(ens3)[:40]:
         report = classify_shape(blow_up(list(r), 3))
         assert report.rose == 3
         assert report.vertex_ranks == (0,)
@@ -179,13 +179,13 @@ def test_rose_test_agrees_with_the_shape_report(ens3):
 
 def test_rank_guard_for_rose_enumeration():
     with pytest.raises(ValueError):
-        rose_vertices(5)
+        rose_vertices(SplittingGraph(5, "ens", (), ()))
     with pytest.raises(ValueError):
         k_graph_local(4)
 
 
 def test_rank4_rose_scan_is_exhaustive():
-    roses = rose_vertices(4)
+    roses = rose_vertices(build_star_graph(4))
     assert len(roses) == 22809
     assert len({frozenset(r) for r in roses}) == 22809
     for r in roses[:10]:

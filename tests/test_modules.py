@@ -1,7 +1,8 @@
 """Each library module uses only the public names of the others, every
 public function and class has a reader, every export is read or documented,
-each relation has one function, and importing the CLI loads no
-``dataclasses`` or what it pulls in."""
+each relation has one function, no module caches a reader with
+``cached_property``, and importing the CLI loads no ``dataclasses`` or what
+it pulls in."""
 
 import ast
 import os
@@ -139,6 +140,18 @@ def test_no_module_imports_dataclasses():
             and (node.module or "").split(".")[0] == "dataclasses")
     ]
     assert imports == []
+
+
+def test_no_module_imports_cached_property():
+    # A value keeps what it derives in slots set by its constructor.
+    uses = [
+        "%s:%d" % (name, node.lineno)
+        for name, tree in _trees(SRC).items() for node in ast.walk(tree)
+        if (isinstance(node, ast.ImportFrom)
+            and any(alias.name == "cached_property" for alias in node.names))
+        or (isinstance(node, ast.Attribute) and node.attr == "cached_property")
+    ]
+    assert uses == []
 
 
 def test_importing_the_cli_loads_no_dataclasses_machinery():

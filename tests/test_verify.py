@@ -393,6 +393,10 @@ def test_battery_covers_every_verifier_and_repeats_bytewise():
     assert len(first) == len(second) == len(BATTERY)
     assert first == second
     assert battery_json(first) == battery_json(second)
+    # Details may hold lists and dicts, so every report refuses hashing alike.
+    for report in first:
+        with pytest.raises(TypeError):
+            hash(report)
 
 
 def test_battery_output_matches_the_benchmark_reference():
@@ -419,8 +423,8 @@ def test_the_battery_blows_up_boundary_pairs_once_per_orbit(monkeypatch):
 
 
 def test_the_battery_runs_no_separating_edge_scan(monkeypatch):
-    # No battery statement reads a separating edge, so classify_shape's
-    # lazy scans must stay unread: three-rose reads only the sigma rose.
+    # No battery statement reads a separating edge, so the scans in
+    # ShapeReport.to_json must stay unrun: three-rose reads only the sigma rose.
     calls = []
     real = GraphOfGroups.disconnects_without
 
