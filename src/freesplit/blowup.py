@@ -45,6 +45,8 @@ class GraphOfGroups(Value):
 
     def __init__(self, rank: int, vertices: Tuple[Tuple[str, int], ...],
                  edges: Tuple[Tuple[str, Tuple[str, str]], ...]):
+        if rank < 1 or not vertices or min(r for _, r in vertices) < 0:
+            raise ValueError("graph of groups needs rank >= 1, a vertex, and free ranks >= 0")
         super().__init__(rank, vertices, edges)
         ids = [vid for vid, _ in self.vertices]
         if len(set(ids)) != len(ids):
@@ -88,8 +90,6 @@ class GraphOfGroups(Value):
         return tuple(sorted(degree.values()))
 
     def _connected(self, skip: frozenset = frozenset()) -> bool:
-        if not self.vertices:
-            return True
         neighbours: Dict[str, List[str]] = {}
         for label, (u, v) in self.edges:
             if label not in skip and u != v:
@@ -249,6 +249,9 @@ class ShapeReport(Value):
     def __init__(self, vertex_ranks: Tuple[int, ...], rose: Optional[int],
                  cage: Optional[int], theta_with_loop: bool, graph: GraphOfGroups):
         super().__init__(vertex_ranks, rose, cage, theta_with_loop, graph)
+
+    def __reduce__(self):
+        return ShapeReport, (*self._key(self), self.graph)
 
     def to_json(self) -> dict:
         g = self.graph

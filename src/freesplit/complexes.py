@@ -50,6 +50,8 @@ class SplittingGraph(Value):
             rows[i] |= 1 << j
             rows[j] |= 1 << i
         index = {cls: n for n, cls in enumerate(vertices)}
+        if len(index) != len(vertices) or any(class_of(c) != c for c in vertices):
+            raise ValueError("vertices must be distinct splitting classes")
         super().__init__(rank, mode, vertices, edges, tuple(rows), index)
 
     def index_of(self, cls: Partition) -> int:

@@ -65,6 +65,10 @@ def canonical_cycle(letters: Sequence[int]) -> Tuple[int, ...]:
     return letters[k:] + letters[:k]
 
 
+def _cyclic_canon(letters: Sequence[int]) -> Tuple[int, ...]:
+    return canonical_cycle(cyclic_reduce_letters(letters))
+
+
 _TOKEN = re.compile(r"\s*([xX])([0-9]+)")
 
 
@@ -143,20 +147,13 @@ class CyclicWord(Value):
         for l in letters:
             if not 1 <= abs(l) <= rank:
                 raise ValueError("letter %d out of range for rank %d" % (l, rank))
-        if letters != canonical_cycle(cyclic_reduce_letters(free_reduce(letters))):
+        if letters != _cyclic_canon(free_reduce(letters)):
             raise ValueError("letters are not a canonical cyclic form")
         super().__init__(rank, letters)
 
     @classmethod
-    def _trusted(cls, rank: int, letters: Tuple[int, ...]) -> "CyclicWord":
-        """A cyclic word built unchecked, from the canonical cycle of a valid word."""
-        cyc = object.__new__(cls)
-        Value.__init__(cyc, rank, letters)
-        return cyc
-
-    @classmethod
     def of(cls, w: Word) -> "CyclicWord":
-        return cls._trusted(w.rank, canonical_cycle(cyclic_reduce_letters(w.letters)))
+        return cls._trusted(w.rank, _cyclic_canon(w.letters))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -173,7 +170,8 @@ class CyclicWord(Value):
 class FreeAutomorphism(Value):
     """A basis-image automorphism with a verified inverse and its letter table (_letter_table).
 
-    ``table`` and the paired inverse take no part in equality, hash or repr.
+    The inverse is built with the map, unchecked from the same checked tables,
+    and paired back; ``table`` and the inverse take no part in equality, hash or repr.
     """
 
     _fields = ("rank", "images", "inverse_images")
@@ -197,7 +195,8 @@ class FreeAutomorphism(Value):
                 raise ValueError("stored inverse does not invert the map on x%d" % i)
             if _substitute_letters(table, backward[i]) != (i,):
                 raise ValueError("stored inverse is not a right inverse on x%d" % i)
-        super().__init__(rank, images, inverse_images, table, None)
+        inverse = self._trusted(rank, inverse_images, images, backward, self)
+        super().__init__(rank, images, inverse_images, table, inverse)
 
     def apply(self, w: Word) -> Word:
         if w.rank != self.rank:
@@ -206,11 +205,7 @@ class FreeAutomorphism(Value):
         return Word(w.rank, _substitute_letters(self.table, w.letters))
 
     def inverse(self) -> "FreeAutomorphism":
-        """The inverse map, built and verified on the first call; its inverse is self."""
-        if self._inverse is None:
-            inverse = FreeAutomorphism(self.rank, self.inverse_images, self.images)
-            object.__setattr__(inverse, "_inverse", self)
-            object.__setattr__(self, "_inverse", inverse)
+        """The inverse map, built with this one; its inverse is self."""
         return self._inverse
 
 
@@ -417,10 +412,6 @@ def _cut_capacities(mult: List[List[int]]) -> List[int]:
         deg = sum(row)
         cap += [c + deg - 2 * x for c, x in zip(cap, into)]
     return cap
-
-
-def _cyclic_canon(letters: Sequence[int]) -> Tuple[int, ...]:
-    return canonical_cycle(cyclic_reduce_letters(letters))
 
 
 def whitehead_minimize(w: Word) -> CyclicWord:

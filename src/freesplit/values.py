@@ -4,7 +4,7 @@ These are the methods ``@dataclass(frozen=True)`` would generate, written
 once: importing ``dataclasses`` loads ``inspect``, ``ast``, ``dis`` and
 ``tokenize``, and each decorated class compiles its methods from generated
 source, which together cost every command about 17 ms of start-up (see
-README, "Value classes").
+README, "Value classes").  Copies and pickles run the checked constructor.
 """
 
 from operator import attrgetter
@@ -17,10 +17,11 @@ class Value:
     A subclass names the fields that make its value in ``_fields``: equality
     and hashing read them as one tuple, and ``repr`` shows them as
     ``Name(field=value, ...)``.  It stores them in ``__slots__``, then any
-    attributes kept beside them outside the value; no value has a
-    ``__dict__``.  Its ``__init__`` checks its arguments, derives what it
-    keeps, and passes everything to ``Value.__init__`` in slot order; after
-    that, assignment and deletion raise ``AttributeError``.  A subclass
+    attributes kept beside them outside the value; no value has a ``__dict__``.
+    Its ``__init__`` checks its arguments, derives what it keeps, and passes
+    everything to ``Value.__init__`` in slot order; after that, assignment and
+    deletion raise ``AttributeError``.  A clone calls the class on its
+    ``_fields``, and ``_trusted`` is the one unchecked build.  A subclass
     whose fields may hold lists or dicts sets ``__hash__ = None``.
     """
 
@@ -33,6 +34,13 @@ class Value:
     def __init__(self, *values):
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _trusted(cls, *values):
+        """An instance built unchecked, from already checked values in slot order."""
+        value = object.__new__(cls)
+        Value.__init__(value, *values)
+        return value
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -52,7 +60,5 @@ class Value:
     def __delattr__(self, name):
         raise AttributeError("cannot delete field %r" % (name,))
 
-    def __setstate__(self, state):
-        """Restore a copied or unpickled instance past the frozen ``__setattr__``."""
-        for name, value in state[1].items():
-            object.__setattr__(self, name, value)
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self._fields)

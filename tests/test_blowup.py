@@ -209,6 +209,18 @@ def test_graph_validation_rejects_rank_violations():
         )
 
 
+@pytest.mark.parametrize("rank, vertices, edges", [
+    (1, (), ()),  # no vertex
+    (0, (("v0", 0),), ()),  # rank 0
+    (2, (("v0", -1),), tuple(("e%d" % i, ("v0", "v0")) for i in range(3))),  # free rank -1
+])
+def test_graph_validation_rejects_what_the_schema_refuses(rank, vertices, edges):
+    # Each of these conserves rank and would write JSON that
+    # graph_of_groups.schema.json refuses.
+    with pytest.raises(ValueError, match="rank >= 1, a vertex, and free ranks >= 0"):
+        GraphOfGroups(rank, vertices, edges)
+
+
 def test_graph_validation_rejects_a_repeated_edge_label():
     # Two edges named "e" would both be skipped by disconnects_without(["e"]),
     # so this bigon would report a separating edge it does not have.

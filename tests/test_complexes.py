@@ -63,6 +63,15 @@ def test_index_of_finds_a_petal_by_either_partition(ens3):
     assert ens3.index_of(Partition.parse(3, "x2+")) == petal2
 
 
+def test_vertices_must_be_distinct_classes(ens3):
+    p = ens3.vertices[3]
+    with pytest.raises(ValueError, match="distinct splitting classes"):
+        SplittingGraph(3, "ens", (p, p), ())
+    # {x2-} names petal 2, whose class is the partition {x2+}.
+    with pytest.raises(ValueError, match="distinct splitting classes"):
+        SplittingGraph(3, "ens", (Partition.parse(3, "x2-"), p), ())
+
+
 def test_mode_validation(ens3):
     with pytest.raises(ValueError, match="mode"):
         SplittingGraph(rank=3, mode="ns", vertices=ens3.vertices, edges=())

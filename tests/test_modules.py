@@ -1,7 +1,8 @@
 """Each library module uses only the public names of the others, every
 public function and class has a reader, every export is read or documented,
 each relation has one function, no module caches a reader with
-``cached_property``, and importing the CLI loads no ``dataclasses`` or what
+``cached_property``, values are built only by their constructors or
+``Value._trusted``, and importing the CLI loads no ``dataclasses`` or what
 it pulls in."""
 
 import ast
@@ -152,6 +153,35 @@ def test_no_module_imports_cached_property():
         or (isinstance(node, ast.Attribute) and node.attr == "cached_property")
     ]
     assert uses == []
+
+
+def _object_reads(tree, attr):
+    """(line, enclosing function name) of every read of ``object.<attr>``."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.Attribute) and node.attr == attr
+                and isinstance(node.value, ast.Name) and node.value.id == "object"):
+            found.append((node.lineno, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_values_are_built_only_by_constructors_or_value_trusted():
+    # Outside values.py nothing allocates a bare instance, and a slot is
+    # stored only inside an __init__, never after a constructor returns.
+    bare, late = [], []
+    for name, tree in _trees(SRC).items():
+        if name != "values.py":
+            bare += ["%s:%d" % (name, line) for line, _ in _object_reads(tree, "__new__")]
+            late += ["%s:%d" % (name, line) for line, function
+                     in _object_reads(tree, "__setattr__") if function != "__init__"]
+    assert bare == [] and late == []
 
 
 def test_importing_the_cli_loads_no_dataclasses_machinery():

@@ -276,6 +276,25 @@ def test_derived_slots_are_built_in_the_constructor():
     assert rebuilt.index_of(graph.vertices[2]) == 2
 
 
+def test_clones_are_built_by_the_constructor():
+    # Copy and pickle call the class on its fields, so derived slots are
+    # built afresh and an automorphism's clone is paired with its own inverse.
+    assert not hasattr(values.Value, "__setstate__")
+    phi = freegroup.nielsen(3, 1, 2)
+    assert phi.inverse().inverse() is phi
+    for value in (phi, copy.copy(phi), copy.deepcopy(phi), pickle.loads(pickle.dumps(phi))):
+        assert value == phi and value.table == phi.table
+        assert value.inverse().inverse() is value
+        fresh = freegroup.FreeAutomorphism(value.rank, value.images, value.inverse_images)
+        assert pickle.dumps(value) == pickle.dumps(fresh)
+    star = complexes.build_star_graph(3)
+    shape = blowup.classify_shape(blowup.blow_up([_partition(3, "x2+,x3-")], 3))
+    for clone in (copy.copy(star), copy.deepcopy(star), pickle.loads(pickle.dumps(star))):
+        assert clone.adjacency == star.adjacency and clone.index_of(star.vertices[7]) == 7
+    for clone in (copy.copy(shape), copy.deepcopy(shape), pickle.loads(pickle.dumps(shape))):
+        assert clone == shape and clone.to_json() == shape.to_json()
+
+
 def test_automorphism_keeps_its_table_and_paired_inverse_out_of_the_value():
     phi = freegroup.nielsen(3, 1, 2)
     fresh = freegroup.FreeAutomorphism(3, phi.images, phi.inverse_images)
