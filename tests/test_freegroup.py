@@ -237,6 +237,7 @@ def test_random_nielsen_walk_builds_each_map_once(monkeypatch):
         verify(self, rank, images, inverse_images)
 
     monkeypatch.setattr(FreeAutomorphism, "__init__", counting)
+    freegroup._nielsen.cache_clear()  # maps memoized by earlier tests would go uncounted
     rng = random.Random(20)
     for _ in range(1000):
         i, j = rng.sample(range(1, 5), 2)

@@ -160,7 +160,7 @@ def _object_reads(tree, attr):
     found = []
 
     def visit(node, function):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, ast.FunctionDef):
             function = node.name
         if (isinstance(node, ast.Attribute) and node.attr == attr
                 and isinstance(node.value, ast.Name) and node.value.id == "object"):

@@ -231,10 +231,14 @@ def test_value_class_is_frozen(cls, twin, names):
     assert not hasattr(value, "__dict__")
 
 
+def _clones(value):
+    return copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))
+
+
 @pytest.mark.parametrize("cls, twin, names", CLASSES, ids=[c[0].__name__ for c in CLASSES])
 def test_value_class_survives_copy_and_pickle(cls, twin, names):
     value = _built(cls, names, SAMPLES[cls][0])
-    for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+    for clone in _clones(value):
         assert clone == value and repr(clone) == repr(value)
 
 
@@ -282,16 +286,16 @@ def test_clones_are_built_by_the_constructor():
     assert not hasattr(values.Value, "__setstate__")
     phi = freegroup.nielsen(3, 1, 2)
     assert phi.inverse().inverse() is phi
-    for value in (phi, copy.copy(phi), copy.deepcopy(phi), pickle.loads(pickle.dumps(phi))):
+    for value in (phi, *_clones(phi)):
         assert value == phi and value.table == phi.table
         assert value.inverse().inverse() is value
         fresh = freegroup.FreeAutomorphism(value.rank, value.images, value.inverse_images)
         assert pickle.dumps(value) == pickle.dumps(fresh)
     star = complexes.build_star_graph(3)
     shape = blowup.classify_shape(blowup.blow_up([_partition(3, "x2+,x3-")], 3))
-    for clone in (copy.copy(star), copy.deepcopy(star), pickle.loads(pickle.dumps(star))):
+    for clone in _clones(star):
         assert clone.adjacency == star.adjacency and clone.index_of(star.vertices[7]) == 7
-    for clone in (copy.copy(shape), copy.deepcopy(shape), pickle.loads(pickle.dumps(shape))):
+    for clone in _clones(shape):
         assert clone == shape and clone.to_json() == shape.to_json()
 
 
