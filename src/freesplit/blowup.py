@@ -19,7 +19,6 @@ from .partitions import (
     class_key,
     class_of,
     corner_masks,
-    crosses,
     direction_bit,
     encode_class,
     full_mask,
@@ -324,14 +323,11 @@ def boundary_classes(p: Partition, q: Partition) -> Tuple[Partition, ...]:
     """Distinct splitting classes of the four corner sets of a crossing pair."""
     if not is_ideal(p) or not is_ideal(q):
         raise ValueError("boundary splittings are computed for ideal pairs")
-    if not crosses(p, q):
+    corners = corner_masks(p, q)
+    if not all(corners):
         raise ValueError("boundary splittings are defined for crossing pairs")
-    seen = []
-    for corner in corner_masks(p, q):
-        cls = class_of(Partition(p.rank, corner))
-        if cls not in seen:
-            seen.append(cls)
-    return tuple(sorted(seen, key=class_key))
+    classes = {class_of(Partition(p.rank, corner)) for corner in corners}
+    return tuple(sorted(classes, key=class_key))
 
 
 def boundary_splitting(p: Partition, q: Partition) -> BoundaryType:

@@ -142,15 +142,13 @@ def maximal_cliques(g: SplittingGraph) -> List[Tuple[int, ...]]:
 
 
 def is_rose_family(classes: Iterable[Partition], rank: int) -> bool:
-    fam = tuple(classes)
-    if len(set(map(class_of, fam))) != rank:
-        return False
+    """True iff the classes blow up to N edges (one per distinct class) on one vertex,
+    which the Euler identity makes an N-rose; a family that does not blow up is none."""
     try:
-        graph = blow_up(fam, rank)
+        graph = blow_up(classes, rank)
     except ValueError:
         return False
-    # N edges on one vertex: the Euler identity makes every edge a loop and the vertex rank 0.
-    return len(graph.vertices) == 1
+    return len(graph.edges) == rank and len(graph.vertices) == 1
 
 
 def rose_vertices(graph: SplittingGraph) -> List[Tuple[Partition, ...]]:

@@ -414,8 +414,8 @@ def _cut_capacities(mult: List[List[int]]) -> List[int]:
     return cap
 
 
-def whitehead_minimize(w: Word) -> CyclicWord:
-    """Greedy cyclic-length minimization under Whitehead moves.
+def _descend(rank: int, letters: Sequence[int]) -> Tuple[Tuple[int, ...], List[List[int]]]:
+    """Greedy cyclic-length descent under Whitehead moves, from a nontrivial word.
 
     At each step every move (A, a) is scored from the Whitehead graph of
     the current word: the change in cyclic length is cap(A, A') - deg(a)
@@ -424,14 +424,13 @@ def whitehead_minimize(w: Word) -> CyclicWord:
     skipped.  The first a with the least score, and its first mask reaching
     it, is the least encoding among the moves with the largest strict
     decrease; only that move rewrites the word.  Cyclic length strictly
-    decreases, so the loop halts.
+    decreases, so the loop halts.  Returns the minimal canonical cyclic
+    letters and the multiplicity rows of their Whitehead graph, which the
+    last step built.
     """
-    if w.is_trivial():
-        raise ValueError("cannot minimize the trivial word")
-    rank = w.rank
     groups = _wh_moves(rank)
     full = (1 << 2 * rank) - 1
-    current = _cyclic_canon(w.letters)
+    current = _cyclic_canon(letters)
     signed = [*range(1, rank + 1), *range(-rank, 0)]  # the slots of a _letter_table
     while True:
         mult = _multiplicities(rank, current)
@@ -444,7 +443,7 @@ def whitehead_minimize(w: Word) -> CyclicWord:
                 if score < best:
                     best, winner = score, a
         if winner is None:
-            return CyclicWord._trusted(rank, current)
+            return current, mult
         masks = groups[winner]
         mask = masks[list(map(cap.__getitem__, masks)).index(best + deg[winner])]
         if not mask >> winner & 1:
@@ -455,17 +454,24 @@ def whitehead_minimize(w: Word) -> CyclicWord:
         current = _cyclic_canon(_substitute_letters(table, current))
 
 
+def whitehead_minimize(w: Word) -> CyclicWord:
+    """The cyclic word that the greedy Whitehead descent (:func:`_descend`)
+    reaches from w; its cyclic length is the least over Aut(F_N)."""
+    if w.is_trivial():
+        raise ValueError("cannot minimize the trivial word")
+    return CyclicWord._trusted(w.rank, _descend(w.rank, w.letters)[0])
+
+
 def is_simple(w: Word) -> bool:
     """Whether w lies in a proper free factor.
 
     Minimizes the cyclic length greedily, then applies the Whitehead-graph
-    criterion at the minimum: the word is simple iff its graph is
-    disconnected or has a cut vertex.
+    criterion to the graph the descent's last step built: the word is
+    simple iff that graph is disconnected or has a cut vertex.
     """
     if w.is_trivial():
         raise ValueError("simplicity of the trivial word is undefined")
-    minimized = whitehead_minimize(w)
-    return not connected_no_cutvertex(whitehead_graph(minimized.as_word()))
+    return not connected_no_cutvertex(_descend(w.rank, w.letters)[1])
 
 
 # ---------------------------------------------------------------------------

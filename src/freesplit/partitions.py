@@ -25,8 +25,8 @@ from typing import Optional, Tuple
 
 from .values import Value
 
-#: Inclusive bounds accepted by the exhaustive enumerators.  The universe
-#: holds 2**(2N-1) - 1 bipartitions, which stops being desk scale past 7.
+#: Inclusive bounds on a partition's rank.  The universe holds
+#: 2**(2N-1) - 1 bipartitions, which stops being desk scale past 7.
 MIN_RANK = 3
 MAX_RANK = 7
 
@@ -141,8 +141,9 @@ class Partition(Value):
 
 
 def _check_rank(rank: int) -> None:
-    if rank < MIN_RANK:
-        raise ValueError("partition rank must be >= %d, got %d" % (MIN_RANK, rank))
+    if not MIN_RANK <= rank <= MAX_RANK:
+        raise ValueError("rank %d outside the partition guard [%d, %d]"
+                         % (rank, MIN_RANK, MAX_RANK))
 
 
 def _check_pair(p: Partition, q: Partition) -> None:
@@ -334,20 +335,13 @@ classes_rose_compatible = rose_compatible
 classes_cagey = is_cagey
 
 
-def _check_rank_guard(rank: int) -> None:
-    if not (MIN_RANK <= rank <= MAX_RANK):
-        raise ValueError(
-            "rank %d outside the enumeration guard [%d, %d]" % (rank, MIN_RANK, MAX_RANK)
-        )
-
-
 def enumerate_ideal_edges(rank: int, thick_only: bool = False) -> list:
     """All ideal partitions at the given rank, canonically oriented and sorted.
 
     The base direction ``x1+`` is pinned to side2, so candidate side1 masks
     are the nonzero even ints below ``2**(2N)``.
     """
-    _check_rank_guard(rank)
+    _check_rank(rank)
     found = []
     for mask in range(2, full_mask(rank), 2):
         p = Partition(rank, mask)
@@ -378,7 +372,7 @@ def signed_permutation_tables(rank: int) -> Tuple[Tuple[int, ...], ...]:
     ``Partition(rank, image)`` is the image partition.  Each table is
     filled low bit first, one step per mask, on first use of the rank.
     """
-    _check_rank_guard(rank)
+    _check_rank(rank)
     width = 2 * rank
     bit_images = (
         (1, 0) + tuple(range(2, width)),

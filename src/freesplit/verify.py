@@ -124,24 +124,6 @@ def rigid_blowup_family(rank: int):
     return petals, companions, class_of(sign_partition(rank))
 
 
-def three_rose_data(rank: int):
-    """The 3-rose family (two chain edges plus a petal) and its two companions."""
-    if rank == 3:
-        tau1 = _edge(rank, (2, 1), (3, -1))
-        tau2 = _edge(rank, (1, 1), (2, -1))
-    elif rank == 4:
-        tau1 = _edge(rank, (2, 1), (4, -1))
-        tau2 = _edge(rank, (3, 1), (4, 1))
-    else:
-        raise ValueError("the 3-rose configuration is built at ranks 3 and 4")
-    sigmas = [
-        class_of(chain_partition(rank, 1)),
-        class_of(chain_partition(rank, 2)),
-        petal_class(rank, 3),
-    ]
-    return sigmas, [class_of(tau1), class_of(tau2)]
-
-
 # ---------------------------------------------------------------------------
 # Verifiers
 # ---------------------------------------------------------------------------
@@ -201,16 +183,24 @@ def verify_rigid_blowup(rank: int, mutated: bool = False) -> VerificationReport:
 
 
 def verify_three_rose(rank: int, mutated: bool = False) -> VerificationReport:
-    """The 3-rose companions: mutual rose compatibility, caginess with their
-    partners, compatibility with the others, and the rank-4 strengthening.
+    """The 3-rose family sigma (two chain edges plus a petal) and its two
+    companions tau: mutual rose compatibility, caginess with their partners,
+    compatibility with the others, and the rank-4 strengthening.
+
+    ``mutated`` makes tau1 the edge {x2+, x3+}, a negative control that must fail.
     """
     if rank not in (3, 4):
         raise ValueError("three-rose verification runs at ranks 3 and 4")
     rec = _Recorder()
 
-    sigmas, taus = three_rose_data(rank)
+    sigmas = [class_of(chain_partition(rank, k)) for k in (1, 2)] + [petal_class(rank, 3)]
+    if rank == 3:
+        taus = [_edge(rank, (2, 1), (3, -1)), _edge(rank, (1, 1), (2, -1))]
+    else:
+        taus = [_edge(rank, (2, 1), (4, -1)), _edge(rank, (3, 1), (4, 1))]
     if mutated:
-        taus = [class_of(_edge(rank, (2, 1), (3, 1))), taus[1]]
+        taus[0] = _edge(rank, (2, 1), (3, 1))
+    taus = [class_of(tau) for tau in taus]
 
     rose_graph = blow_up(sigmas, rank)
     shape = classify_shape(rose_graph)
@@ -441,11 +431,9 @@ def verify_whitehead_factor(a_rank: int = 2, w: Optional[freegroup.Word] = None,
     failing = []
     for g in products:
         elements += 1
-        if -factor_rank <= min(g) and max(g) <= factor_rank:
-            continue  # in the factor
         cyc = freegroup.cyclic_reduce_letters(g)
         if -factor_rank <= min(cyc) and max(cyc) <= factor_rank:
-            continue  # conjugate into the factor
+            continue  # in the factor, up to conjugacy
         if len(cyc) == len(u_cycle) and freegroup.canonical_cycle(cyc) == u_cycle:
             continue  # conjugate to u
         word = freegroup.Word(ambient, g)

@@ -7,8 +7,8 @@ limits follow the stated budgets.
 Criterion 5 fails by design of the universe restriction: the clique
 characterization of caginess needs witness systems that cross the base
 rose, which the partition universe cannot represent.  The failure is
-asserted honestly rather than weakened; see the package README and the
-reviewer decisions ledger for the analysis.
+asserted honestly rather than weakened; see README "Known limitation:
+criterion 5" for the analysis and ROADMAP direction 1 for the plan to close it.
 """
 
 import itertools
@@ -110,7 +110,7 @@ def test_criterion_5_cagey_equivalence():
     assert details["clique_without_caginess"] == 0
     assert report.passed, (
         "universe-restricted clique search cannot witness %d of %d cagey "
-        "pairs; see README and the decisions ledger"
+        "pairs; see README \"Known limitation: criterion 5\" and ROADMAP direction 1"
         % (details["cagey_pairs"] - details["universe_witnessed"],
            details["cagey_pairs"])
     )

@@ -118,6 +118,16 @@ def test_rank_conservation_on_random_compatible_families():
         assert cycles + sum(r for _, r in g.vertices) == rank
 
 
+def test_boundary_classes_refuses_a_non_ideal_pair_before_a_compatible_pair():
+    # {x2+, x2-} and {x3+, x3-} separate no pair and are disjoint: both
+    # refusals apply, and the ideal one is named first.
+    with pytest.raises(ValueError, match="^boundary splittings are computed for ideal pairs$"):
+        boundary_classes(Partition.parse(3, "x2+,x2-"), Partition.parse(3, "x3+,x3-"))
+    with pytest.raises(ValueError,
+                       match="^boundary splittings are defined for crossing pairs$"):
+        boundary_classes(chain_partition(3, 1), petal_class(3, 2))
+
+
 # ---------------------------------------------------------------------------
 # classify_shape
 # ---------------------------------------------------------------------------

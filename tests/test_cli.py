@@ -114,7 +114,14 @@ def test_pair_malformed_spec_is_a_usage_error(capsys):
 def test_pair_rank_is_checked_before_the_directions(capsys):
     code, out, err = run_cli(capsys, "pair", "--rank", "0", "--p", "x1-", "--q", "x2+")
     assert (code, out) == (2, "")
-    assert err == "error: partition rank must be >= 3, got 0\n"
+    assert err == "error: rank 0 outside the partition guard [3, 7]\n"
+
+
+@pytest.mark.parametrize("rank", ["8", "1000000"])
+def test_pair_refuses_a_rank_past_the_partition_guard_at_once(capsys, rank):
+    code, out, err = run_cli(capsys, "pair", "--rank", rank, "--p", "x1-", "--q", "x2+")
+    assert (code, out) == (2, "")
+    assert err == "error: rank %s outside the partition guard [3, 7]\n" % rank
 
 
 def test_pair_names_the_first_out_of_rank_direction_in_the_text(capsys):
@@ -146,6 +153,14 @@ def test_blowup_dot_output(tmp_path, capsys):
                            "--family", str(family), "--format", "dot")
     assert code == 0
     assert out.startswith("graph")
+
+
+def test_blowup_refuses_a_rank_past_the_partition_guard(tmp_path, capsys):
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps(["petal:1"]))
+    code, out, err = run_cli(capsys, "blowup", "--rank", "8", "--family", str(family))
+    assert (code, out) == (2, "")
+    assert err == "error: rank 8 outside the partition guard [3, 7]\n"
 
 
 def test_blowup_incompatible_family_is_an_error(tmp_path, capsys):
@@ -352,7 +367,7 @@ def test_env_override_for_rank_ceiling(monkeypatch, capsys):
                               ["whitehead", "simple", "--rank", "8", "--word", "x1x2"]])
     assert (enum4[0], enum4[2]) == (0, "") and (simple4[0], simple4[2]) == (0, "")
     assert (enum8[:2], simple8[:2]) == ((2, ""), (2, ""))
-    assert "enumeration guard [3, 7]" in enum8[2] and "whitehead guard [1, 7]" in simple8[2]
+    assert "partition guard [3, 7]" in enum8[2] and "whitehead guard [1, 7]" in simple8[2]
     monkeypatch.setenv("FREESPLIT_MAX_RANK", "3")
     code, out, _ = run_cli(capsys, "enum", "--rank", "4")
     assert code == 0 and json.loads(out)["count"] == 120

@@ -631,6 +631,20 @@ def test_rank_one_has_no_moves_and_every_word_is_minimal():
         assert not is_simple(Word(1, letters))
 
 
+def test_is_simple_builds_one_whitehead_graph_per_descent_step(monkeypatch):
+    # The cut-vertex test reads the rows the descent's last step scored.
+    built = []
+    multiplicities = freegroup._multiplicities
+    monkeypatch.setattr(freegroup, "_multiplicities",
+                        lambda rank, cyc: built.append(cyc) or multiplicities(rank, cyc))
+    minimal = W(3, "x1x1x2x2x3x3")  # a cycle graph: minimal and not simple
+    assert not is_simple(minimal)
+    assert len(built) == 1
+    built.clear()
+    assert is_simple(W(2, "x1x2"))  # one move to x1, then one step finds no move
+    assert len(built) == 2
+
+
 def pushed_words(rank, length, count, seed):
     """Cyclic words of exactly ``length`` letters in the orbits of short words.
 

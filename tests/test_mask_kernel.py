@@ -142,5 +142,5 @@ def test_signed_permutation_tables_are_built_lazily_and_guarded():
                           text=True, check=True)
     assert done.stdout.strip() == "0"
     for rank in (2, 8):
-        with pytest.raises(ValueError, match="outside the enumeration guard"):
+        with pytest.raises(ValueError, match="outside the partition guard"):
             signed_permutation_tables(rank)

@@ -348,8 +348,18 @@ def test_enumeration_is_sorted_and_all_ideal():
 def test_enumeration_rank_guard():
     for rank in (2, 8):
         with pytest.raises(ValueError,
-                           match=r"rank %d outside the enumeration guard \[3, 7\]" % rank):
+                           match=r"rank %d outside the partition guard \[3, 7\]" % rank):
             enumerate_ideal_edges(rank)
+
+
+def test_every_partition_refuses_a_rank_past_the_guard():
+    # One guard for every partition: no value exists at a rank the scans refuse.
+    builds = (lambda: Partition(8, 2), lambda: petal_class(8, 1),
+              lambda: parse_class(8, "petal:1"), lambda: Partition.parse(8, "x1-"))
+    for build in builds:
+        with pytest.raises(ValueError, match=r"^rank 8 outside the partition guard \[3, 7\]$"):
+            build()
+    assert Partition(7, 2).rank == 7
 
 
 @pytest.mark.parametrize("rank", [3, 4, 5, 6])
