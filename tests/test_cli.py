@@ -146,6 +146,27 @@ def test_blowup_family_file(tmp_path, capsys):
     assert shape["theta_with_loop"] is True
 
 
+@pytest.mark.parametrize("name, specs, fmt", [
+    ("blowup-theta-with-loop.json", ["petal:1", "petal:2", "petal:3", "x1-,x2+"], "json"),
+    # One edge between two vertices: a cage of one edge.
+    ("blowup-bridge.json", ["x1+,x1-"], "json"),
+    ("blowup-separating-pair.json", ["x2+,x2-", "x3+,x3-"], "json"),
+    ("blowup-rose.json", ["petal:1", "petal:2", "petal:3"], "json"),
+    ("blowup-rose.dot", ["petal:1", "petal:2", "petal:3"], "dot"),
+    # The boundary family of chain_partition(3, 1) and x2+,x3-: the 4-edge cage.
+    ("blowup-cage.json", ["petal:1", "petal:2", "petal:3", "x1-,x2+,x3-"], "json"),
+])
+def test_blowup_stdout_is_byte_identical_to_the_golden_file(tmp_path, capsys, name, specs, fmt):
+    # The files pin the graph and its whole shape object byte for byte.
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps(specs))
+    code, out, err = run_cli(capsys, "blowup", "--rank", "3",
+                             "--family", str(family), "--format", fmt)
+    assert (code, err) == (0, "")
+    with open(os.path.join(GOLDEN, name), encoding="utf-8") as handle:
+        assert out == handle.read()
+
+
 def test_blowup_dot_output(tmp_path, capsys):
     family = tmp_path / "family.json"
     family.write_text(json.dumps(["petal:1", "petal:2", "petal:3"]))
