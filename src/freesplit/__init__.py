@@ -32,7 +32,6 @@ from .blowup import (
     IncompatibleFamilyError,
     blow_up,
     boundary_splitting,
-    classify_shape,
 )
 from .freegroup import (
     CyclicWord,

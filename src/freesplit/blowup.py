@@ -1,4 +1,4 @@
-"""Blow-ups of the rose along compatible families, and quotient-shape reports.
+"""Blow-ups of the rose along compatible families, and their boundary shapes.
 
 A compatible family of splitting classes determines a graph of groups: the
 thick partitions assemble into the dual tree of the family, every petal is
@@ -11,7 +11,7 @@ the Euler identity  (#edges - #vertices + 1) + sum of vertex ranks = N.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .partitions import (
     Partition,
@@ -46,7 +46,7 @@ class GraphOfGroups(Value):
                  edges: Tuple[Tuple[str, Tuple[str, str]], ...]):
         if rank < 1 or not vertices or min(r for _, r in vertices) < 0:
             raise ValueError("graph of groups needs rank >= 1, a vertex, and free ranks >= 0")
-        super().__init__(rank, vertices, edges)
+        super().__init__(rank, tuple(vertices), tuple(edges))
         ids = [vid for vid, _ in self.vertices]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate vertex ids")
@@ -68,17 +68,26 @@ class GraphOfGroups(Value):
 
     # -- basic structure ---------------------------------------------------
 
-    def loops(self) -> Tuple[str, ...]:
-        return tuple(label for label, (u, v) in self.edges if u == v)
+    def shape(self) -> Tuple[int, Tuple[int, ...]]:
+        """The shape key: (loop count, sorted sizes of the non-loop edge bundles).
 
-    def bundles(self) -> Tuple[int, ...]:
-        """Sorted multiplicities of the non-loop edge bundles between vertex pairs."""
+        The graph is connected, so no bundle means one vertex (an N-rose is
+        ``(N, ())``) and no loop with one bundle means two (the k-edge cage
+        is ``(0, (k,))``).
+        """
+        loops = 0
         counts: Dict[Tuple[str, str], int] = {}
         for _, (u, v) in self.edges:
-            if u != v:
+            if u == v:
+                loops += 1
+            else:
                 pair = (u, v) if u <= v else (v, u)
                 counts[pair] = counts.get(pair, 0) + 1
-        return tuple(sorted(counts.values()))
+        return loops, tuple(sorted(counts.values()))
+
+    def vertex_ranks(self) -> Tuple[int, ...]:
+        """Sorted free ranks of the vertices."""
+        return tuple(sorted(r for _, r in self.vertices))
 
     def valence_profile(self) -> Tuple[int, ...]:
         """Sorted vertex degrees; a loop adds two to its vertex."""
@@ -230,58 +239,8 @@ def blow_up(family: Iterable[Partition], rank: int) -> GraphOfGroups:
 
 
 # ---------------------------------------------------------------------------
-# Shape classification
+# Boundary splittings
 # ---------------------------------------------------------------------------
-
-
-class ShapeReport(Value):
-    """Structural summary of a quotient graph of groups.
-
-    ``graph`` is kept beside the four fields and takes no part in the value.
-    Only ``to_json`` reads valences and separating edges off it, so a reader
-    of the ranks or of the rose, cage and theta tests pays no O(E^2) scan.
-    """
-
-    _fields = ("vertex_ranks", "rose", "cage", "theta_with_loop")
-    __slots__ = _fields + ("graph",)
-
-    def __init__(self, vertex_ranks: Tuple[int, ...], rose: Optional[int],
-                 cage: Optional[int], theta_with_loop: bool, graph: GraphOfGroups):
-        super().__init__(vertex_ranks, rose, cage, theta_with_loop, graph)
-
-    def __reduce__(self):
-        return ShapeReport, (*self._key(self), self.graph)
-
-    def to_json(self) -> dict:
-        g = self.graph
-        return {
-            "valence_profile": list(g.valence_profile()),
-            "vertex_ranks": list(self.vertex_ranks),
-            "rose": self.rose,
-            "cage": self.cage,
-            "theta_with_loop": self.theta_with_loop,
-            "has_separating_edge": any(g.disconnects_without([a]) for a, _ in g.edges),
-            "has_separating_edge_pair": any(
-                g.disconnects_without([a, b])
-                for (a, _), (b, _) in itertools.combinations(g.edges, 2)
-            ),
-        }
-
-
-def classify_shape(g: GraphOfGroups) -> ShapeReport:
-    """Report ranks and rose/cage/theta recognition; valences and separating
-    edges are computed by the report's ``to_json``."""
-    n_vertices = len(g.vertices)
-    n_edges = len(g.edges)
-    loops = len(g.loops())
-    bundles = g.bundles()
-    return ShapeReport(
-        vertex_ranks=tuple(sorted(r for _, r in g.vertices)),
-        rose=n_edges if (n_vertices == 1 and loops == n_edges) else None,
-        cage=n_edges if (n_vertices == 2 and not loops and bundles == (n_edges,)) else None,
-        theta_with_loop=n_vertices == 2 and n_edges == 4 and loops == 1 and bundles == (3,),
-        graph=g,
-    )
 
 
 #: The six quotient shapes a crossing pair's boundary splitting can take.
@@ -297,7 +256,7 @@ def classify_shape(g: GraphOfGroups) -> ShapeReport:
 #:   cage-2-plus-loop  a two-edge bundle plus a loop at the shared vertex
 #:   loop-plus-bridge  a loop plus two separating bridges
 #:
-#: Each shape is keyed by the quotient's loop count and bundle sizes.
+#: Each shape is keyed by the quotient's :meth:`GraphOfGroups.shape`.
 _BOUNDARY_SHAPES = {
     (0, (4,)): "cage-3",
     (0, (1, 3)): "separating-bridge",
@@ -316,7 +275,7 @@ class BoundaryType(Value):
     __slots__ = _fields = ("tag", "family")
 
     def __init__(self, tag: str, family: Tuple[Partition, ...]):
-        super().__init__(tag, family)
+        super().__init__(tag, tuple(family))
 
 
 def boundary_classes(p: Partition, q: Partition) -> Tuple[Partition, ...]:
@@ -339,8 +298,7 @@ def boundary_splitting(p: Partition, q: Partition) -> BoundaryType:
     when the family does not blow up or its quotient is none of the six.
     """
     family = boundary_classes(p, q)
-    graph = blow_up(family, p.rank)
-    shape = (len(graph.loops()), graph.bundles())
+    shape = blow_up(family, p.rank).shape()
     if shape not in _BOUNDARY_SHAPES:
         raise ValueError("unrecognized boundary shape: loops=%d bundles=%r" % shape)
     return BoundaryType(tag=_BOUNDARY_SHAPES[shape], family=family)

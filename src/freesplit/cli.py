@@ -8,6 +8,7 @@ word specs, rank guard violations).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -63,6 +64,24 @@ def _cmd_pair(args) -> int:
     return 0
 
 
+def _shape_json(graph) -> dict:
+    """The ``shape`` object of ``blowup``: the shape key read as rose, cage
+    and theta, with valences, vertex ranks and separating-edge flags."""
+    loops, bundles = graph.shape()
+    edges = [label for label, _ in graph.edges]
+    return {
+        "valence_profile": list(graph.valence_profile()),
+        "vertex_ranks": list(graph.vertex_ranks()),
+        "rose": len(edges) if not bundles else None,
+        "cage": len(edges) if not loops and len(bundles) == 1 else None,
+        "theta_with_loop": (loops, bundles) == (1, (3,)),
+        "has_separating_edge": any(graph.disconnects_without([a]) for a in edges),
+        "has_separating_edge_pair": any(
+            graph.disconnects_without(pair) for pair in itertools.combinations(edges, 2)
+        ),
+    }
+
+
 def _cmd_blowup(args) -> int:
     with open(args.family, "r", encoding="utf-8") as handle:
         specs = json.load(handle)
@@ -74,7 +93,7 @@ def _cmd_blowup(args) -> int:
         sys.stdout.write(graph.to_dot() + "\n")
     else:
         payload = graph.to_json()
-        payload["shape"] = blowup.classify_shape(graph).to_json()
+        payload["shape"] = _shape_json(graph)
         _emit(payload)
     return 0
 

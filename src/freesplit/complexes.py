@@ -41,6 +41,7 @@ class SplittingGraph(Value):
                  edges: Tuple[Tuple[int, int, str], ...]):  # (i, j, "rose") with i < j
         if mode != "ens":
             raise ValueError("mode must be 'ens'")
+        vertices, edges = tuple(vertices), tuple(edges)
         rows = [0] * len(vertices)
         for i, j, kind in edges:
             if not (0 <= i < j < len(vertices)):
@@ -142,13 +143,12 @@ def maximal_cliques(g: SplittingGraph) -> List[Tuple[int, ...]]:
 
 
 def is_rose_family(classes: Iterable[Partition], rank: int) -> bool:
-    """True iff the classes blow up to N edges (one per distinct class) on one vertex,
+    """True iff the classes blow up to N loops (one per distinct class) on one vertex,
     which the Euler identity makes an N-rose; a family that does not blow up is none."""
     try:
-        graph = blow_up(classes, rank)
+        return blow_up(classes, rank).shape() == (rank, ())
     except ValueError:
         return False
-    return len(graph.edges) == rank and len(graph.vertices) == 1
 
 
 def rose_vertices(graph: SplittingGraph) -> List[Tuple[Partition, ...]]:
@@ -177,7 +177,7 @@ class KLocalGraph(Value):
     def __init__(self, rank: int,
                  vertices: Tuple[Tuple[Partition, ...], ...],  # roses, as tuples of classes
                  edges: Tuple[Tuple[int, int], ...]):
-        super().__init__(rank, vertices, edges)
+        super().__init__(rank, tuple(vertices), tuple(edges))
 
     def to_json(self) -> dict:
         return {

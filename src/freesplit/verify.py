@@ -13,7 +13,7 @@ from functools import partial
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from . import complexes, freegroup, partitions
-from .blowup import blow_up, boundary_splitting, classify_shape
+from .blowup import blow_up, boundary_splitting
 from .partitions import (
     Partition,
     class_of,
@@ -39,7 +39,7 @@ class VerificationReport(Value):
 
     def __init__(self, lemma: str, rank: Optional[int], cases_checked: int,
                  failures: Tuple[str, ...], details: Tuple[Tuple[str, object], ...] = ()):
-        super().__init__(lemma, rank, cases_checked, failures, details)
+        super().__init__(lemma, rank, cases_checked, tuple(failures), tuple(details))
 
     @property
     def passed(self) -> bool:
@@ -170,7 +170,7 @@ def verify_rigid_blowup(rank: int, mutated: bool = False) -> VerificationReport:
     except ValueError as exc:
         rec.check(False, "family does not blow up: %s", exc)
     else:
-        ranks = classify_shape(graph).vertex_ranks
+        ranks = graph.vertex_ranks()
         rec.check(set(ranks) == {0}, "blow-up has nontrivial vertex ranks %r", ranks)
 
     for p in petals:
@@ -202,9 +202,8 @@ def verify_three_rose(rank: int, mutated: bool = False) -> VerificationReport:
         taus[0] = _edge(rank, (2, 1), (3, 1))
     taus = [class_of(tau) for tau in taus]
 
-    rose_graph = blow_up(sigmas, rank)
-    shape = classify_shape(rose_graph)
-    rec.check(shape.rose == 3, "sigma family is not a 3-rose: %r", shape)
+    shape = blow_up(sigmas, rank).shape()
+    rec.check(shape == (3, ()), "sigma family is not a 3-rose: %r", shape)
 
     rec.check(rose_compatible(taus[0], taus[1]),
               "tau1/tau2 not rose compatible")
@@ -237,8 +236,8 @@ def verify_clique_rank3(mutated: bool = False) -> VerificationReport:
     """Every 4-clique at rank 3 blows up to a 4-edge cage or a theta graph
     with a loop, with trivial vertex groups; both shapes occur.
 
-    Each clique is blown up once and its quotient read through
-    :func:`classify_shape`, whose separating-edge scans stay unread.
+    Each clique is blown up once and its quotient read through its shape
+    key: the cage is ``(0, (4,))`` and the theta with a loop ``(1, (3,))``.
     """
     rec = _Recorder()
     graph = complexes.build_star_graph(3)
@@ -253,9 +252,10 @@ def verify_clique_rank3(mutated: bool = False) -> VerificationReport:
     shapes_seen = {"cage": 0, "theta_with_loop": 0}
     for indices in cliques:
         fam = [graph.vertices[i] for i in indices]
-        report = classify_shape(blow_up(fam, 3))
-        is_cage4 = report.cage == 4
-        is_theta = report.theta_with_loop
+        quotient = blow_up(fam, 3)
+        shape = quotient.shape()
+        is_cage4 = shape == (0, (4,))
+        is_theta = shape == (1, (3,))
         shapes_seen["cage"] += is_cage4
         shapes_seen["theta_with_loop"] += is_theta
 
@@ -263,7 +263,7 @@ def verify_clique_rank3(mutated: bool = False) -> VerificationReport:
             return ",".join(map(encode_class, fam))
 
         rec.check(is_cage4 or is_theta, "4-clique has unexpected shape: %s", label)
-        rec.check(set(report.vertex_ranks) == {0},
+        rec.check(set(quotient.vertex_ranks()) == {0},
                   "4-clique has nontrivial vertex groups: %s", label)
     rec.details["clique_count"] = len(cliques)
     rec.details["shape_census"] = dict(sorted(shapes_seen.items()))

@@ -11,8 +11,8 @@ from freesplit.blowup import (
     blow_up,
     boundary_classes,
     boundary_splitting,
-    classify_shape,
 )
+from freesplit.cli import _shape_json
 from freesplit.complexes import build_star_graph, enumerate_cliques
 from freesplit.partitions import (
     Partition,
@@ -43,16 +43,14 @@ def thick(rank, text):
 
 def test_two_chain_edges_give_two_petal_rose_with_rank_one_vertex():
     g = blow_up([thick(3, "x1-,x2+"), thick(3, "x2-,x3+")], 3)
-    report = classify_shape(g)
-    assert report.rose == 2
-    assert report.vertex_ranks == (1,)
+    assert g.shape() == (2, ())
+    assert g.vertex_ranks() == (1,)
 
 
 def test_all_petals_give_the_base_rose():
     g = blow_up([petal_class(3, i) for i in (1, 2, 3)], 3)
-    report = classify_shape(g)
-    assert report.rose == 3
-    assert report.vertex_ranks == (0,)
+    assert g.shape() == (3, ())
+    assert g.vertex_ranks() == (0,)
 
 
 def test_maximal_rank6_family_is_a_trivalent_graph():
@@ -129,23 +127,23 @@ def test_boundary_classes_refuses_a_non_ideal_pair_before_a_compatible_pair():
 
 
 # ---------------------------------------------------------------------------
-# classify_shape
+# shape keys
 # ---------------------------------------------------------------------------
 
 
 def test_shape_of_a_four_edge_cage():
     g = blow_up(boundary_classes(chain_partition(3, 1), Partition.parse(3, "x2+,x3-")), 3)
-    report = classify_shape(g)
-    assert report.cage == 4
-    assert not report.to_json()["has_separating_edge"]
-    assert not report.to_json()["has_separating_edge_pair"]
+    assert g.shape() == (0, (4,))
+    report = _shape_json(g)
+    assert report["cage"] == 4
+    assert not report["has_separating_edge"]
+    assert not report["has_separating_edge_pair"]
 
 
 def test_shape_of_a_single_loop():
     g = blow_up([petal_class(3, 1)], 3)
-    report = classify_shape(g)
-    assert report.rose == 1
-    assert report.vertex_ranks == (2,)
+    assert g.shape() == (1, ())
+    assert g.vertex_ranks() == (2,)
 
 
 def test_theta_with_loop_is_recognized():
@@ -156,9 +154,8 @@ def test_theta_with_loop_is_recognized():
         thick(3, "x1-,x2+"),
     ]
     g = blow_up(family, 3)
-    report = classify_shape(g)
-    assert report.theta_with_loop
-    assert report.vertex_ranks == (0, 0)
+    assert g.shape() == (1, (3,))
+    assert g.vertex_ranks() == (0, 0)
 
 
 def test_separating_edge_detection():
@@ -167,7 +164,7 @@ def test_separating_edge_detection():
         vertices=(("a", 1), ("b", 1)),
         edges=(("e", ("a", "b")),),
     )
-    report = classify_shape(g).to_json()
+    report = _shape_json(g)
     assert report["has_separating_edge"]
     assert report["has_separating_edge_pair"] is False  # only one edge
 
@@ -178,7 +175,7 @@ def test_separating_pair_without_separating_edge():
         vertices=(("a", 0), ("b", 1)),
         edges=(("e1", ("a", "b")), ("e2", ("a", "b"))),
     )
-    report = classify_shape(g).to_json()
+    report = _shape_json(g)
     assert not report["has_separating_edge"]
     assert report["has_separating_edge_pair"]
 
@@ -193,12 +190,12 @@ def test_separating_edge_scans_run_only_in_to_json(monkeypatch):
 
     monkeypatch.setattr(GraphOfGroups, "disconnects_without", counting_disconnects_without)
     g = blow_up([petal_class(3, 1), petal_class(3, 2), petal_class(3, 3)], 3)
-    report = classify_shape(g)
-    assert report.rose == 3 and calls == []
-    first = report.to_json()
+    # The shape key scans nothing; the CLI's shape object runs the scans.
+    assert g.shape() == (3, ()) and calls == []
+    first = _shape_json(g)
+    assert first["rose"] == 3
     assert len(calls) == 3 + 3  # each edge, then each pair of edges
-    assert report.to_json() == first and len(calls) == 12
-    assert report == classify_shape(g) and "graph" not in repr(report)
+    assert _shape_json(g) == first and len(calls) == 12
 
 
 def test_graph_validation_rejects_rank_violations():
@@ -274,7 +271,7 @@ def test_sign_vs_interval_boundary_is_the_cage():
     b = boundary_splitting(sign_partition(6), interval_partition(6, 2))
     assert b.tag == "cage-3"
     assert len(b.family) == 4
-    assert classify_shape(blow_up(b.family, 6)).cage == 4
+    assert blow_up(b.family, 6).shape() == (0, (4,))
 
 
 def test_boundary_requires_a_crossing_ideal_pair():
@@ -335,10 +332,10 @@ def test_rose_compatibility_agrees_with_blow_up_shapes():
         for s, t in itertools.combinations(classes, 2):
             if not classes_compatible(s, t):
                 continue
-            report = classify_shape(blow_up([s, t], rank))
-            assert classes_rose_compatible(s, t) == (report.rose == 2)
+            shape = blow_up([s, t], rank).shape()
+            assert classes_rose_compatible(s, t) == (shape == (2, ()))
             if not classes_rose_compatible(s, t):
-                assert report.cage == 2
+                assert shape == (0, (2,))
 
 
 def test_cagey_iff_cage_boundary_with_pairwise_rose_compatible_edges():

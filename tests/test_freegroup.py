@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -850,3 +851,33 @@ def test_factor_product_matches_independent_subgroup_closure():
     got = set(sorted_factor_product(2, w, max_len))
     assert got == seen
 
+
+
+def _cyclically_reduced_words(rank, n):
+    """Every cyclically reduced word of length n on the 2N letters."""
+    letters = [i for j in range(1, rank + 1) for i in (j, -j)]
+    for word in itertools.product(letters, repeat=n):
+        if all(a != -b for a, b in zip(word, word[1:] + word[:1])):
+            yield word
+
+
+def _phi(n):
+    return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
+
+def test_rank2_primitive_and_simple_counts_match_their_closed_forms():
+    # In F_2 the cyclically reduced primitives of length n number 4*n*phi(n),
+    # and a word is simple iff it is a power of a primitive, so the simple
+    # ones of length n number the sum over m | n of P(m), with P(1) = 4 and
+    # P(m) = 4*m*phi(m).
+    def primitives(m):
+        return 4 if m == 1 else 4 * m * _phi(m)
+
+    for n in range(2, 9):
+        minimal = simple = 0
+        for letters in _cyclically_reduced_words(2, n):
+            w = Word(2, letters)
+            minimal += len(whitehead_minimize(w)) == 1
+            simple += is_simple(w)
+        assert minimal == 4 * n * _phi(n), n
+        assert simple == sum(primitives(m) for m in range(1, n + 1) if n % m == 0), n

@@ -12,6 +12,7 @@ import subprocess
 import sys
 
 from freesplit import partitions
+from freesplit.blowup import GraphOfGroups
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "freesplit")
 BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
@@ -119,16 +120,23 @@ def test_every_public_method_has_a_reader():
     assert unread == []
 
 
-def test_only_blowup_reads_loops_and_bundles():
-    # Quotient shapes are read through classify_shape, not copied elsewhere.
-    calls = [
-        "%s:%d" % (name, node.lineno)
+def test_only_graph_of_groups_shape_counts_loops_and_bundles():
+    # Every quotient shape is keyed by GraphOfGroups.shape(): no other reader
+    # of loops or bundles exists, and no module outside blowup.py unpacks an
+    # edge's two ends to count them itself.
+    assert hasattr(GraphOfGroups, "shape")
+    assert not hasattr(GraphOfGroups, "loops") and not hasattr(GraphOfGroups, "bundles")
+    reads = [
+        "%s:%d" % (name, node.iter.lineno if isinstance(node, ast.comprehension) else node.lineno)
         for name, tree in _trees(SRC).items() if name != "blowup.py"
         for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-        and node.func.attr in ("loops", "bundles")
+        if (isinstance(node, ast.Attribute) and node.attr in ("loops", "bundles"))
+        or (isinstance(node, (ast.For, ast.comprehension))
+            and isinstance(node.iter, ast.Attribute) and node.iter.attr == "edges"
+            and isinstance(node.target, ast.Tuple)
+            and any(isinstance(elt, ast.Tuple) for elt in node.target.elts))
     ]
-    assert calls == []
+    assert reads == []
 
 
 def test_no_module_imports_dataclasses():

@@ -37,15 +37,6 @@ class GraphOfGroups:
 
 
 @dataclass(frozen=True)
-class ShapeReport:
-    vertex_ranks: Tuple[int, ...]
-    rose: Optional[int]
-    cage: Optional[int]
-    theta_with_loop: bool
-    graph: object = field(repr=False, compare=False)
-
-
-@dataclass(frozen=True)
 class BoundaryType:
     tag: str
     family: tuple
@@ -105,8 +96,6 @@ class VerificationReport:
 CLASSES = [
     (partitions.Partition, Partition, ("rank", "mask")),
     (blowup.GraphOfGroups, GraphOfGroups, ("rank", "vertices", "edges")),
-    (blowup.ShapeReport, ShapeReport,
-     ("vertex_ranks", "rose", "cage", "theta_with_loop", "graph")),
     (blowup.BoundaryType, BoundaryType, ("tag", "family")),
     (complexes.SplittingGraph, SplittingGraph, ("rank", "mode", "vertices", "edges")),
     (complexes.KLocalGraph, KLocalGraph, ("rank", "vertices", "edges")),
@@ -127,7 +116,6 @@ def _samples():
     p, q = _partition(3, "x2+,x3-"), _partition(3, "x2-,x3+")
     rose = blowup.blow_up([partitions.petal_class(3, i) for i in (1, 2, 3)], 3)
     thick = blowup.blow_up([p], 3)
-    shape = blowup.classify_shape(rose)
     boundary = blowup.boundary_splitting(_partition(3, "x1-,x2+"), _partition(3, "x1-,x2-"))
     star = complexes.build_star_graph(3)
     local = complexes.k_graph_local(3)
@@ -136,11 +124,6 @@ def _samples():
     return {
         partitions.Partition: [(4, 0b0110), (4, 0b11111001), (3, 0b000110), (3, p.mask)],
         blowup.GraphOfGroups: [(g.rank, g.vertices, g.edges) for g in (rose, thick, rose)],
-        blowup.ShapeReport: [
-            (shape.vertex_ranks, shape.rose, shape.cage, shape.theta_with_loop, rose),
-            (shape.vertex_ranks, shape.rose, shape.cage, shape.theta_with_loop, thick),
-            ((0, 1), None, None, False, thick),
-        ],
         blowup.BoundaryType: [
             (boundary.tag, boundary.family),
             ("cage-3", boundary.family),
@@ -242,6 +225,16 @@ def test_value_class_survives_copy_and_pickle(cls, twin, names):
         assert clone == value and repr(clone) == repr(value)
 
 
+def test_values_built_from_lists_equal_the_tuple_built_ones():
+    # Each sequence field is stored as a tuple, whichever sequence it was given.
+    for cls, _, _ in CLASSES:
+        for args in SAMPLES[cls]:
+            listed = tuple(list(a) if isinstance(a, tuple) else a for a in args)
+            value, from_lists = cls(*args), cls(*listed)
+            assert from_lists == value and repr(from_lists) == repr(value), cls
+            assert _hash(from_lists) == _hash(value), cls
+
+
 def _value_classes():
     """Every subclass of ``Value`` defined in the library's modules."""
     for module in pkgutil.iter_modules(freesplit.__path__):
@@ -266,14 +259,6 @@ def test_no_value_class_lists_dict_in_its_slots():
 
 
 def test_derived_slots_are_built_in_the_constructor():
-    p = _partition(3, "x2+,x3-")
-    thick = blowup.blow_up([p], 3)
-    shape = blowup.classify_shape(thick)
-    before = hash(shape)
-    assert shape.to_json()["valence_profile"] == list(thick.valence_profile())
-    assert shape.to_json() == shape.to_json()
-    assert shape.to_json()["has_separating_edge_pair"] in (True, False)
-    assert hash(shape) == before and "valence_profile" not in repr(shape)
     graph = complexes.build_star_graph(3)
     rebuilt = complexes.SplittingGraph(3, "ens", graph.vertices, graph.edges)
     assert rebuilt == graph and rebuilt.adjacency == graph.adjacency
@@ -292,11 +277,8 @@ def test_clones_are_built_by_the_constructor():
         fresh = freegroup.FreeAutomorphism(value.rank, value.images, value.inverse_images)
         assert pickle.dumps(value) == pickle.dumps(fresh)
     star = complexes.build_star_graph(3)
-    shape = blowup.classify_shape(blowup.blow_up([_partition(3, "x2+,x3-")], 3))
     for clone in _clones(star):
         assert clone.adjacency == star.adjacency and clone.index_of(star.vertices[7]) == 7
-    for clone in _clones(shape):
-        assert clone == shape and clone.to_json() == shape.to_json()
 
 
 def test_automorphism_keeps_its_table_and_paired_inverse_out_of_the_value():

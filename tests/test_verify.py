@@ -423,8 +423,8 @@ def test_the_battery_blows_up_boundary_pairs_once_per_orbit(monkeypatch):
 
 
 def test_the_battery_runs_no_separating_edge_scan(monkeypatch):
-    # No battery statement reads a separating edge, so the scans in
-    # ShapeReport.to_json must stay unrun: three-rose reads only the sigma rose.
+    # No battery statement reads a separating edge, so the scans of the CLI's
+    # blowup shape object must stay unrun: three-rose reads only the sigma rose.
     calls = []
     real = GraphOfGroups.disconnects_without
 
