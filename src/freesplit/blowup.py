@@ -44,18 +44,22 @@ class GraphOfGroups(Value):
 
     def __init__(self, rank: int, vertices: Tuple[Tuple[str, int], ...],
                  edges: Tuple[Tuple[str, Tuple[str, str]], ...]):
+        vertices = tuple((vid, r) for vid, r in vertices)
         if rank < 1 or not vertices or min(r for _, r in vertices) < 0:
             raise ValueError("graph of groups needs rank >= 1, a vertex, and free ranks >= 0")
-        super().__init__(rank, tuple(vertices), tuple(edges))
-        ids = [vid for vid, _ in self.vertices]
+        edges = tuple(edges)
+        ids = [vid for vid, _ in vertices]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate vertex ids")
-        if len({label for label, _ in self.edges}) != len(self.edges):
+        if len({label for label, _ in edges}) != len(edges):
             raise ValueError("duplicate edge labels")
         known = set(ids)
-        for label, (u, v) in self.edges:
+        pairs = []
+        for label, (u, v) in edges:
             if u not in known or v not in known:
                 raise ValueError("edge %r has unknown endpoint" % (label,))
+            pairs.append((label, (u, v)))
+        super().__init__(rank, vertices, tuple(pairs))
         if not self._connected():
             raise ValueError("graph of groups must be connected")
         euler = len(self.edges) - len(self.vertices) + 1

@@ -41,8 +41,9 @@ class SplittingGraph(Value):
                  edges: Tuple[Tuple[int, int, str], ...]):  # (i, j, "rose") with i < j
         if mode != "ens":
             raise ValueError("mode must be 'ens'")
-        vertices, edges = tuple(vertices), tuple(edges)
+        vertices = tuple(vertices)
         rows = [0] * len(vertices)
+        triples = []
         for i, j, kind in edges:
             if not (0 <= i < j < len(vertices)):
                 raise ValueError("bad edge endpoints (%d, %d)" % (i, j))
@@ -50,10 +51,11 @@ class SplittingGraph(Value):
                 raise ValueError("bad edge kind %r" % (kind,))
             rows[i] |= 1 << j
             rows[j] |= 1 << i
+            triples.append((i, j, kind))
         index = {cls: n for n, cls in enumerate(vertices)}
         if len(index) != len(vertices) or any(class_of(c) != c for c in vertices):
             raise ValueError("vertices must be distinct splitting classes")
-        super().__init__(rank, mode, vertices, edges, tuple(rows), index)
+        super().__init__(rank, mode, vertices, tuple(triples), tuple(rows), index)
 
     def index_of(self, cls: Partition) -> int:
         """The index of the vertex holding the class of ``cls``."""
@@ -177,7 +179,7 @@ class KLocalGraph(Value):
     def __init__(self, rank: int,
                  vertices: Tuple[Tuple[Partition, ...], ...],  # roses, as tuples of classes
                  edges: Tuple[Tuple[int, int], ...]):
-        super().__init__(rank, tuple(vertices), tuple(edges))
+        super().__init__(rank, tuple(map(tuple, vertices)), tuple((a, b) for a, b in edges))
 
     def to_json(self) -> dict:
         return {

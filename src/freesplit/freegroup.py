@@ -1,4 +1,5 @@
-"""Reduced words, basis automorphisms, and Whitehead-graph machinery.
+"""Reduced words, basis automorphisms, Whitehead-graph machinery, and the
+elements of the corank-one factor product A * <t w t^-1>.
 
 Letters of a rank-N free group are the nonzero integers ``i`` / ``-i`` for
 ``1 <= i <= N`` (``-i`` is the inverse of the i-th generator).  Words are
@@ -50,19 +51,24 @@ def _letter(bit: int) -> int:
 def canonical_cycle(letters: Sequence[int]) -> Tuple[int, ...]:
     """Lexicographically least rotation of a cyclically reduced word.
 
-    Rotations are compared as slices of the doubled list of letter keys
-    (the _bit indices); only rotations that start with the least key are
-    candidates.
+    Letters compare by their _bit keys.  The two-pointer scan keeps two
+    candidate starts i < j and the length k of their common prefix; at the
+    first difference, the start with the larger letter and the k starts
+    after it lose.  Each step drops a start or extends k, so it is linear.
     """
     letters = tuple(letters)
     n = len(letters)
-    if not n:
-        return ()
-    keys = [2 * l - 2 if l > 0 else -2 * l - 1 for l in letters]
-    least = min(keys)
-    keys += keys
-    k = min((k for k in range(n) if keys[k] == least), key=lambda k: keys[k:k + n])
-    return letters[k:] + letters[:k]
+    keys = [2 * l - 2 if l > 0 else -2 * l - 1 for l in letters] * 2
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = keys[i + k], keys[j + k]
+        if a == b:
+            k += 1
+        elif a > b:
+            i, j, k = j, max(j, i + k) + 1, 0
+        else:
+            j, k = j + k + 1, 0
+    return letters[i:] + letters[:i]
 
 
 def _cyclic_canon(letters: Sequence[int]) -> Tuple[int, ...]:
@@ -424,13 +430,15 @@ def _descend(rank: int, letters: Sequence[int]) -> Tuple[Tuple[int, ...], List[L
     skipped.  The first a with the least score, and its first mask reaching
     it, is the least encoding among the moves with the largest strict
     decrease; only that move rewrites the word.  Cyclic length strictly
-    decreases, so the loop halts.  Returns the minimal canonical cyclic
+    decreases, so the loop halts.  The steps keep the cyclic reduction
+    as the rewrite leaves it, since the rows do not depend on the rotation;
+    the result is rotated once.  Returns the minimal canonical cyclic
     letters and the multiplicity rows of their Whitehead graph, which the
     last step built.
     """
     groups = _wh_moves(rank)
     full = (1 << 2 * rank) - 1
-    current = _cyclic_canon(letters)
+    current = cyclic_reduce_letters(letters)
     signed = [*range(1, rank + 1), *range(-rank, 0)]  # the slots of a _letter_table
     while True:
         mult = _multiplicities(rank, current)
@@ -443,7 +451,7 @@ def _descend(rank: int, letters: Sequence[int]) -> Tuple[Tuple[int, ...], List[L
                 if score < best:
                     best, winner = score, a
         if winner is None:
-            return current, mult
+            return canonical_cycle(current), mult
         masks = groups[winner]
         mask = masks[list(map(cap.__getitem__, masks)).index(best + deg[winner])]
         if not mask >> winner & 1:
@@ -451,7 +459,7 @@ def _descend(rank: int, letters: Sequence[int]) -> Tuple[Tuple[int, ...], List[L
         A = frozenset(_letter(b) for b in range(2 * rank) if mask >> b & 1)
         multiplier = _letter(winner)
         table = ((),) + tuple([_wh_image(l, A, multiplier) for l in signed])
-        current = _cyclic_canon(_substitute_letters(table, current))
+        current = cyclic_reduce_letters(_substitute_letters(table, current))
 
 
 def whitehead_minimize(w: Word) -> CyclicWord:
@@ -504,75 +512,51 @@ def length_then_letter_key(letters: Tuple[int, ...]) -> Tuple[int, Tuple[int, ..
 
 def factor_product_letters(a_rank: int, w: Word, max_len: int) -> Iterator[Tuple[int, ...]]:
     """The letter tuple of every nontrivial element of A * <t w t^-1> of
-    reduced length <= max_len, each once: the single A-syllables by length,
-    then :func:`factor_power_products`.
-    """
-    products = factor_power_products(a_rank, w, max_len)
-    return itertools.chain(itertools.chain.from_iterable(_a_syllables(a_rank, max_len)),
-                           products)
-
-
-def _a_syllables(a_rank: int, max_len: int) -> Iterator[List[Tuple[int, ...]]]:
-    """The nontrivial reduced words on the first ``a_rank`` generators, one
-    list per length from 1 to max_len."""
-    frontier: List[Tuple[int, ...]] = [()]
-    a_letters = [l for i in range(1, a_rank + 1) for l in (i, -i)]
-    for _ in range(max_len):
-        frontier = [word + (l,) for word in frontier for l in a_letters
-                    if not word or word[-1] != -l]
-        yield frontier
+    reduced length <= max_len, each once (see :func:`_factor_walk`)."""
+    return _factor_walk(a_rank, w, max_len, products_only=False)
 
 
 def factor_power_products(a_rank: int, w: Word, max_len: int) -> Iterator[Tuple[int, ...]]:
-    """The letter tuple of every element of A * <t w t^-1> of reduced length
-    <= max_len that holds a power of t w t^-1, each once, in depth-first order.
+    """The elements of :func:`factor_product_letters` that hold t, in the same order."""
+    return _factor_walk(a_rank, w, max_len, products_only=True)
 
-    A is the free factor on the first ``a_rank`` generators of the ambient
-    rank ``a_rank + 1`` group, and t is the stable letter.  Elements are
-    alternating products of nontrivial A-syllables and nonzero powers of
-    t*w*t^-1.  A power's run starts with t and ends with t^-1, so products
-    of that shape reduce without cross-syllable cancellation, lengths add,
-    and the t letters mark the syllables off: distinct products are
-    distinct tuples.  The other elements are the single A-syllables,
-    2a(2a-1)^(k-1) of each length k for a = ``a_rank``.
+
+def _factor_walk(a_rank: int, w: Word, max_len: int,
+                 products_only: bool) -> Iterator[Tuple[int, ...]]:
+    """Depth-first walk over the elements of A * <t w t^-1> of length <= max_len.
+
+    A is the free factor on the first ``a_rank`` generators of the rank
+    ``a_rank + 1`` group, and t is the last generator.  An element is one
+    string of tokens, the letters of A and the reduced runs t w^e t^-1 that
+    fit, where no token starts with the inverse of the letter before it:
+    runs start with t and end with t^-1, so that one rule keeps the string
+    reduced and two powers apart.  The elements without t are the words of
+    A, 2a(2a-1)^(k-1) of each length k for a = ``a_rank``.  With
+    ``products_only`` only strings holding t are yielded, and one without t
+    grows only while the shortest run still fits after it.
     """
     _check_factor_word(a_rank, w)
     t = a_rank + 1
+    runs: List[Tuple[int, ...]] = []
+    power = w.letters
+    while len(power) + 2 <= max_len:  # |w^e| grows with e
+        run = (t,) + power + (-t,)
+        runs += [run, tuple(-x for x in reversed(run))]
+        power = free_reduce(power + w.letters)
+    room = (len(runs[0]) if runs else max_len + 1) if products_only else 1
+    # The tokens longest first: children pushed in this order pop in token order.
+    backward = ([(l,) for i in range(1, a_rank + 1) for l in (i, -i)] + runs)[::-1]
 
-    # Nonzero powers of t w t^-1 that fit the budget, as reduced letter runs.
-    u_powers: List[Tuple[int, ...]] = []
-    acc: Tuple[int, ...] = ()
-    while True:
-        acc = free_reduce(acc + w.letters)
-        run = (t,) + acc + (-t,)
-        if len(run) > max_len:
-            break
-        u_powers.append(run)
-        u_powers.append(tuple(-x for x in reversed(run)))
+    def walk() -> Iterator[Tuple[int, ...]]:
+        stack = [token for token in backward if len(token) <= max_len]
+        while stack:
+            g = stack.pop()
+            has_t = t in g
+            if has_t or not products_only:
+                yield g
+            budget = max_len - len(g)
+            if budget >= (1 if has_t else room):
+                stack += [g + token for token in backward
+                          if len(token) <= budget and token[0] != -g[-1]]
 
-    # The first power is the shortest; an A-syllable that leaves less room
-    # ends its product, so no syllable in a product is longer than
-    # max_len - shortest.  a_words[k] lists the syllables of length k.
-    shortest = len(u_powers[0]) if u_powers else max_len + 1
-    a_words = [[()]] + list(_a_syllables(a_rank, max_len - shortest))
-
-    def extend(letters: Tuple[int, ...], budget: int,
-               last: str) -> Iterator[Tuple[int, ...]]:
-        if last != "u":
-            for run in u_powers:
-                if len(run) <= budget:
-                    g = letters + run
-                    yield g
-                    yield from extend(g, budget - len(run), "u")
-        if last != "a":
-            for length in range(1, budget + 1):
-                rest = budget - length
-                for syllable in a_words[length]:
-                    g = letters + syllable
-                    yield g
-                    if rest >= shortest:
-                        yield from extend(g, rest, "a")
-
-    # A product starts with a power, or with one A-syllable and then a power.
-    starts = itertools.chain.from_iterable(a_words)
-    return itertools.chain.from_iterable(extend(s, max_len - len(s), "a") for s in starts)
+    return walk()

@@ -39,7 +39,8 @@ class VerificationReport(Value):
 
     def __init__(self, lemma: str, rank: Optional[int], cases_checked: int,
                  failures: Tuple[str, ...], details: Tuple[Tuple[str, object], ...] = ()):
-        super().__init__(lemma, rank, cases_checked, tuple(failures), tuple(details))
+        super().__init__(lemma, rank, cases_checked, tuple(failures),
+                         tuple((key, value) for key, value in details))
 
     @property
     def passed(self) -> bool:
@@ -422,7 +423,7 @@ def verify_whitehead_factor(a_rank: int = 2, w: Optional[freegroup.Word] = None,
     u = freegroup.stable_conjugate(a_rank, w)
     u_cycle = freegroup.canonical_cycle(freegroup.cyclic_reduce_letters(u.letters))
     if factor_rank == a_rank:
-        # Each single A-syllable lies in the factor: counted, not walked.
+        # Each element without t is a word of A, in the factor: counted, not walked.
         elements = sum(2 * a_rank * (2 * a_rank - 1) ** (k - 1) for k in range(1, max_len + 1))
         products = freegroup.factor_power_products(a_rank, w, max_len)
     else:

@@ -32,6 +32,7 @@ from whitehead_oracle import (
     _key,
     all_cyclically_reduced,
     all_reduced,
+    factor_product_closure,
     letter_moves,
     oracle_is_simple,
     reference_connected_no_cutvertex,
@@ -110,9 +111,16 @@ def test_cyclic_reduction_and_canonical_form():
 
 
 def test_canonical_cycle_is_the_least_rotation():
-    for rank, max_len in ((2, 8), (3, 6)):
+    for rank, max_len in ((1, 6), (2, 8), (3, 6)):
         for letters in all_cyclically_reduced(rank, max_len):
             assert canonical_cycle(letters) == _canon(letters), letters
+    # Periodic words, where every rotation by the period ties for the least.
+    for period in ((1,), (1, 2), (1, 2, 1, 3)):
+        for k in (2, 3, 7, 40):
+            letters = period * k
+            for shift in range(len(period)):
+                rotated = letters[shift:] + letters[:shift]
+                assert canonical_cycle(rotated) == _canon(letters), (period, k, shift)
 
 
 def test_conjugacy():
@@ -824,33 +832,30 @@ def test_factor_product_rejects_words_with_the_stable_letter():
         sorted_factor_product(2, Word.make(2, ()), 4)
     with pytest.raises(ValueError):
         stable_conjugate(2, W(3, "x3"))
+    # Both walks refuse when called, before anything iterates them.
+    for walk in (factor_product_letters, factor_power_products):
+        with pytest.raises(ValueError, match="must be nontrivial"):
+            walk(2, Word.make(2, ()), 4)
+        with pytest.raises(ValueError, match="must avoid the stable letter"):
+            walk(2, W(3, "x3"), 4)
 
 
 def test_factor_product_matches_independent_subgroup_closure():
-    # Independent oracle: close {A-letters, u, u^-1} under right
-    # multiplication with the reduced length capped at max_len.  Along the
-    # alternating normal form the length grows monotonically, so the cap
-    # loses nothing.
-    w = W(2, "x1x2X1X2")
-    max_len = 6
-    u = stable_conjugate(2, w).letters
-    u_inv = tuple(-x for x in reversed(u))
-    steps = [(1,), (-1,), (2,), (-2,), u, u_inv]
-    seen = set()
-    frontier = [()]
-    while frontier:
-        nxt = []
-        for letters in frontier:
-            for step in steps:
-                product = free_reduce(letters + step)
-                if len(product) > max_len or product in seen or not product:
-                    continue
-                seen.add(product)
-                nxt.append(product)
-        frontier = nxt
-    got = set(sorted_factor_product(2, w, max_len))
-    assert got == seen
-
+    for a_rank, w, max_len in [
+        (2, "x1x2X1X2", 8),
+        (3, "x1x2X3", 6),
+        (2, "x1x2", 8),
+        (2, "x1x2", 3),  # no power fits
+        (1, "x1x1", 9),
+    ]:
+        w = W(a_rank, w)
+        closure = factor_product_closure(a_rank, w, max_len)
+        every = list(factor_product_letters(a_rank, w, max_len))
+        products = list(factor_power_products(a_rank, w, max_len))
+        assert len(every) == len(set(every)) and set(every) == closure, (a_rank, w, max_len)
+        t = a_rank + 1
+        assert len(products) == len(set(products))
+        assert set(products) == {g for g in closure if t in g}, (a_rank, w, max_len)
 
 
 def _cyclically_reduced_words(rank, n):

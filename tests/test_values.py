@@ -225,14 +225,23 @@ def test_value_class_survives_copy_and_pickle(cls, twin, names):
         assert clone == value and repr(clone) == repr(value)
 
 
+def _listed(arg):
+    """``arg`` with every tuple in it, at any depth but not inside a ``Value``, made a list."""
+    return [_listed(a) for a in arg] if isinstance(arg, tuple) else arg
+
+
 def test_values_built_from_lists_equal_the_tuple_built_ones():
-    # Each sequence field is stored as a tuple, whichever sequence it was given.
+    # Each sequence field is stored as tuples at every depth, whichever
+    # sequences it was given, and a field given as a generator is read once.
     for cls, _, _ in CLASSES:
         for args in SAMPLES[cls]:
-            listed = tuple(list(a) if isinstance(a, tuple) else a for a in args)
-            value, from_lists = cls(*args), cls(*listed)
-            assert from_lists == value and repr(from_lists) == repr(value), cls
-            assert _hash(from_lists) == _hash(value), cls
+            listed = [_listed(a) for a in args]
+            streamed = [iter(a) if isinstance(a, list) else a for a in listed]
+            value = cls(*args)
+            for given in (listed, streamed):
+                other = cls(*given)
+                assert other == value and repr(other) == repr(value), cls
+                assert _hash(other) == _hash(value), cls
 
 
 def _value_classes():

@@ -18,12 +18,15 @@ letter-pair edges, built from a dict of pair counts, and
 loops of ``Word`` validation and the generator-by-generator stored-inverse
 check of ``FreeAutomorphism``, substituting by concatenate-then-reduce.
 
-``reference_whitehead_factor`` is the other kind of reference: the
-whitehead-factor verifier's loop on the library's ``Word`` objects, one
-``Word`` per element of ``factor_product_letters`` in this module's key
-order.  It decides the two alternatives with this module's own cyclic
-reduction and canonical rotation, and calls the library's ``is_simple``
-only on the rest.  A test requires the verifier's report to equal it.
+``factor_product_closure`` is the factor product A * <t w t^-1> as the
+closure of {A-letters, u, u^-1}, u = t w t^-1, under right multiplication
+with free reduction, capped at a length.  ``reference_whitehead_factor`` is
+the other kind of reference: the whitehead-factor verifier's loop on the
+library's ``Word`` objects, one ``Word`` per element of that closure in
+this module's key order.  It decides the two alternatives with this
+module's own cyclic reduction and canonical rotation, and calls the
+library's ``is_simple`` only on the rest.  A test requires the verifier's
+report to equal it.
 """
 
 import itertools
@@ -292,15 +295,41 @@ def reference_inverse_error(rank, images, inverse_images):
     return None
 
 
+def factor_product_closure(a_rank, w, max_len):
+    """Every nontrivial element of A * <t w t^-1> of reduced length <= max_len.
+
+    Closes {A-letters, u, u^-1} under right multiplication with free
+    reduction, keeping products of length <= max_len.  Each element is
+    reached through products no longer than itself (its prefixes of letters
+    and powers of u, and u^(e-1) before u^e), so the cap loses nothing.
+    """
+    t = a_rank + 1
+    u = _reduce((t,) + tuple(w.letters) + (-t,))
+    steps = [(l,) for i in range(1, a_rank + 1) for l in (i, -i)]
+    steps += [u, tuple(-x for x in reversed(u))]
+    seen = set()
+    frontier = [()]
+    while frontier:
+        nxt = []
+        for letters in frontier:
+            for step in steps:
+                product = _reduce(letters + step)
+                if product and len(product) <= max_len and product not in seen:
+                    seen.add(product)
+                    nxt.append(product)
+        frontier = nxt
+    return seen
+
+
 def reference_whitehead_factor(a_rank, w, max_len, mutated=False):
     """The whitehead-factor report built one ``Word`` per element."""
     if freegroup.is_simple(w):
         raise ValueError("hypothesis violated: w is simple in the factor")
-    u_cycle = _canon(freegroup.stable_conjugate(a_rank, w).letters)
+    u_cycle = _canon((a_rank + 1,) + tuple(w.letters) + (-a_rank - 1,))
     factor_rank = a_rank - 1 if mutated else a_rank
     elements = [
         freegroup.Word(a_rank + 1, g)
-        for g in sorted(freegroup.factor_product_letters(a_rank, w, max_len),
+        for g in sorted(factor_product_closure(a_rank, w, max_len),
                         key=lambda g: (len(g), [_key(l) for l in g]))
     ]
     failures = tuple(
