@@ -335,20 +335,24 @@ classes_rose_compatible = rose_compatible
 classes_cagey = is_cagey
 
 
-def enumerate_ideal_edges(rank: int, thick_only: bool = False) -> list:
-    """All ideal partitions at the given rank, canonically oriented and sorted.
+def ideal_masks(rank: int, thick_only: bool = False) -> list:
+    """The canonical side masks of the ideal partitions at ``rank``, in numeric order.
 
     The base direction ``x1+`` is pinned to side2, so candidate side1 masks
-    are the nonzero even ints below ``2**(2N)``.
+    are the nonzero even ints below ``2**(2N)``; a thick side holds 2 to
+    2N-2 directions.
     """
     _check_rank(rank)
-    found = []
-    for mask in range(2, full_mask(rank), 2):
-        p = Partition(rank, mask)
-        if is_ideal(p) and (not thick_only or is_thick(p)):
-            found.append(p)
-    # In direction order, read past the bounded bit_positions cache: from rank 6
-    # on every lookup would miss and evict the small masks labels reuse.
+    low = 2 if thick_only else 1
+    return [mask for mask in range(2, full_mask(rank), 2)
+            if low <= mask.bit_count() <= 2 * rank - low and _separates(mask, rank)]
+
+
+def enumerate_ideal_edges(rank: int, thick_only: bool = False) -> list:
+    """The partitions of :func:`ideal_masks`, sorted in direction order."""
+    found = [Partition(rank, mask) for mask in ideal_masks(rank, thick_only)]
+    # Read past the bounded bit_positions cache: from rank 6 on every lookup
+    # would miss and evict the small masks labels reuse.
     found.sort(key=lambda p: bit_positions.__wrapped__(p.mask))
     return found
 

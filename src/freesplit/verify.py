@@ -10,19 +10,20 @@ from __future__ import annotations
 import itertools
 import json
 from functools import partial
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import complexes, freegroup, partitions
 from .blowup import blow_up, boundary_splitting
 from .partitions import (
     Partition,
+    bit_positions,
     class_of,
     compatible,
     direction_bit,
     encode_class,
     enumerate_ideal_edges,
-    enumerate_splitting_classes,
     full_mask,
+    ideal_masks,
     is_cagey,
     petal_class,
     rose_compatible,
@@ -156,15 +157,18 @@ def verify_rigid_blowup(rank: int, mutated: bool = False) -> VerificationReport:
             partial(encode_class, a), partial(encode_class, b),
         )
 
-    # Universe classes are ideal by construction and the family was checked
-    # above, so the maximality scan runs the unchecked mask kernel.
-    family_masks = {f.mask for f in family}
-    for cls in enumerate_splitting_classes(rank):
-        if cls.mask in family_masks:
-            continue
-        adjacent_to_all = all(rose_compatible_masks(cls.mask, f, rank) for f in family_masks)
-        rec.check(not adjacent_to_all, "clique not maximal: %s extends it",
-                  partial(encode_class, cls))
+    # Every petal is a member, so a class that could extend the clique is a
+    # thick ideal side mask outside it.  Each member, from the last companion
+    # back, narrows those candidates through the unchecked mask kernel: the
+    # candidates are ideal by construction and the family was checked above.
+    members = {f.mask for f in family}
+    outside = [m for m in ideal_masks(rank, thick_only=True) if m not in members]
+    extenders = outside
+    for f in reversed(family):
+        extenders = [m for m in extenders if rose_compatible_masks(m, f.mask, rank)]
+    rec.cases += len(outside) - len(extenders)
+    for mask in sorted(extenders, key=bit_positions):
+        rec.check(False, "clique not maximal: %s extends it", Partition(rank, mask).encode)
 
     try:
         graph = blow_up(family, rank)
@@ -308,9 +312,8 @@ def verify_boundary_types(rank: int, mutated: bool = False) -> VerificationRepor
     (:func:`partitions.signed_permutation_tables`) keeps both, so both are
     constant on the orbit of the corner set.  :func:`boundary_splitting`
     runs once per orbit, for the first corner set met in pair order, and its
-    outcome (the edge count and tag or the ``ValueError`` raised, and the
-    caginess) is replayed for every pair whose corner set lies in the orbit.
-    Each table is checked to be a signed permutation first, so no image can
+    outcome (the tag, the case count and the failure texts) is replayed for
+    every pair whose corner set lies in the orbit.  Each table is checked to be a signed permutation first, so no image can
     fall off the crossing thick pairs and no orbit can merge two boundary
     types.  Labels are built only for failures.
     """
@@ -324,40 +327,46 @@ def verify_boundary_types(rank: int, mutated: bool = False) -> VerificationRepor
     tables = partitions.signed_permutation_tables(rank)
     for index, table in enumerate(tables):
         _check_signed_permutation(rank, index, table)
-    # (edge count, tag or the ValueError raised, cagey) per corner set
-    outcomes: Dict[FrozenSet[int], Tuple[int, Union[str, ValueError], bool]] = {}
+    # Per corner set: the tag (None if boundary_splitting raised), the cases
+    # a pair counts (one, and one more for a cagey tag) and its failure texts.
+    outcomes: Dict[FrozenSet[int], Tuple[Optional[str], int, Tuple[str, ...]]] = {}
     for i, a in enumerate(thick):
         for j in range(i + 1, len(thick)):
             b = thick[j]
             if not (a & b and a & ~b and b & ~a):
                 continue
             key = frozenset((a & b, a & ~b, b & ~a, full ^ (a | b)))
-            p, q = edges[i], edges[j]
-            if key not in outcomes:
+            outcome = outcomes.get(key)
+            if outcome is None:
+                p, q = edges[i], edges[j]
                 try:
                     boundary = boundary_splitting(p, q)
-                    edge_count, tag = len(boundary.family), boundary.tag
                 except ValueError as exc:
-                    edge_count, tag = 0, exc
-                outcomes[key] = (edge_count, tag, is_cagey(p, q))
+                    outcome = None, 1, (str(exc),)
+                else:
+                    tag, cagey = boundary.tag, is_cagey(p, q)
+                    witnesses = ()
+                    if len(boundary.family) not in (3, 4):
+                        witnesses += ("%d boundary edges" % len(boundary.family),)
+                    if cagey and tag != "cage-3":
+                        witnesses += ("cagey pair classified %s" % tag,)
+                    outcome = tag, 1 + cagey, witnesses
+                outcomes[key] = outcome
                 todo = [key]
                 while todo:
                     current = todo.pop()
                     for table in tables:
                         image = frozenset(map(table.__getitem__, current))
                         if image not in outcomes:
-                            outcomes[image] = outcomes[key]
+                            outcomes[image] = outcome
                             todo.append(image)
-            edge_count, tag, cagey = outcomes[key]
-            if isinstance(tag, ValueError):
-                rec.check(False, "{%s} vs {%s}: %s", p.encode, q.encode, tag)
-                continue
-            census[tag] = census.get(tag, 0) + 1
-            rec.check(edge_count in (3, 4), "{%s} vs {%s}: %d boundary edges",
-                      p.encode, q.encode, edge_count)
-            if cagey:
-                rec.check(tag == "cage-3", "{%s} vs {%s}: cagey pair classified %s",
-                          p.encode, q.encode, tag)
+            tag, cases, witnesses = outcome
+            rec.cases += cases
+            if tag is not None:
+                census[tag] = census.get(tag, 0) + 1
+            for witness in witnesses:
+                rec.failures.append("{%s} vs {%s}: %s"
+                                    % (edges[i].encode(), edges[j].encode(), witness))
     if mutated:
         p = chain_partition(rank, 1)
         q = chain_partition(rank, 2)

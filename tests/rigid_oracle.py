@@ -3,8 +3,9 @@
 This is the verifier with every universe class tested against every
 family class through ``classes_compatible`` and ``classes_rose_compatible``,
 which re-check that both classes are ideal and distinct on each call.  The
-library runs the same scan on side masks with ``rose_compatible_masks``;
-a test requires the two reports to be identical.
+library instead narrows the thick ideal side masks outside the family
+through ``rose_compatible_masks``, one member at a time, and reports the
+survivors in class order; a test requires the two reports to be identical.
 """
 
 import itertools

@@ -6,13 +6,15 @@ import pytest
 from jsonschema import validate
 
 from freesplit import blowup, complexes, freegroup, partitions, verify
-from freesplit.blowup import GraphOfGroups, boundary_classes, boundary_splitting
+from freesplit.blowup import BoundaryType, GraphOfGroups, boundary_classes, boundary_splitting
 from freesplit.partitions import (
     Partition,
+    class_key,
     corner_masks,
     enumerate_ideal_edges,
     full_mask,
     is_cagey,
+    parse_class,
     signed_permutation_tables,
 )
 from freesplit.verify import (
@@ -29,6 +31,7 @@ from freesplit.verify import (
 )
 
 import partition_oracle as oracle
+import rigid_oracle
 from boundary_oracle import crossing_thick_pairs, oracle_boundary_types
 from clique_rank3_oracle import oracle_clique_rank3
 from conftest import load_schema
@@ -55,6 +58,60 @@ def test_rigid_blowup_negative_control():
 @pytest.mark.parametrize("mutated", [False, True])
 def test_rigid_blowup_matches_the_class_predicate_oracle(rank, mutated):
     assert_same_report(verify_rigid_blowup(rank, mutated=mutated), oracle_rigid_blowup(rank, mutated))
+
+
+@pytest.mark.parametrize("rank", [4, 5, 6])
+@pytest.mark.parametrize("kept, extenders", [
+    (slice(None, -1), {4: 3, 5: 3, 6: 3}),  # the last companion dropped
+    (slice(1, -1), {4: 8, 5: 5, 6: 5}),  # the first and the last dropped
+])
+def test_a_clique_short_of_its_companions_reports_its_extenders_in_class_order(
+        monkeypatch, rank, kept, extenders):
+    real = verify.rigid_blowup_family
+
+    def short_family(rank):
+        petals, companions, tau = real(rank)
+        return petals, companions[kept], tau
+
+    monkeypatch.setattr(verify, "rigid_blowup_family", short_family)
+    monkeypatch.setattr(rigid_oracle, "rigid_blowup_family", short_family)
+    got = verify_rigid_blowup(rank)
+    assert_same_report(got, rigid_oracle.oracle_rigid_blowup(rank))
+    prefix, suffix = "clique not maximal: ", " extends it"
+    found = [f[len(prefix):-len(suffix)] for f in got.failures if f.startswith(prefix)]
+    assert len(found) == extenders[rank]
+    keys = [class_key(parse_class(rank, text)) for text in found]
+    assert keys == sorted(keys)
+    companions = real(rank)[1]
+    assert {c.encode() for c in companions} - {c.encode() for c in companions[kept]} <= set(found)
+
+
+@pytest.mark.parametrize("mutated, calls", [(False, [135, 571, 2335]), (True, [139, 577, 2343])])
+def test_rigid_blowup_narrows_its_candidates_without_building_the_universe(
+        monkeypatch, mutated, calls):
+    # Each family member, from the last companion back, tests only the thick
+    # ideal masks outside the clique that every later member kept.
+    kernel_calls = []
+    real = verify.rose_compatible_masks
+
+    def counting(a, b, rank):
+        kernel_calls.append((a, b))
+        return real(a, b, rank)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the maximality scan built the universe")
+
+    monkeypatch.setattr(verify, "rose_compatible_masks", counting)
+    monkeypatch.setattr(verify, "enumerate_ideal_edges", refuse)
+    for name in ("enumerate_ideal_edges", "enumerate_splitting_classes"):
+        monkeypatch.setattr(partitions, name, refuse)
+    assert not hasattr(verify, "enumerate_splitting_classes")
+    made = []
+    for rank in (4, 5, 6):
+        del kernel_calls[:]
+        assert verify_rigid_blowup(rank, mutated=mutated).passed is not mutated
+        made.append(len(kernel_calls))
+    assert made == calls
 
 
 def test_three_rose_passes_and_records_circle_pairs():
@@ -228,6 +285,43 @@ def test_a_failing_orbit_representative_is_replayed_for_every_pair_of_its_orbit(
     assert list(got.failures) == [
         "{%s} vs {%s}: injected" % (p.encode(), q.encode()) for p, q in in_orbit
     ]
+
+
+@pytest.mark.parametrize("rank", [3, 4])
+def test_wrong_tags_and_short_families_are_reported_like_the_per_pair_oracle(monkeypatch, rank):
+    # Orbit by orbit: the first cagey orbit gets a wrong tag, the second
+    # cagey orbit a wrong tag and two edges, the first other orbit two edges.
+    signed = oracle.signed_permutations(rank)
+    keys = [frozenset(corner_masks(p, q)) for p, q in crossing_thick_pairs(rank)]
+    orbits = []
+    for key, (p, q) in zip(keys, crossing_thick_pairs(rank)):
+        if not any(key in orbit for orbit, _ in orbits):
+            orbits.append(({frozenset(corner_masks(g(p), g(q))) for g in signed}, is_cagey(p, q)))
+    cagey = [orbit for orbit, c in orbits if c]
+    other = [orbit for orbit, c in orbits if not c]
+    real = blowup.boundary_splitting
+
+    def misreport(p, q):
+        boundary = real(p, q)
+        key = frozenset(corner_masks(p, q))
+        if key in cagey[0]:
+            return BoundaryType("separating-bridge", boundary.family)
+        if key in cagey[1]:
+            return BoundaryType("theta-variant", boundary.family[:2])
+        if key in other[0]:
+            return BoundaryType(boundary.tag, boundary.family[:2])
+        return boundary
+
+    monkeypatch.setattr(verify, "boundary_splitting", misreport)
+    monkeypatch.setattr(blowup, "boundary_splitting", misreport)
+    got = verify_boundary_types(rank)
+    assert_same_report(got, oracle_boundary_types(rank))
+    wrong_tag = [f for f in got.failures if f.endswith(": cagey pair classified separating-bridge")]
+    two_edges = [f for f in got.failures if f.endswith(": 2 boundary edges")]
+    pairs = [sum(key in orbit for key in keys) for orbit in (cagey[0], cagey[1], other[0])]
+    assert len(wrong_tag) == pairs[0]
+    assert len(two_edges) == pairs[1] + pairs[2]
+    assert len(got.failures) == pairs[0] + 2 * pairs[1] + pairs[2]
 
 
 def test_an_image_off_the_pair_keys_stops_the_run(monkeypatch):
