@@ -19,11 +19,13 @@ from .partitions import (
     class_key,
     class_of,
     corner_masks,
+    crosses,
     direction_bit,
     encode_class,
     full_mask,
     is_ideal,
     petal_index,
+    side_names,
 )
 from .values import Value
 
@@ -149,58 +151,66 @@ class GraphOfGroups(Value):
 def blow_up(family: Iterable[Partition], rank: int) -> GraphOfGroups:
     """Graph of groups determined by a pairwise compatible family of classes.
 
-    Members are taken through :func:`class_of`, so both petal partitions
-    name the same edge.  The output is canonical: vertex ids depend only on
-    the family, not on iteration order.  Raises
-    :class:`IncompatibleFamilyError` on a crossing pair and ``ValueError``
-    on an empty family.
+    Both petal partitions {xi+} and {xi-} name petal i's edge.  The output
+    is canonical: vertex ids depend only on the family, not on iteration
+    order.  Raises :class:`IncompatibleFamilyError` on a crossing pair and
+    ``ValueError`` on an empty family.
     """
-    fam = sorted(set(map(class_of, family)), key=class_key)
-    if not fam:
+    family = list(family)
+    if not family:
         raise ValueError("cannot blow up an empty family")
-    for c in fam:
-        if c.rank != rank:
-            raise ValueError("family member %s has rank %d, expected %d"
-                             % (encode_class(c), c.rank, rank))
-    for a, b in itertools.combinations(fam, 2):
-        x, y = a.mask, b.mask
-        if x & y and x & ~y and y & ~x:  # crosses(a, b) on masks of one rank
-            raise IncompatibleFamilyError(
-                "family members cross: {%s} and {%s}" % (encode_class(a), encode_class(b))
-            )
-    petal_of = {c: petal_index(c) for c in fam}
+    if any(p.rank != rank for p in family):
+        c = next(c for c in sorted(set(map(class_of, family)), key=class_key)
+                 if c.rank != rank)
+        raise ValueError("family member %s has rank %d, expected %d"
+                         % (encode_class(c), c.rank, rank))
+
+    # A member's mask is its class mask but for {xi-}, which petal_index
+    # reads as petal i.  Petals cross nothing.
+    full = full_mask(rank)
+    kept_petals, thick = set(), set()
+    for p in family:
+        i = petal_index(p)
+        if i is None:
+            thick.add(p.mask)
+        else:
+            kept_petals.add(i)
+    thick = sorted(thick)
+    if any(a & b and a & ~b and b & ~a for a, b in itertools.combinations(thick, 2)):
+        # Only a failing family is sorted into class order, to name its first crossing pair.
+        fam = sorted(set(map(class_of, family)), key=class_key)
+        a, b = next(pair for pair in itertools.combinations(fam, 2) if crosses(*pair))
+        raise IncompatibleFamilyError(
+            "family members cross: {%s} and {%s}" % (encode_class(a), encode_class(b))
+        )
 
     # The dual tree of the thick members is their laminar family of side1
     # masks: canonical side1s never hold x1+, so those of a compatible
     # family are nested or disjoint.  A vertex is a member mask (or the
     # root, ``full``) holding its directions minus its children's, and each
     # member's edge joins it to its smallest strict superset or the root.
-    full = full_mask(rank)
-    thick = [c.mask for c, i in petal_of.items() if i is None]
+    # The supersets of a mask are a chain of larger ints, so the smallest is
+    # the first after it in numeric order.
     dirs = {m: m for m in thick}
     dirs[full] = full
-    ends: Dict[int, Tuple[int, int]] = {}
-    for m in thick:
-        parent = min((o for o in thick if o != m and not m & ~o),
-                     key=int.bit_count, default=full)
+    edge_records = []
+    for n, m in enumerate(thick):
+        parent = next((o for o in thick[n + 1:] if not m & ~o), full)
         dirs[parent] &= ~m
-        ends[m] = (m, parent)
+        edge_records.append((",".join(side_names(m)), m, parent))
 
     owner = {1 << b: vid for vid, own in dirs.items() for b in bit_positions(own)}
-    petal_ends = {
-        i: (owner[direction_bit(i, 1)], owner[direction_bit(i, -1)])
-        for i in range(1, rank + 1)
-    }
-    kept_petals = set(petal_of.values())
 
     # Collapsing a petal merges its end vertices into the first end's root;
     # root_of maps every dual-tree vertex to the root holding it.
     root_of = {vid: vid for vid in dirs}
     extra_rank = dict.fromkeys(dirs, 0)
     for i in range(1, rank + 1):
+        u, v = owner[direction_bit(i, 1)], owner[direction_bit(i, -1)]
         if i in kept_petals:
+            edge_records.append(("petal:%d" % i, u, v))
             continue
-        u, v = (root_of[x] for x in petal_ends[i])
+        u, v = root_of[u], root_of[v]
         if u == v:
             extra_rank[u] += 1
         else:
@@ -209,36 +219,20 @@ def blow_up(family: Iterable[Partition], rank: int) -> GraphOfGroups:
                     root_of[vid] = u
             extra_rank[u] += extra_rank.pop(v)
             dirs[u] |= dirs.pop(v)
+    edge_records = [(label, root_of[u], root_of[v]) for label, u, v in edge_records]
 
-    edge_records = []
-    for c, i in petal_of.items():
-        u, v = ends[c.mask] if i is None else petal_ends[i]
-        edge_records.append((encode_class(c), root_of[u], root_of[v]))
-
-    incident: Dict[int, List[str]] = {root: [] for root in dirs}
-    for label, u, v in edge_records:
-        incident[u].append(label)
-        if v != u:
-            incident[v].append(label)
-
+    # A vertex is keyed by its own directions, or by its edge labels when it
+    # owns none.  Own direction sets are disjoint, so the lowest bit orders
+    # them as their direction lists would.
     keys = {
-        root: (0, bit_positions(own)) if own else (1, tuple(sorted(incident[root])))
+        root: (0, own & -own) if own
+        else (1, tuple(sorted(label for label, u, v in edge_records if root in (u, v))))
         for root, own in dirs.items()
     }
-    names = {
-        root: "v%d" % n
-        for n, root in enumerate(sorted(keys, key=lambda r: keys[r]))
-    }
-
-    vertices = tuple(
-        sorted((names[root], extra_rank[root]) for root in keys)
-    )
-    edges = tuple(
-        sorted(
-            (label, tuple(sorted((names[u], names[v]))))
-            for label, u, v in edge_records
-        )
-    )
+    names = {root: "v%d" % n for n, root in enumerate(sorted(keys, key=keys.get))}
+    vertices = tuple(sorted((names[root], extra_rank[root]) for root in keys))
+    edges = tuple(sorted((label, tuple(sorted((names[u], names[v]))))
+                         for label, u, v in edge_records))
     return GraphOfGroups(rank=rank, vertices=vertices, edges=edges)
 
 

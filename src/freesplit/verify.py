@@ -313,9 +313,10 @@ def verify_boundary_types(rank: int, mutated: bool = False) -> VerificationRepor
     constant on the orbit of the corner set.  :func:`boundary_splitting`
     runs once per orbit, for the first corner set met in pair order, and its
     outcome (the tag, the case count and the failure texts) is replayed for
-    every pair whose corner set lies in the orbit.  Each table is checked to be a signed permutation first, so no image can
-    fall off the crossing thick pairs and no orbit can merge two boundary
-    types.  Labels are built only for failures.
+    every pair whose corner set lies in the orbit.  Each table is checked to
+    be a signed permutation first, so no image can fall off the crossing
+    thick pairs and no orbit can merge two boundary types.  Labels are built
+    only for failures.
     """
     if rank not in (3, 4, 5):
         raise ValueError("boundary-type verification runs at ranks 3 to 5")

@@ -73,15 +73,34 @@ def test_both_partitions_of_a_petal_name_one_edge():
 
 
 def test_blow_up_rejects_empty_and_incompatible_families():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^cannot blow up an empty family$"):
         blow_up([], 3)
-    with pytest.raises(IncompatibleFamilyError):
+    with pytest.raises(IncompatibleFamilyError, match=r"^family members cross: "
+                       r"\{x1-,x2\+,x2-,x3\+\} and \{x1-,x2-,x3-,x4-,x5-,x6-\}$"):
         blow_up([class_of(sign_partition(6)), class_of(interval_partition(6, 2))], 6)
 
 
+def test_blow_up_names_the_first_crossing_pair_in_class_order():
+    # Two crossing pairs: {x1-,x4-} / {x3-,x4-} comes first in class order,
+    # {x2+,x3+} / {x2+,x4+} first in numeric mask order.  The petal named by
+    # {x3-}, the repeated member and the shuffles do not change the message.
+    family = [thick(4, side) for side in ("x1-,x4-", "x2+,x3+", "x2+,x4+", "x3-,x4-")]
+    family += [Partition.parse(4, "x3-"), petal_class(4, 3), family[2]]
+    rng = random.Random(29)
+    for _ in range(10):
+        rng.shuffle(family)
+        with pytest.raises(IncompatibleFamilyError,
+                           match=r"^family members cross: \{x1-,x4-\} and \{x3-,x4-\}$"):
+            blow_up(family, 4)
+
+
 def test_blow_up_rejects_rank_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^family member petal:1 has rank 4, expected 3$"):
         blow_up([petal_class(4, 1)], 3)
+    # The first mismatched member in class order is named, as its class.
+    family = [Partition.parse(3, "x1-,x2+"), petal_class(4, 1), Partition.parse(5, "x2-")]
+    with pytest.raises(ValueError, match="^family member petal:2 has rank 5, expected 4$"):
+        blow_up(family, 4)
 
 
 def test_blow_up_is_insertion_order_independent():

@@ -2,8 +2,10 @@
 
 Exhaustive at ranks 3 and 4: every predicate on every ordered pair of
 ideal edges, the blow-up of every boundary family, and the group that the
-signed-permutation tables generate; plus the 1,000 seeded families of
-acceptance criterion 8 at ranks 3 to 5.
+signed-permutation tables generate.  Blow-ups are also compared on the 328
+rank-3 4-cliques, on the 1,000 seeded families of acceptance criterion 8
+at ranks 3 to 5, and on seeded families at ranks 3 to 7 whose petals are
+named by either partition, with a member repeated, in shuffled order.
 """
 
 import itertools
@@ -18,6 +20,7 @@ import pytest
 import freesplit
 import partition_oracle as oracle
 from freesplit.blowup import blow_up, boundary_classes
+from freesplit.complexes import build_star_graph, enumerate_cliques
 from freesplit.partitions import (
     Partition,
     circle_compatible,
@@ -27,12 +30,14 @@ from freesplit.partitions import (
     compatible,
     corner_masks,
     crosses,
+    direction_bit,
     enumerate_ideal_edges,
     enumerate_splitting_classes,
     full_mask,
     is_cagey,
     is_ideal,
     is_thick,
+    petal_index,
     rose_compatible,
     rose_compatible_masks,
     signed_permutation_tables,
@@ -104,6 +109,45 @@ def test_blow_up_matches_the_oracle_on_the_seeded_families():
         if not family:
             family = [classes[0]]
         assert blow_up(family, rank) == oracle.blow_up(family, rank)
+
+
+def test_blow_up_matches_the_oracle_on_every_rank3_four_clique():
+    graph = build_star_graph(3)
+    cliques = enumerate_cliques(graph, 4)
+    assert len(cliques) == 328
+    for indices in cliques:
+        family = [graph.vertices[i] for i in indices]
+        assert blow_up(family, 3) == oracle.blow_up(family, 3)
+
+
+@pytest.mark.parametrize("rank", [3, 4, 5, 6, 7])
+def test_blow_up_matches_the_oracle_on_renamed_repeated_and_shuffled_members(rank):
+    # Seeded compatible families of up to 3N - 3 classes, about half the
+    # petals among them.  Each is blown up again with about half its petals
+    # named by {xi-}, one member repeated and the members shuffled: the
+    # graph must not change.
+    rng = random.Random(100 + rank)
+    classes = enumerate_splitting_classes(rank)
+    petals, thick = classes[:rank], classes[rank:]
+    for _ in range(40):
+        rng.shuffle(thick)
+        size = rng.randint(1, 3 * rank - 3)
+        family = [c for c in petals if rng.random() < 0.5][:size]
+        for cls in thick:
+            if len(family) == size:
+                break
+            if all(classes_compatible(cls, other) for other in family):
+                family.append(cls)
+        graph = blow_up(family, rank)
+        assert graph == oracle.blow_up(family, rank)
+        renamed = [
+            Partition(rank, direction_bit(petal_index(c), -1))
+            if petal_index(c) is not None and rng.random() < 0.5 else c
+            for c in family
+        ]
+        renamed.append(rng.choice(renamed))
+        rng.shuffle(renamed)
+        assert blow_up(renamed, rank) == oracle.blow_up(renamed, rank) == graph
 
 
 def _group_of_tables(rank):

@@ -2,8 +2,8 @@
 public function and class has a reader, every export is read or documented,
 each relation has one function, no module caches a reader with
 ``cached_property``, values are built only by their constructors or
-``Value._trusted``, and importing the CLI loads no ``dataclasses`` or what
-it pulls in."""
+``Value._trusted``, importing the CLI loads no ``dataclasses`` or what
+it pulls in, and no source line is longer than 99 characters."""
 
 import ast
 import os
@@ -28,6 +28,20 @@ def test_no_module_uses_another_modules_private_name():
             source = handle.read()
         match = PRIVATE_REACH.search(source)
         assert match is None, "%s uses %s" % (name, match.group(0))
+
+
+def test_no_source_line_exceeds_99_characters():
+    # Every text file under src/freesplit/, the schemas included.
+    long_lines = []
+    for root, dirs, files in os.walk(SRC):
+        dirs[:] = [name for name in dirs if name != "__pycache__"]
+        for name in sorted(files):
+            path = os.path.join(root, name)
+            with open(path, encoding="utf-8") as handle:
+                long_lines += ["%s:%d" % (os.path.relpath(path, SRC), number)
+                               for number, line in enumerate(handle, 1)
+                               if len(line.rstrip("\n")) > 99]
+    assert long_lines == []
 
 
 def _trees(directory):
