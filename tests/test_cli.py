@@ -328,6 +328,22 @@ def test_kgraph(capsys):
     assert payload["vertices"] and payload["edges"]
 
 
+@pytest.mark.parametrize("name, fmt", [("kgraph-r3.json", "json"), ("kgraph-r3.dot", "dot")])
+def test_kgraph_stdout_is_byte_identical_to_the_golden_file(capsys, name, fmt):
+    # The files pin the 235 roses, their 1,140 edges and both output formats.
+    code, out, err = run_cli(capsys, "kgraph", "--rank", "3", "--format", fmt)
+    assert (code, err) == (0, "")
+    with open(os.path.join(GOLDEN, name), encoding="utf-8") as handle:
+        assert out == handle.read()
+
+
+def test_verify_boundary_types_rank5_stdout_is_byte_identical_to_the_golden_file(capsys):
+    code, out, err = run_cli(capsys, "verify", "boundary-types", "--rank", "5")
+    assert (code, err) == (0, "")
+    with open(os.path.join(GOLDEN, "verify-boundary-types-r5.json"), encoding="utf-8") as handle:
+        assert out == handle.read()
+
+
 def test_unknown_subcommand_exits_two():
     proc = subprocess.run(
         [sys.executable, "-m", "freesplit", "nonsense"],

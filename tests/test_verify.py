@@ -199,6 +199,12 @@ def test_boundary_types_rank5_census_matches_the_exhaustive_scan():
     }
 
 
+def test_the_mutated_rank5_boundary_report_is_byte_identical_to_the_golden_file():
+    golden = Path(__file__).resolve().parent / "golden" / "boundary-types-r5-mutated.json"
+    report = verify_boundary_types(5, mutated=True)
+    assert json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n" == golden.read_text()
+
+
 @pytest.mark.parametrize("rank", [2, 6])
 def test_boundary_types_refuse_ranks_outside_3_to_5(rank):
     with pytest.raises(ValueError, match="boundary-type verification runs at ranks 3 to 5"):
