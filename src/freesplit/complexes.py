@@ -202,21 +202,18 @@ def k_graph_local(rank: int) -> KLocalGraph:
     """The rose graph on the universe: N-roses, joined when N+1 pairwise
     rose compatible classes contain both roses as N-subsets.
 
+    Each (N+1)-clique is such a set, and two roses lie in at most one, so
+    the edges are the pairs of roses among the N-subsets of each clique.
     Only rank 3 is exhaustive (the rose list is complete there).
     """
     if rank != 3:
         raise ValueError("the local rose graph is built exhaustively at rank 3 only")
     graph = build_star_graph(rank)
-    adj = graph.adjacency
     roses = rose_vertices(graph)
-    members = [[graph.index_of(c) for c in r] for r in roses]
-    masks = [sum(1 << i for i in m) for m in members]
-    edges = []
-    for a, b in itertools.combinations(range(len(roses)), 2):
-        if (masks[a] & masks[b]).bit_count() != rank - 1:
-            continue
-        union = masks[a] | masks[b]
-        # A clique: every member's row, plus the member itself, covers the union.
-        if all(union & ~adj[i] == 1 << i for i in members[a] + members[b]):
-            edges.append((a, b))
-    return KLocalGraph(rank=rank, vertices=tuple(roses), edges=tuple(edges))
+    position = {rose: n for n, rose in enumerate(roses)}
+    edges = set()
+    for indices in cliques_within(graph, (1 << len(graph.vertices)) - 1, rank + 1):
+        fam = tuple(graph.vertices[i] for i in indices)
+        found = [position[sub] for sub in itertools.combinations(fam, rank) if sub in position]
+        edges.update(itertools.combinations(found, 2))
+    return KLocalGraph(rank=rank, vertices=tuple(roses), edges=tuple(sorted(edges)))

@@ -510,32 +510,23 @@ def length_then_letter_key(letters: Tuple[int, ...]) -> Tuple[int, Tuple[int, ..
     return (len(letters), tuple(map(_bit, letters)))
 
 
-def factor_product_letters(a_rank: int, w: Word, max_len: int) -> Iterator[Tuple[int, ...]]:
-    """The letter tuple of every nontrivial element of A * <t w t^-1> of
-    reduced length <= max_len, each once (see :func:`_factor_walk`)."""
-    return _factor_walk(a_rank, w, max_len, products_only=False)
-
-
-def factor_power_products(a_rank: int, w: Word, max_len: int) -> Iterator[Tuple[int, ...]]:
-    """The elements of :func:`factor_product_letters` that hold t, in the same order."""
-    return _factor_walk(a_rank, w, max_len, products_only=True)
-
-
-def _factor_walk(a_rank: int, w: Word, max_len: int,
-                 products_only: bool) -> Iterator[Tuple[int, ...]]:
-    """Depth-first walk over the elements of A * <t w t^-1> of length <= max_len.
+def factor_product_letters(a_rank: int, w: Word, max_len: int,
+                           factor_rank: int) -> Iterator[Tuple[int, ...]]:
+    """The letter tuple of every element of A * <t w t^-1> of reduced length
+    <= max_len that is not a word in the first ``factor_rank`` generators.
 
     A is the free factor on the first ``a_rank`` generators of the rank
     ``a_rank + 1`` group, and t is the last generator.  An element is one
     string of tokens, the letters of A and the reduced runs t w^e t^-1 that
     fit, where no token starts with the inverse of the letter before it:
     runs start with t and end with t^-1, so that one rule keeps the string
-    reduced and two powers apart.  The elements without t are the words of
-    A, 2a(2a-1)^(k-1) of each length k for a = ``a_rank``.  With
-    ``products_only`` only strings holding t are yielded, and one without t
-    grows only while the shortest run still fits after it.
+    reduced and two powers apart.  The walk is depth first, and a string of
+    factor letters grows only while the shortest token outside the factor
+    still fits after it.  ``factor_rank`` 0 yields every nontrivial element.
     """
     _check_factor_word(a_rank, w)
+    if not 0 <= factor_rank <= a_rank:
+        raise ValueError("factor rank %d outside 0..%d" % (factor_rank, a_rank))
     t = a_rank + 1
     runs: List[Tuple[int, ...]] = []
     power = w.letters
@@ -543,20 +534,21 @@ def _factor_walk(a_rank: int, w: Word, max_len: int,
         run = (t,) + power + (-t,)
         runs += [run, tuple(-x for x in reversed(run))]
         power = free_reduce(power + w.letters)
-    room = (len(runs[0]) if runs else max_len + 1) if products_only else 1
-    # The tokens longest first: children pushed in this order pop in token order.
-    backward = ([(l,) for i in range(1, a_rank + 1) for l in (i, -i)] + runs)[::-1]
+    # Each token, longest first, with whether it leaves the factor: children
+    # pushed in this order pop in token order.
+    backward = [(token, max(map(abs, token)) > factor_rank) for token in
+                reversed([(l,) for i in range(1, a_rank + 1) for l in (i, -i)] + runs)]
+    room = min((len(token) for token, outside in backward if outside), default=max_len + 1)
 
     def walk() -> Iterator[Tuple[int, ...]]:
-        stack = [token for token in backward if len(token) <= max_len]
+        stack = [entry for entry in backward if len(entry[0]) <= max_len]
         while stack:
-            g = stack.pop()
-            has_t = t in g
-            if has_t or not products_only:
+            g, outside = stack.pop()
+            if outside:
                 yield g
             budget = max_len - len(g)
-            if budget >= (1 if has_t else room):
-                stack += [g + token for token in backward
+            if budget >= (1 if outside else room):
+                stack += [(g + token, outside or leaves) for token, leaves in backward
                           if len(token) <= budget and token[0] != -g[-1]]
 
     return walk()

@@ -21,7 +21,7 @@ so exhaustive scans can be evaluated concurrently without shared state.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .values import Value
 
@@ -391,3 +391,63 @@ def signed_permutation_tables(rank: int) -> Tuple[Tuple[int, ...], ...]:
             table[mask] = table[mask ^ low] | 1 << images[low.bit_length() - 1]
         tables.append(tuple(table))
     return tuple(tables)
+
+
+def _check_signed_permutation(rank: int, index: int, table: Sequence[int]) -> None:
+    """Raise RuntimeError unless ``table`` extends a permutation of the 2N
+    bits bit by bit that carries every petal pair {xi+, xi-} onto a petal pair."""
+    width = 2 * rank
+    if len(table) == 1 << width:
+        images = [table[1 << b] for b in range(width)]
+        pairs = {images[b] | images[b + 1] for b in range(0, width, 2)}
+        if (all(m.bit_count() == 1 for m in images)
+                and pairs == {3 << b for b in range(0, width, 2)}
+                and table[0] == 0
+                and all(table[m] == table[m & -m] | table[m & (m - 1)]
+                        for m in range(1, len(table)))):
+            return
+    raise RuntimeError("signed permutation table %d is no signed permutation of the petals: "
+                       "it may map corner sets off the crossing thick pairs" % index)
+
+
+def crossing_pair_orbits(rank: int, masks: Sequence[int]) -> List[List[Tuple[int, int]]]:
+    """The crossing pairs (i, j), i < j, of the thick side ``masks``, grouped
+    by the B_N orbit of their corner sets: groups in first-met pair order,
+    pairs ascending within a group.
+
+    A pair's corner set, the set of its four corner masks, fixes its
+    boundary family, so it fixes the boundary type, an isomorphism invariant
+    of the family's blow-up.  It fixes caginess too: a pair is cagey iff
+    every corner and every union of two corners separates some petal pair.
+    A signed permutation of the petals keeps both, so both are constant on a
+    group.  Each table of :func:`signed_permutation_tables` is checked to be
+    one first, so no image falls off the crossing thick pairs and no group
+    merges two boundary types.  Each new corner set is closed under the
+    tables by a walk.
+    """
+    full = full_mask(rank)
+    tables = signed_permutation_tables(rank)
+    for index, table in enumerate(tables):
+        _check_signed_permutation(rank, index, table)
+    group_of: Dict[FrozenSet[int], List[Tuple[int, int]]] = {}
+    groups = []
+    for i, a in enumerate(masks):
+        for j in range(i + 1, len(masks)):
+            b = masks[j]
+            if not (a & b and a & ~b and b & ~a):
+                continue
+            key = frozenset((a & b, a & ~b, b & ~a, full ^ (a | b)))
+            group = group_of.get(key)
+            if group is None:
+                group = group_of[key] = []
+                groups.append(group)
+                todo = [key]
+                while todo:
+                    current = todo.pop()
+                    for table in tables:
+                        image = frozenset(map(table.__getitem__, current))
+                        if image not in group_of:
+                            group_of[image] = group
+                            todo.append(image)
+            group.append((i, j))
+    return groups

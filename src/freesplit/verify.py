@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 from functools import partial
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import complexes, freegroup, partitions
 from .blowup import blow_up, boundary_splitting
@@ -22,7 +22,6 @@ from .partitions import (
     direction_bit,
     encode_class,
     enumerate_ideal_edges,
-    full_mask,
     ideal_masks,
     is_cagey,
     petal_class,
@@ -277,97 +276,43 @@ def verify_clique_rank3(mutated: bool = False) -> VerificationReport:
     return rec.report("clique-rank-3", 3)
 
 
-def _check_signed_permutation(rank: int, index: int, table: Sequence[int]) -> None:
-    """Raise RuntimeError unless ``table`` is a signed permutation of the petals.
-
-    That is: the table extends a permutation of the 2N bits bit by bit, and
-    the permutation carries every petal pair {xi+, xi-} onto a petal pair.
-    Such a map sends corner sets of crossing thick pairs to corner sets of
-    crossing thick pairs and keeps the boundary type and the caginess.
-    """
-    width = 2 * rank
-    if len(table) == 1 << width:
-        images = [table[1 << b] for b in range(width)]
-        pairs = {images[b] | images[b + 1] for b in range(0, width, 2)}
-        if (all(m.bit_count() == 1 for m in images)
-                and pairs == {3 << b for b in range(0, width, 2)}
-                and table[0] == 0
-                and all(table[m] == table[m & -m] | table[m & (m - 1)]
-                        for m in range(1, len(table)))):
-            return
-    raise RuntimeError("signed permutation table %d is no signed permutation of the petals: "
-                       "it may map corner sets off the crossing thick pairs" % index)
-
-
 def verify_boundary_types(rank: int, mutated: bool = False) -> VerificationReport:
     """Every crossing ideal pair yields a boundary splitting with 3 or 4
     distinct edges whose quotient is one of the six recognized shapes;
     cagey pairs land on the cage.
 
-    The pairs are scanned on side masks, and each pair is keyed by its set
-    of four corner masks.  The boundary type is an isomorphism invariant of
-    the blow-up along the corner classes, which that set fixes.  Caginess is
-    fixed by it too: a pair is cagey iff every corner and every union of two
-    corners separates some petal pair.  A signed permutation of the petals
-    (:func:`partitions.signed_permutation_tables`) keeps both, so both are
-    constant on the orbit of the corner set.  :func:`boundary_splitting`
-    runs once per orbit, for the first corner set met in pair order, and its
-    outcome (the tag, the case count and the failure texts) is replayed for
-    every pair whose corner set lies in the orbit.  Each table is checked to
-    be a signed permutation first, so no image can fall off the crossing
-    thick pairs and no orbit can merge two boundary types.  Labels are built
-    only for failures.
+    The boundary type and the caginess are constant on each group of
+    :func:`partitions.crossing_pair_orbits`, so :func:`boundary_splitting`
+    runs once per group, on its first pair.  Its outcome (the tag, the cases
+    a pair counts and the failure texts) counts for every pair of the group,
+    and failures are reported in pair order.  Labels are built only for
+    failures.
     """
     if rank not in (3, 4, 5):
         raise ValueError("boundary-type verification runs at ranks 3 to 5")
     rec = _Recorder()
     census: Dict[str, int] = {}
     edges = enumerate_ideal_edges(rank, thick_only=True)
-    thick = [p.mask for p in edges]
-    full = full_mask(rank)
-    tables = partitions.signed_permutation_tables(rank)
-    for index, table in enumerate(tables):
-        _check_signed_permutation(rank, index, table)
-    # Per corner set: the tag (None if boundary_splitting raised), the cases
-    # a pair counts (one, and one more for a cagey tag) and its failure texts.
-    outcomes: Dict[FrozenSet[int], Tuple[Optional[str], int, Tuple[str, ...]]] = {}
-    for i, a in enumerate(thick):
-        for j in range(i + 1, len(thick)):
-            b = thick[j]
-            if not (a & b and a & ~b and b & ~a):
-                continue
-            key = frozenset((a & b, a & ~b, b & ~a, full ^ (a | b)))
-            outcome = outcomes.get(key)
-            if outcome is None:
-                p, q = edges[i], edges[j]
-                try:
-                    boundary = boundary_splitting(p, q)
-                except ValueError as exc:
-                    outcome = None, 1, (str(exc),)
-                else:
-                    tag, cagey = boundary.tag, is_cagey(p, q)
-                    witnesses = ()
-                    if len(boundary.family) not in (3, 4):
-                        witnesses += ("%d boundary edges" % len(boundary.family),)
-                    if cagey and tag != "cage-3":
-                        witnesses += ("cagey pair classified %s" % tag,)
-                    outcome = tag, 1 + cagey, witnesses
-                outcomes[key] = outcome
-                todo = [key]
-                while todo:
-                    current = todo.pop()
-                    for table in tables:
-                        image = frozenset(map(table.__getitem__, current))
-                        if image not in outcomes:
-                            outcomes[image] = outcome
-                            todo.append(image)
-            tag, cases, witnesses = outcome
-            rec.cases += cases
-            if tag is not None:
-                census[tag] = census.get(tag, 0) + 1
-            for witness in witnesses:
-                rec.failures.append("{%s} vs {%s}: %s"
-                                    % (edges[i].encode(), edges[j].encode(), witness))
+    failing = []
+    for group in partitions.crossing_pair_orbits(rank, [p.mask for p in edges]):
+        p, q = (edges[k] for k in group[0])
+        try:
+            boundary = boundary_splitting(p, q)
+        except ValueError as exc:
+            cases, witnesses = 1, [str(exc)]
+        else:
+            tag, cagey = boundary.tag, is_cagey(p, q)
+            census[tag] = census.get(tag, 0) + len(group)
+            cases, witnesses = 1 + cagey, []
+            if len(boundary.family) not in (3, 4):
+                witnesses.append("%d boundary edges" % len(boundary.family))
+            if cagey and tag != "cage-3":
+                witnesses.append("cagey pair classified %s" % tag)
+        rec.cases += cases * len(group)
+        failing += [(pair, witness) for pair in group for witness in witnesses]
+    # A stable sort by pair: a pair's witnesses keep their order.
+    for (i, j), witness in sorted(failing, key=lambda entry: entry[0]):
+        rec.failures.append("{%s} vs {%s}: %s" % (edges[i].encode(), edges[j].encode(), witness))
     if mutated:
         p = chain_partition(rank, 1)
         q = chain_partition(rank, 2)
@@ -418,7 +363,10 @@ def verify_whitehead_factor(a_rank: int = 2, w: Optional[freegroup.Word] = None,
     Requires w nonsimple in the rank-a_rank factor; the default w is the
     commutator of the first two generators.  The bound max_len truncates a
     statement quantified over the whole subgroup; it is recorded in the
-    report.
+    report.  Both alternatives are tested by conjugacy in F_{a_rank+1},
+    where t w t^-1 is conjugate to w, which lies in A: unmutated, the second
+    alternative passes no element the first has not, and the check amounts
+    to "conjugate into A in F".
     """
     rec = _Recorder()
     if w is None:
@@ -432,15 +380,11 @@ def verify_whitehead_factor(a_rank: int = 2, w: Optional[freegroup.Word] = None,
     factor_rank = a_rank - 1 if mutated else a_rank
     u = freegroup.stable_conjugate(a_rank, w)
     u_cycle = freegroup.canonical_cycle(freegroup.cyclic_reduce_letters(u.letters))
-    if factor_rank == a_rank:
-        # Each element without t is a word of A, in the factor: counted, not walked.
-        elements = sum(2 * a_rank * (2 * a_rank - 1) ** (k - 1) for k in range(1, max_len + 1))
-        products = freegroup.factor_power_products(a_rank, w, max_len)
-    else:
-        elements = 0
-        products = freegroup.factor_product_letters(a_rank, w, max_len)
+    # Each word of the factor passes, in the factor: counted, not walked.
+    f = factor_rank
+    elements = sum(2 * f * (2 * f - 1) ** (k - 1) for k in range(1, max_len + 1))
     failing = []
-    for g in products:
+    for g in freegroup.factor_product_letters(a_rank, w, max_len, factor_rank):
         elements += 1
         cyc = freegroup.cyclic_reduce_letters(g)
         if -factor_rank <= min(cyc) and max(cyc) <= factor_rank:

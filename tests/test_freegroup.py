@@ -14,7 +14,6 @@ from freesplit.freegroup import (
     canonical_cycle,
     connected_no_cutvertex,
     cyclic_reduce_letters,
-    factor_power_products,
     factor_product_letters,
     free_reduce,
     is_simple,
@@ -753,7 +752,7 @@ def test_agreement_with_oracle_on_a_sample():
 
 def sorted_factor_product(a_rank, w, max_len):
     """The factor product's letter tuples in the order the verifier reports them."""
-    return sorted(factor_product_letters(a_rank, w, max_len), key=length_then_letter_key)
+    return sorted(factor_product_letters(a_rank, w, max_len, 0), key=length_then_letter_key)
 
 
 def test_factor_product_length_one_is_the_factor_generators():
@@ -819,9 +818,9 @@ def test_factor_product_peak_memory_stays_small():
 ])
 def test_factor_power_products_are_the_elements_holding_the_stable_letter(a_rank, w, max_len):
     w = W(a_rank, w)
-    every = list(factor_product_letters(a_rank, w, max_len))
+    every = list(factor_product_letters(a_rank, w, max_len, 0))
     t = a_rank + 1
-    assert list(factor_power_products(a_rank, w, max_len)) == [g for g in every if t in g]
+    assert list(factor_product_letters(a_rank, w, max_len, a_rank)) == [g for g in every if t in g]
     a = 2 * a_rank
     singles = sum(a * (a - 1) ** (k - 1) for k in range(1, max_len + 1))
     assert len([g for g in every if t not in g]) == singles
@@ -832,30 +831,53 @@ def test_factor_product_rejects_words_with_the_stable_letter():
         sorted_factor_product(2, Word.make(2, ()), 4)
     with pytest.raises(ValueError):
         stable_conjugate(2, W(3, "x3"))
-    # Both walks refuse when called, before anything iterates them.
-    for walk in (factor_product_letters, factor_power_products):
+    # The walk refuses when called, before anything iterates it.
+    for factor_rank in (0, 2):
         with pytest.raises(ValueError, match="must be nontrivial"):
-            walk(2, Word.make(2, ()), 4)
+            factor_product_letters(2, Word.make(2, ()), 4, factor_rank)
         with pytest.raises(ValueError, match="must avoid the stable letter"):
-            walk(2, W(3, "x3"), 4)
+            factor_product_letters(2, W(3, "x3"), 4, factor_rank)
+
+
+@pytest.mark.parametrize("factor_rank", [-1, 3, 4])
+def test_a_factor_rank_outside_0_to_a_rank_is_refused(factor_rank):
+    # Past a_rank no element would leave the factor, and the walk would
+    # yield nothing instead of failing.
+    with pytest.raises(ValueError, match="factor rank %d outside 0..2" % factor_rank):
+        factor_product_letters(2, W(2, "x1x2X1X2"), 4, factor_rank)
+
+
+CLOSURE_INPUTS = [
+    (2, "x1x2X1X2", 8),
+    (3, "x1x2X3", 6),
+    (2, "x1x2", 8),
+    (2, "x1x2", 3),  # no power fits
+    (1, "x1x1", 9),
+]
 
 
 def test_factor_product_matches_independent_subgroup_closure():
-    for a_rank, w, max_len in [
-        (2, "x1x2X1X2", 8),
-        (3, "x1x2X3", 6),
-        (2, "x1x2", 8),
-        (2, "x1x2", 3),  # no power fits
-        (1, "x1x1", 9),
-    ]:
+    for a_rank, w, max_len in CLOSURE_INPUTS:
         w = W(a_rank, w)
         closure = factor_product_closure(a_rank, w, max_len)
-        every = list(factor_product_letters(a_rank, w, max_len))
-        products = list(factor_power_products(a_rank, w, max_len))
+        every = list(factor_product_letters(a_rank, w, max_len, 0))
+        products = list(factor_product_letters(a_rank, w, max_len, a_rank))
         assert len(every) == len(set(every)) and set(every) == closure, (a_rank, w, max_len)
         t = a_rank + 1
         assert len(products) == len(set(products))
         assert set(products) == {g for g in closure if t in g}, (a_rank, w, max_len)
+
+
+@pytest.mark.parametrize("a_rank, w, max_len", CLOSURE_INPUTS)
+def test_the_walk_past_each_factor_is_the_full_walk_filtered_in_order(a_rank, w, max_len):
+    w = W(a_rank, w)
+    every = list(factor_product_letters(a_rank, w, max_len, 0))
+    for factor_rank in range(a_rank + 1):
+        outside = [g for g in every if max(map(abs, g)) > factor_rank]
+        assert list(factor_product_letters(a_rank, w, max_len, factor_rank)) == outside
+        f = factor_rank
+        words = sum(2 * f * (2 * f - 1) ** (k - 1) for k in range(1, max_len + 1))
+        assert len(every) - len(outside) == words
 
 
 def _cyclically_reduced_words(rank, n):

@@ -30,6 +30,7 @@ from freesplit.partitions import (
     compatible,
     corner_masks,
     crosses,
+    crossing_pair_orbits,
     direction_bit,
     enumerate_ideal_edges,
     enumerate_splitting_classes,
@@ -188,3 +189,33 @@ def test_signed_permutation_tables_are_built_lazily_and_guarded():
     for rank in (2, 8):
         with pytest.raises(ValueError, match="outside the partition guard"):
             signed_permutation_tables(rank)
+
+
+@pytest.mark.parametrize("rank, pairs, groups", [(3, 153, 6), (4, 4564, 24), (5, 96735, 72)])
+def test_crossing_pair_orbits_group_every_crossing_thick_pair_once(rank, pairs, groups):
+    # The groups count corner-set orbits; orbits of the pairs themselves
+    # are finer (9, 42 and 148 at these ranks).
+    masks = [p.mask for p in enumerate_ideal_edges(rank, thick_only=True)]
+    found = crossing_pair_orbits(rank, masks)
+    assert len(found) == groups
+    assert sum(map(len, found)) == pairs
+    assert sorted(pair for group in found for pair in group) == [
+        (i, j) for i, j in itertools.combinations(range(len(masks)), 2)
+        if masks[i] & masks[j] and masks[i] & ~masks[j] and masks[j] & ~masks[i]
+    ]
+    # Pairs ascend within a group, and groups come in first-met pair order.
+    assert all(group == sorted(group) for group in found)
+    assert [group[0] for group in found] == sorted(group[0] for group in found)
+
+
+def test_crossing_pair_orbits_are_the_oracle_orbits_of_corner_sets_at_rank_3():
+    edges = enumerate_ideal_edges(3, thick_only=True)
+    signed = oracle.signed_permutations(3)
+    seen = set()
+    for group in crossing_pair_orbits(3, [p.mask for p in edges]):
+        p0, q0 = edges[group[0][0]], edges[group[0][1]]
+        orbit = {frozenset(corner_masks(g(p0), g(q0))) for g in signed}
+        assert {frozenset(corner_masks(edges[i], edges[j])) for i, j in group} == orbit
+        assert not orbit & seen
+        seen |= orbit
+

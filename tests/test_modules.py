@@ -153,6 +153,16 @@ def test_only_graph_of_groups_shape_counts_loops_and_bundles():
     assert reads == []
 
 
+def test_verify_leaves_the_crossing_pair_walk_to_partitions():
+    # The boundary-types verifier reads crossing_pair_orbits: it reads no
+    # B_N table and no full mask, builds no corner set and complements no mask.
+    tree = _trees(SRC)["verify.py"]
+    assert "crossing_pair_orbits" in _reads(tree)
+    assert not _reads(tree) & {"signed_permutation_tables", "full_mask", "corner_masks",
+                               "frozenset"}
+    assert not any(isinstance(node, ast.Invert) for node in ast.walk(tree))
+
+
 def test_no_module_imports_dataclasses():
     imports = [
         "%s:%d" % (name, node.lineno)

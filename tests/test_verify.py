@@ -32,6 +32,7 @@ from freesplit.verify import (
 
 import partition_oracle as oracle
 import rigid_oracle
+import whitehead_oracle as wh_oracle
 from boundary_oracle import crossing_thick_pairs, oracle_boundary_types
 from clique_rank3_oracle import oracle_clique_rank3
 from conftest import load_schema
@@ -417,6 +418,28 @@ def test_whitehead_factor_builds_words_only_for_simplicity_tests(monkeypatch):
     assert verify_whitehead_factor().passed
     assert tested
     assert len(built) <= 2 * len(tested) + 10, (len(built), len(tested))
+
+
+@pytest.mark.parametrize("a_rank, w, max_len, plain, mutated", [
+    (2, "x1x2X1X2", 8, 0, 41),
+    (2, "x1x2X1X2", 10, 0, 125),
+    (3, "x1x2X3", 6, 0, 16),
+])
+def test_the_stable_conjugate_alternative_passes_elements_only_in_the_mutated_control(
+        a_rank, w, max_len, plain, mutated):
+    # In F_{a+1}, t w t^-1 is conjugate to w, which lies in A: an element
+    # conjugate to it is conjugate into A, and the first alternative takes
+    # it.  Only the mutated control's smaller factor leaves some to the second.
+    w = freegroup.Word.from_string(a_rank, w)
+    u_cycle = wh_oracle._canon((a_rank + 1,) + tuple(w.letters) + (-a_rank - 1,))
+    counts = []
+    for factor_rank in (a_rank, a_rank - 1):
+        counts.append(sum(
+            1 for g in freegroup.factor_product_letters(a_rank, w, max_len, factor_rank)
+            if max(map(abs, wh_oracle._cyclic(g))) > factor_rank
+            and wh_oracle._canon(g) == u_cycle
+        ))
+    assert counts == [plain, mutated]
 
 
 def test_whitehead_factor_rejects_simple_hypothesis():
