@@ -217,8 +217,7 @@ class FreeAutomorphism(Value):
 
 def _letter_table(images: Sequence[Tuple[int, ...]]) -> Tuple[Tuple[int, ...], ...]:
     """Slot i holds xi's image run ``images[i-1]``, slot -i (from the end) its inverse."""
-    inverses = [tuple(-x for x in reversed(img)) for img in reversed(images)]
-    return ((),) + tuple(images) + tuple(inverses)
+    return ((), *images, *[tuple([-x for x in img[::-1]]) for img in reversed(images)])
 
 
 def _substitute_letters(table: Sequence[Tuple[int, ...]],
@@ -232,6 +231,34 @@ def _substitute_letters(table: Sequence[Tuple[int, ...]],
             else:
                 out.append(x)
     return tuple(out)
+
+
+def _side_runs(rank: int, side: int, z: Tuple[int, ...]) -> List[Tuple[int, ...]]:
+    """Unreduced image runs z^[xj+ in side] xj z^-[xj- in side] of x1, ..., xN."""
+    z_inv = tuple([-x for x in z[::-1]])
+    runs = []
+    for j in range(1, rank + 1):
+        run = z + (j,) if side & 1 else (j,)
+        runs.append(run + z_inv if side & 2 else run)
+        side >>= 2
+    return runs
+
+
+def side_twist(rank: int, side: int, z: Word) -> FreeAutomorphism:
+    """The side twist of S by z: xj goes to z^[xj+ in S] * xj * z^-[xj- in S].
+
+    ``side`` is the direction mask S, xj+ at bit 2j-2 and xj- at bit 2j-1
+    as in ``partitions``.  The inverse is the side twist of S by z^-1, and
+    ``FreeAutomorphism`` checks the pair, so a twist that moves its own
+    twistor, such as {x1+} by x1, is refused.  An empty z gives the identity.
+    """
+    if z.rank != rank:
+        raise ValueError("twistor rank %d does not match rank %d" % (z.rank, rank))
+    if not 0 <= side < 1 << 2 * rank:
+        raise ValueError("side mask %d outside the %d direction bits" % (side, 2 * rank))
+    images, inverse_images = (tuple(Word.make(rank, run) for run in _side_runs(rank, side, t))
+                              for t in (z.letters, z.inverse().letters))
+    return FreeAutomorphism(rank, images, inverse_images)
 
 
 def nielsen(rank: int, i: int, j: int, side: str = "right") -> FreeAutomorphism:
@@ -260,7 +287,8 @@ def twist(rank: int, stable: int, z: Word, side: str = "right") -> FreeAutomorph
     """Identity on the corank-one factor, sending the stable letter t to zt or tz.
 
     ``z`` must omit the stable letter (it lives in the complementary
-    factor).  An empty z gives the identity.
+    factor).  An empty z gives the identity.  This is the side twist of
+    {t+} by z (side="left") or of {t-} by z^-1 (side="right").
     """
     if not (1 <= stable <= rank):
         raise ValueError("stable index %d out of range for rank %d" % (stable, rank))
@@ -268,23 +296,11 @@ def twist(rank: int, stable: int, z: Word, side: str = "right") -> FreeAutomorph
         raise ValueError("twisting word must live in the ambient rank")
     if any(abs(l) == stable for l in z.letters):
         raise ValueError("twisting word must omit the stable letter x%d" % stable)
-    if side not in ("right", "left"):
-        raise ValueError("side must be 'right' or 'left'")
-    images = []
-    inverse_images = []
-    t = Word(rank, (stable,))
-    for g in range(1, rank + 1):
-        if g != stable:
-            fixed = Word(rank, (g,))
-            images.append(fixed)
-            inverse_images.append(fixed)
-        elif side == "right":
-            images.append(t * z)
-            inverse_images.append(t * z.inverse())
-        else:
-            images.append(z * t)
-            inverse_images.append(z.inverse() * t)
-    return FreeAutomorphism(rank, tuple(images), tuple(inverse_images))
+    if side == "left":
+        return side_twist(rank, 1 << 2 * stable - 2, z)
+    if side == "right":
+        return side_twist(rank, 1 << 2 * stable - 1, z.inverse())
+    raise ValueError("side must be 'right' or 'left'")
 
 
 def whitehead_automorphism(rank: int, letters: Iterable[int], multiplier: int) -> FreeAutomorphism:
@@ -292,7 +308,9 @@ def whitehead_automorphism(rank: int, letters: Iterable[int], multiplier: int) -
 
     ``multiplier`` must belong to ``letters`` and its inverse must not.  A
     generator x with x in A and x^-1 not in A maps to x*a; with x^-1 in A
-    only, to a^-1*x; with both, to a^-1*x*a; otherwise it is fixed.
+    only, to a^-1*x; with both, to a^-1*x*a; otherwise it is fixed.  This is
+    the side twist by a^-1 of S = {xj- : xj in A} + {xj+ : Xj in A}, leaving
+    out a's generator.
     """
     A = frozenset(letters)
     a = multiplier
@@ -301,28 +319,8 @@ def whitehead_automorphism(rank: int, letters: Iterable[int], multiplier: int) -
     for l in A:
         if not (1 <= abs(l) <= rank):
             raise ValueError("letter %d out of range for rank %d" % (l, rank))
-    images = tuple(
-        Word(rank, _wh_image(g, A, a)) for g in range(1, rank + 1)
-    )
-    A_inv = (A - {a}) | {-a}
-    inverse_images = tuple(
-        Word(rank, _wh_image(g, A_inv, -a)) for g in range(1, rank + 1)
-    )
-    return FreeAutomorphism(rank, images, inverse_images)
-
-
-def _wh_image(g: int, A: frozenset, a: int) -> Tuple[int, ...]:
-    """Image run of the letter g, of either sign, under the Whitehead map (A, a)."""
-    if abs(g) == abs(a):
-        return (g,)
-    pos, neg = g in A, -g in A
-    if pos and not neg:
-        return (g, a)
-    if neg and not pos:
-        return (-a, g)
-    if pos and neg:
-        return (-a, g, a)
-    return (g,)
+    side = sum(1 << _bit(-l) for l in A if abs(l) != abs(a))
+    return side_twist(rank, side, Word(rank, (-a,)))
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +436,8 @@ def _descend(rank: int, letters: Sequence[int]) -> Tuple[Tuple[int, ...], List[L
     """
     groups = _wh_moves(rank)
     full = (1 << 2 * rank) - 1
+    plus = full // 3  # the bits of x1, x2, ..., xN
     current = cyclic_reduce_letters(letters)
-    signed = [*range(1, rank + 1), *range(-rank, 0)]  # the slots of a _letter_table
     while True:
         mult = _multiplicities(rank, current)
         cap = _cut_capacities(mult)
@@ -456,9 +454,9 @@ def _descend(rank: int, letters: Sequence[int]) -> Tuple[Tuple[int, ...], List[L
         mask = masks[list(map(cap.__getitem__, masks)).index(best + deg[winner])]
         if not mask >> winner & 1:
             mask ^= full
-        A = frozenset(_letter(b) for b in range(2 * rank) if mask >> b & 1)
-        multiplier = _letter(winner)
-        table = ((),) + tuple([_wh_image(l, A, multiplier) for l in signed])
+        # The side of (A, a), as in whitehead_automorphism: A's bit pairs swapped, a's cleared.
+        side = ((mask & plus) << 1 | mask >> 1 & plus) & ~(3 << (winner & ~1))
+        table = _letter_table(_side_runs(rank, side, (-_letter(winner),)))
         current = cyclic_reduce_letters(_substitute_letters(table, current))
 
 

@@ -19,6 +19,7 @@ from freesplit.freegroup import (
     is_simple,
     length_then_letter_key,
     nielsen,
+    side_twist,
     stable_conjugate,
     twist,
     whitehead_automorphism,
@@ -39,6 +40,7 @@ from whitehead_oracle import (
     reference_minimize,
     reference_substitute,
     reference_word_error,
+    side_twist_images,
     whitehead_moves,
 )
 
@@ -419,6 +421,123 @@ def test_whitehead_automorphism_matches_letter_conventions():
     assert both.apply(W(2, "x2")).to_string() == "X1x2x1"
     with pytest.raises(ValueError):
         whitehead_automorphism(2, (1, -1), 1)
+
+
+def test_twist_checks_come_in_order():
+    # stable index, twistor rank, stable letter, side: each case fails every later check too
+    with pytest.raises(ValueError, match="^stable index 3 out of range for rank 2$"):
+        twist(2, 3, Word(3, (3,)), side="up")
+    with pytest.raises(ValueError, match="^twisting word must live in the ambient rank$"):
+        twist(2, 1, Word(3, (1,)), side="up")
+    with pytest.raises(ValueError, match="^twisting word must omit the stable letter x1$"):
+        twist(2, 1, Word(2, (1,)), side="up")
+    with pytest.raises(ValueError, match="^side must be 'right' or 'left'$"):
+        twist(2, 1, Word(2, (2,)), side="up")
+
+
+def test_whitehead_automorphism_checks_come_in_order():
+    message = "^need multiplier in the letter set and its inverse outside$"
+    for cut, a in (((1, -1, 5), 1), ((2, 5), 1)):
+        with pytest.raises(ValueError, match=message):
+            whitehead_automorphism(2, cut, a)
+    for cut, a, letter in (((1, 5), 1, 5), ((3,), 3, 3), ((1, 0), 1, 0)):
+        with pytest.raises(ValueError, match="^letter %d out of range for rank 2$" % letter):
+            whitehead_automorphism(2, cut, a)
+
+
+def all_whitehead_maps(rank):
+    """Every Whitehead map (A, a) at the rank, the identity maps A = {a} included."""
+    letters = [l for i in range(1, rank + 1) for l in (i, -i)]
+    for a in letters:
+        others = [l for l in letters if abs(l) != abs(a)]
+        for size in range(len(others) + 1):
+            for combo in itertools.combinations(others, size):
+                yield frozenset(combo) | {a}, a
+
+
+def side_twist_cases():
+    """(map, side mask, twistor letters) for every Nielsen map at ranks 2-4, every
+    Whitehead map at ranks 1-4 and 2,000 seeded twists at ranks 2-4.
+
+    The side and twistor are written out here: xi -> xi*xj is the twist of
+    {xi-} by xj^-1, xi -> xj*xi that of {xi+} by xj, and (A, a) the twist by
+    a^-1 of {xj- : xj in A} and {xj+ : Xj in A}, off a's generator.
+    """
+    for rank in (2, 3, 4):
+        for i, j in itertools.permutations(range(1, rank + 1), 2):
+            yield nielsen(rank, i, j, "right"), 1 << 2 * i - 1, (-j,)
+            yield nielsen(rank, i, j, "left"), 1 << 2 * i - 2, (j,)
+    for rank in (1, 2, 3, 4):
+        for cut, a in all_whitehead_maps(rank):
+            side = sum(1 << (2 * l - 1 if l > 0 else -2 * l - 2) for l in cut if abs(l) != abs(a))
+            yield whitehead_automorphism(rank, cut, a), side, (-a,)
+    rng = random.Random(31)
+    for _ in range(2000):
+        rank = rng.choice((2, 3, 4))
+        stable = rng.randint(1, rank)
+        others = [l for i in range(1, rank + 1) if i != stable for l in (i, -i)]
+        z = Word.make(rank, [rng.choice(others) for _ in range(rng.randint(0, 6))])
+        if rng.random() < 0.5:
+            yield twist(rank, stable, z, "right"), 1 << 2 * stable - 1, z.inverse().letters
+        else:
+            yield twist(rank, stable, z, "left"), 1 << 2 * stable - 2, z.letters
+
+
+def test_every_map_is_the_side_twist_of_its_side_and_twistor():
+    count = 0
+    for phi, side, z in side_twist_cases():
+        rank = phi.rank
+        z_inv = tuple(-x for x in reversed(z))
+        assert tuple(w.letters for w in phi.images) == side_twist_images(rank, side, z)
+        assert tuple(w.letters for w in phi.inverse_images) == side_twist_images(rank, side, z_inv)
+        assert side_twist(rank, side, Word(rank, z)) == phi
+        count += 1
+    assert count == 40 + 626 + 2000
+
+
+def test_side_twist_refusals():
+    with pytest.raises(ValueError, match="^twistor rank 3 does not match rank 2$"):
+        side_twist(2, 1 << 3, Word(3, (1,)))
+    for side in (-1, 1 << 4):
+        with pytest.raises(ValueError, match="^side mask %d outside the 4 direction bits$" % side):
+            side_twist(2, side, Word(2, (1,)))
+    # x1 -> x1x1 moves its own twistor; the twist by X1 sends x1 to the empty word
+    with pytest.raises(ValueError, match="^stored inverse does not invert the map on x1$"):
+        side_twist(2, 1, Word(2, (1,)))
+
+
+def test_side_twist_is_refused_exactly_when_it_moves_its_twistor():
+    verdicts = set()
+    for rank, max_len in ((1, 4), (2, 4), (3, 2)):
+        for z in [()] + all_reduced(rank, max_len):
+            for side in range(1 << 2 * rank):
+                fixed = reference_substitute(side_twist_images(rank, side, z), z) == z
+                try:
+                    side_twist(rank, side, Word(rank, z))
+                    accepted = True
+                except ValueError:
+                    accepted = False
+                assert accepted == fixed, (rank, side, z)
+                verdicts.add(accepted)
+    assert verdicts == {True, False}
+
+
+def test_side_twist_by_the_empty_word_is_the_identity():
+    gens = tuple(Word(3, (i,)) for i in (1, 2, 3))
+    for side in range(1 << 6):
+        assert side_twist(3, side, Word(3, ())) == FreeAutomorphism(3, gens, gens)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_whitehead_maps_match_the_oracle_letter_tables(rank):
+    # The oracle's four-case tables share no code with the side-twist rule.
+    tables = dict(zip(whitehead_moves(rank), letter_moves(rank)))
+    for (cut, a), table in tables.items():
+        phi = whitehead_automorphism(rank, cut, a)
+        back = tables[cut - {a} | {-a}, -a]
+        for g in range(1, rank + 1):
+            assert phi.images[g - 1].letters == table[g]
+            assert phi.inverse_images[g - 1].letters == back[g]
 
 
 @given(st.data())

@@ -1,6 +1,7 @@
 """Each library module uses only the public names of the others, every
 public function and class has a reader, every export is read or documented,
-each relation has one function, no module caches a reader with
+each relation has one function, freegroup writes generator images by
+one side-twist rule, no module caches a reader with
 ``cached_property``, values are built only by their constructors or
 ``Value._trusted``, importing the CLI loads no ``dataclasses`` or what
 it pulls in, and no source line is longer than 99 characters."""
@@ -161,6 +162,26 @@ def test_verify_leaves_the_crossing_pair_walk_to_partitions():
     assert not _reads(tree) & {"signed_permutation_tables", "full_mask", "corner_masks",
                                "frozenset"}
     assert not any(isinstance(node, ast.Invert) for node in ast.walk(tree))
+
+
+def _calls(function):
+    """The names a function calls, bare or as an attribute."""
+    return {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            for node in ast.walk(function) if isinstance(node, ast.Call)
+            and isinstance(node.func, (ast.Name, ast.Attribute))}
+
+
+def test_freegroup_writes_generator_images_by_one_rule():
+    # twist and whitehead_automorphism are side twists, and the descent
+    # builds its letter table from the run helpers that side_twist calls.
+    functions = {node.name: node for node in _trees(SRC)["freegroup.py"].body
+                 if isinstance(node, ast.FunctionDef)}
+    assert "_wh_image" not in functions
+    for caller in ("twist", "whitehead_automorphism"):
+        assert "side_twist" in _calls(functions[caller]), caller
+    helpers = _calls(functions["side_twist"]) & {name for name in functions if name[0] == "_"}
+    descent = _calls(functions["_descend"])
+    assert helpers and helpers <= descent and "_letter_table" in descent
 
 
 def test_no_module_imports_dataclasses():

@@ -6,6 +6,10 @@ generator.  The search is a breadth-first scan over canonical cyclic forms
 with its own letter maps and reduction code, so it shares no logic with
 the minimize-then-cut-vertex path it is used to check.
 
+``side_twist_images`` is the side-twist image rule written out: each
+generator xj goes to z^[xj+ in S] xj z^-[xj- in S], freely reduced, for a
+direction mask S (xj+ at bit 2j-2, xj- at bit 2j-1).
+
 ``reference_minimize`` is the rewrite-every-move greedy minimizer: it
 applies every Whitehead move to the word at every step and keeps the first
 move, in encoding order, with the largest strict decrease.
@@ -106,6 +110,17 @@ def letter_moves(rank):
             table[-g] = tuple(-x for x in reversed(img))
         moves.append(table)
     return moves
+
+
+def side_twist_images(rank, side, z):
+    """The basis images of the side twist of ``side`` by the letters ``z``."""
+    z = tuple(z)
+    z_inv = tuple(-x for x in reversed(z))
+    return tuple(
+        _reduce((z if side >> (2 * j - 2) & 1 else ()) + (j,)
+                + (z_inv if side >> (2 * j - 1) & 1 else ()))
+        for j in range(1, rank + 1)
+    )
 
 
 def reference_minimize(letters, rank, moves=None):
