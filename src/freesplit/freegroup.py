@@ -58,7 +58,7 @@ def canonical_cycle(letters: Sequence[int]) -> Tuple[int, ...]:
     """
     letters = tuple(letters)
     n = len(letters)
-    keys = [2 * l - 2 if l > 0 else -2 * l - 1 for l in letters] * 2
+    keys = list(map(_bit, letters)) * 2
     i, j, k = 0, 1, 0
     while j < n and k < n:
         a, b = keys[i + k], keys[j + k]
@@ -297,9 +297,9 @@ def twist(rank: int, stable: int, z: Word, side: str = "right") -> FreeAutomorph
     if any(abs(l) == stable for l in z.letters):
         raise ValueError("twisting word must omit the stable letter x%d" % stable)
     if side == "left":
-        return side_twist(rank, 1 << 2 * stable - 2, z)
+        return side_twist(rank, 1 << _bit(stable), z)
     if side == "right":
-        return side_twist(rank, 1 << 2 * stable - 1, z.inverse())
+        return side_twist(rank, 1 << _bit(-stable), z.inverse())
     raise ValueError("side must be 'right' or 'left'")
 
 
@@ -328,13 +328,22 @@ def whitehead_automorphism(rank: int, letters: Iterable[int], multiplier: int) -
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _vertex_index(rank: int) -> Tuple[int, ...]:
+    """Slot l holds _bit(l) and slot -l (from the end) _bit(-l); slot 0 is unused."""
+    return tuple(map(_bit, (*range(rank + 1), *range(-rank, 0))))
+
+
 def _multiplicities(rank: int, cyc: Sequence[int]) -> List[List[int]]:
     """Whitehead-graph multiplicity rows of a cyclically reduced word."""
     mult = [[0] * (2 * rank) for _ in range(2 * rank)]
-    for u, v in zip(cyc[-1:] + cyc, cyc):
-        i, j = _bit(u), _bit(-v)  # the edge {u, v^-1}
+    index = _vertex_index(rank)
+    i = index[cyc[-1]]  # the vertex of u, the letter before v
+    for v in cyc:
+        j = index[-v]  # the edge {u, v^-1}
         mult[i][j] += 1
         mult[j][i] += 1
+        i = index[v]
     return mult
 
 
@@ -403,16 +412,15 @@ def _cut_capacities(mult: List[List[int]]) -> List[int]:
     """cap[A], the multiplicity of edges leaving A, for every vertex mask A
     without the top vertex (a mask with it cuts what its complement cuts).
 
-    Adding a vertex v above every vertex of S gives
-    cap(S + v) = cap(S) + deg(v) - 2 * mult(v, S); ``into`` holds
-    mult(v, S) for every S below v.
+    Adding a vertex v above every vertex of S gives cap(S + v) = cap(S) +
+    deg(v) - 2 * mult(v, S); ``into`` holds mult(v, S) for every S below v
+    (a vertex u with mult(v, u) = 0 doubles it unchanged).
     """
     cap = [0]
     for v, row in enumerate(mult[:-1]):
         into = [0]
-        for u in range(v):
-            m = row[u]
-            into += [x + m for x in into]
+        for m in row[:v]:
+            into += [x + m for x in into] if m else into
         deg = sum(row)
         cap += [c + deg - 2 * x for c, x in zip(cap, into)]
     return cap
@@ -450,8 +458,8 @@ def _descend(rank: int, letters: Sequence[int]) -> Tuple[Tuple[int, ...], List[L
                     best, winner = score, a
         if winner is None:
             return canonical_cycle(current), mult
-        masks = groups[winner]
-        mask = masks[list(map(cap.__getitem__, masks)).index(best + deg[winner])]
+        target = best + deg[winner]
+        mask = next(m for m in groups[winner] if cap[m] == target)
         if not mask >> winner & 1:
             mask ^= full
         # The side of (A, a), as in whitehead_automorphism: A's bit pairs swapped, a's cleared.

@@ -26,6 +26,7 @@ from freesplit.freegroup import (
     whitehead_graph,
     whitehead_minimize,
 )
+from freesplit.partitions import MAX_RANK
 from whitehead_oracle import (
     ReferenceWhiteheadGraph,
     _canon,
@@ -36,6 +37,7 @@ from whitehead_oracle import (
     letter_moves,
     oracle_is_simple,
     reference_connected_no_cutvertex,
+    reference_descend,
     reference_inverse_error,
     reference_minimize,
     reference_substitute,
@@ -629,7 +631,8 @@ def test_total_multiplicity_equals_cyclic_length():
         assert total_multiplicity(whitehead_graph(w)) == len(cyclic_reduce_letters(w.letters))
 
 
-@pytest.mark.parametrize("rank, max_len", [(2, 6), (3, 5), (4, 3)])
+@pytest.mark.parametrize("rank, max_len",
+                         [(1, 8), (2, 6), (3, 5), (4, 3), (5, 3), (6, 3), (7, 3)])
 def test_whitehead_graph_matches_the_edge_dict_reference(rank, max_len):
     for letters in all_reduced(rank, max_len):
         rows = whitehead_graph(Word(rank, letters))
@@ -638,6 +641,15 @@ def test_whitehead_graph_matches_the_edge_dict_reference(rank, max_len):
         assert [sum(r) for r in rows] == [ref.degree(u) for u in ref.vertices()]
         assert total_multiplicity(rows) == ref.total_multiplicity()
         assert connected_no_cutvertex(rows) == reference_connected_no_cutvertex(ref)
+
+
+@pytest.mark.parametrize("rank", range(1, MAX_RANK + 1))
+def test_vertex_table_holds_bit_at_every_letter(rank):
+    # Every rank the whitehead guard allows; Xl sits at slot -l, from the end.
+    index = freegroup._vertex_index(rank)
+    assert len(index) == 2 * rank + 1
+    for l in range(1, rank + 1):
+        assert (index[l], index[-l]) == (freegroup._bit(l), freegroup._bit(-l)), l
 
 
 def test_graph_of_trivial_word_is_undefined():
@@ -802,6 +814,22 @@ def test_minimizer_matches_the_reference_on_long_words():
         for letters in pushed_words(rank, 24, count, seed=rank):
             expected = CyclicWord(rank, reference_minimize(letters, rank, moves))
             assert whitehead_minimize(Word(rank, letters)) == expected, (rank, letters)
+
+
+def test_descent_matches_the_step_for_step_reference():
+    # Equal letters and last rows on long pushed words, on x1 x2^k (one step
+    # per letter removed; every k <= 40, then 100, 200 and 300, since each
+    # descent costs k steps over k letters) and on every word of the
+    # rewrite-every-move test.
+    inputs = [(rank, letters) for rank in (3, 4, 5)
+              for letters in pushed_words(rank, 24, 8, seed=10 + rank)]
+    inputs += [(2, (1,) + (2,) * k) for k in [*range(1, 41), 100, 200, 300]]
+    inputs += [(rank, letters) for rank, max_len in ((2, 8), (3, 5))
+               for letters in canonical_words(rank, max_len)]
+    assert len(inputs) == 24 + 43 + 2254
+    for rank, letters in inputs:
+        expected = reference_descend(rank, letters)
+        assert freegroup._descend(rank, letters) == expected, (rank, letters)
 
 
 def test_simplicity_invariance_rank2_words():

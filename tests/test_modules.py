@@ -1,10 +1,11 @@
 """Each library module uses only the public names of the others, every
 public function and class has a reader, every export is read or documented,
 each relation has one function, freegroup writes generator images by
-one side-twist rule, no module caches a reader with
-``cached_property``, values are built only by their constructors or
-``Value._trusted``, importing the CLI loads no ``dataclasses`` or what
-it pulls in, and no source line is longer than 99 characters."""
+one side-twist rule and a letter's vertex index by one rule, no module
+caches a reader with ``cached_property``, values are built only by their
+constructors or ``Value._trusted``, importing the CLI loads no
+``dataclasses`` or what it pulls in, and no source line is longer than
+99 characters."""
 
 import ast
 import os
@@ -182,6 +183,34 @@ def test_freegroup_writes_generator_images_by_one_rule():
     helpers = _calls(functions["side_twist"]) & {name for name in functions if name[0] == "_"}
     descent = _calls(functions["_descend"])
     assert helpers and helpers <= descent and "_letter_table" in descent
+
+
+def _doubles(node):
+    """Whether node is 2 * x or -2 * x for an x other than a constant or ``rank``."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)):
+        return False
+    for two, x in ((node.left, node.right), (node.right, node.left)):
+        if isinstance(two, ast.UnaryOp) and isinstance(two.op, ast.USub):
+            two = two.operand
+        if (isinstance(two, ast.Constant) and two.value == 2
+                and not isinstance(x, ast.Constant)
+                and not (isinstance(x, ast.Name) and x.id == "rank")):
+            return True
+    return False
+
+
+def test_freegroup_writes_the_letter_to_vertex_rule_once():
+    # A vertex index is 2l - 2 or -2l - 1, a doubled letter plus an offset:
+    # only _bit computes one, and canonical_cycle and the descent's vertex
+    # table read _bit.
+    functions = [node for node in ast.walk(_trees(SRC)["freegroup.py"])
+                 if isinstance(node, ast.FunctionDef)]
+    offsetting = [function.name for function in functions
+                  if any(isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))
+                         and _doubles(node.left) for node in ast.walk(function))]
+    assert offsetting == ["_bit"]
+    readers = {function.name for function in functions if "_bit" in _reads(function)}
+    assert {"canonical_cycle", "_vertex_index"} <= readers
 
 
 def test_no_module_imports_dataclasses():

@@ -14,6 +14,13 @@ direction mask S (xj+ at bit 2j-2, xj- at bit 2j-1).
 applies every Whitehead move to the word at every step and keeps the first
 move, in encoding order, with the largest strict decrease.
 
+``reference_descend`` is the library's greedy descent step for step, with
+a plainer step kernel: multiplicities from ``_bit`` per letter pair, every
+cut-table entry built by a comprehension, and the winning mask found by
+``list(...).index``.  It shares the move table and the rewrite with the
+library, so a test comparing the two checks that every step scores and
+picks the same move.
+
 ``ReferenceWhiteheadGraph`` is the Whitehead graph as a sorted tuple of
 letter-pair edges, built from a dict of pair counts, and
 ``reference_connected_no_cutvertex`` walks it with set BFS.
@@ -144,6 +151,55 @@ def reference_minimize(letters, rank, moves=None):
         if best is current:
             return current
         current = best
+
+
+def _reference_multiplicities(rank, cyc):
+    mult = [[0] * (2 * rank) for _ in range(2 * rank)]
+    for u, v in zip(cyc[-1:] + cyc, cyc):
+        i, j = freegroup._bit(u), freegroup._bit(-v)  # the edge {u, v^-1}
+        mult[i][j] += 1
+        mult[j][i] += 1
+    return mult
+
+
+def _reference_cut_capacities(mult):
+    cap = [0]
+    for v, row in enumerate(mult[:-1]):
+        into = [0]
+        for u in range(v):
+            m = row[u]
+            into += [x + m for x in into]
+        deg = sum(row)
+        cap += [c + deg - 2 * x for c, x in zip(cap, into)]
+    return cap
+
+
+def reference_descend(rank, letters):
+    """The descent loop step for step, returning (canonical letters, last rows)."""
+    groups = freegroup._wh_moves(rank)
+    full = (1 << 2 * rank) - 1
+    plus = full // 3
+    current = freegroup.cyclic_reduce_letters(letters)
+    while True:
+        mult = _reference_multiplicities(rank, current)
+        cap = _reference_cut_capacities(mult)
+        deg = [sum(row) for row in mult]
+        best, winner = 0, None
+        for a, masks in enumerate(groups):
+            if masks and -deg[a] < best:
+                score = min(map(cap.__getitem__, masks)) - deg[a]
+                if score < best:
+                    best, winner = score, a
+        if winner is None:
+            return freegroup.canonical_cycle(current), mult
+        masks = groups[winner]
+        mask = masks[list(map(cap.__getitem__, masks)).index(best + deg[winner])]
+        if not mask >> winner & 1:
+            mask ^= full
+        side = ((mask & plus) << 1 | mask >> 1 & plus) & ~(3 << (winner & ~1))
+        table = freegroup._letter_table(
+            freegroup._side_runs(rank, side, (-freegroup._letter(winner),)))
+        current = freegroup.cyclic_reduce_letters(freegroup._substitute_letters(table, current))
 
 
 def _omits_generator(cyc, rank):
