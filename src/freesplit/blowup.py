@@ -20,11 +20,9 @@ from .partitions import (
     class_of,
     corner_masks,
     crosses,
-    direction_bit,
     encode_class,
     full_mask,
     is_ideal,
-    petal_index,
     side_names,
 )
 from .values import Value
@@ -50,12 +48,11 @@ class GraphOfGroups(Value):
         if rank < 1 or not vertices or min(r for _, r in vertices) < 0:
             raise ValueError("graph of groups needs rank >= 1, a vertex, and free ranks >= 0")
         edges = tuple(edges)
-        ids = [vid for vid, _ in vertices]
-        if len(set(ids)) != len(ids):
+        known = {vid for vid, _ in vertices}
+        if len(known) != len(vertices):
             raise ValueError("duplicate vertex ids")
         if len({label for label, _ in edges}) != len(edges):
             raise ValueError("duplicate edge labels")
-        known = set(ids)
         pairs = []
         for label, (u, v) in edges:
             if u not in known or v not in known:
@@ -159,30 +156,21 @@ def blow_up(family: Iterable[Partition], rank: int) -> GraphOfGroups:
     family = list(family)
     if not family:
         raise ValueError("cannot blow up an empty family")
-    if any(p.rank != rank for p in family):
-        c = next(c for c in sorted(set(map(class_of, family)), key=class_key)
-                 if c.rank != rank)
-        raise ValueError("family member %s has rank %d, expected %d"
-                         % (encode_class(c), c.rank, rank))
 
-    # A member's mask is its class mask but for {xi-}, which petal_index
-    # reads as petal i.  Petals cross nothing.
-    full = full_mask(rank)
+    # A member's mask is its class mask but for {xi-}, whose one bit is read
+    # as petal i; a side of 2N - 1 bits is petal 1.  Petals cross nothing.
     kept_petals, thick = set(), set()
     for p in family:
-        i = petal_index(p)
-        if i is None:
-            thick.add(p.mask)
+        if p.rank != rank:
+            _refuse(family, rank)
+        size = p.mask.bit_count()
+        if size == 1:
+            kept_petals.add((p.mask.bit_length() + 1) // 2)
+        elif size == 2 * rank - 1:
+            kept_petals.add(1)
         else:
-            kept_petals.add(i)
+            thick.add(p.mask)
     thick = sorted(thick)
-    if any(a & b and a & ~b and b & ~a for a, b in itertools.combinations(thick, 2)):
-        # Only a failing family is sorted into class order, to name its first crossing pair.
-        fam = sorted(set(map(class_of, family)), key=class_key)
-        a, b = next(pair for pair in itertools.combinations(fam, 2) if crosses(*pair))
-        raise IncompatibleFamilyError(
-            "family members cross: {%s} and {%s}" % (encode_class(a), encode_class(b))
-        )
 
     # The dual tree of the thick members is their laminar family of side1
     # masks: canonical side1s never hold x1+, so those of a compatible
@@ -190,23 +178,34 @@ def blow_up(family: Iterable[Partition], rank: int) -> GraphOfGroups:
     # root, ``full``) holding its directions minus its children's, and each
     # member's edge joins it to its smallest strict superset or the root.
     # The supersets of a mask are a chain of larger ints, so the smallest is
-    # the first after it in numeric order.
+    # the first after it in numeric order; a larger mask that meets it and
+    # is no superset crosses it.
+    full = full_mask(rank)
     dirs = {m: m for m in thick}
     dirs[full] = full
     edge_records = []
     for n, m in enumerate(thick):
-        parent = next((o for o in thick[n + 1:] if not m & ~o), full)
+        parent = full
+        for o in thick[n + 1:]:
+            if m & o:
+                if m & ~o:
+                    _refuse(family, rank)
+                if parent == full:
+                    parent = o
         dirs[parent] &= ~m
         edge_records.append((",".join(side_names(m)), m, parent))
 
-    owner = {1 << b: vid for vid, own in dirs.items() for b in bit_positions(own)}
+    owner = [full] * (2 * rank)  # the vertex owning each direction bit
+    for vid, own in dirs.items():
+        for b in bit_positions(own):
+            owner[b] = vid
 
     # Collapsing a petal merges its end vertices into the first end's root;
     # root_of maps every dual-tree vertex to the root holding it.
     root_of = {vid: vid for vid in dirs}
     extra_rank = dict.fromkeys(dirs, 0)
     for i in range(1, rank + 1):
-        u, v = owner[direction_bit(i, 1)], owner[direction_bit(i, -1)]
+        u, v = owner[2 * i - 2], owner[2 * i - 1]
         if i in kept_petals:
             edge_records.append(("petal:%d" % i, u, v))
             continue
@@ -219,21 +218,34 @@ def blow_up(family: Iterable[Partition], rank: int) -> GraphOfGroups:
                     root_of[vid] = u
             extra_rank[u] += extra_rank.pop(v)
             dirs[u] |= dirs.pop(v)
-    edge_records = [(label, root_of[u], root_of[v]) for label, u, v in edge_records]
 
     # A vertex is keyed by its own directions, or by its edge labels when it
     # owns none.  Own direction sets are disjoint, so the lowest bit orders
     # them as their direction lists would.
     keys = {
         root: (0, own & -own) if own
-        else (1, tuple(sorted(label for label, u, v in edge_records if root in (u, v))))
+        else (1, tuple(sorted(label for label, u, v in edge_records
+                              if root in (root_of[u], root_of[v]))))
         for root, own in dirs.items()
     }
     names = {root: "v%d" % n for n, root in enumerate(sorted(keys, key=keys.get))}
     vertices = tuple(sorted((names[root], extra_rank[root]) for root in keys))
-    edges = tuple(sorted((label, tuple(sorted((names[u], names[v]))))
-                         for label, u, v in edge_records))
+    edges = tuple(sorted((label, (a, b) if a <= b else (b, a)) for label, u, v in edge_records
+                         for a, b in [(names[root_of[u]], names[root_of[v]])]))
     return GraphOfGroups(rank=rank, vertices=vertices, edges=edges)
+
+
+def _refuse(family: List[Partition], rank: int) -> None:
+    """Refuse a family, naming its first member of another rank in class order,
+    or else its first crossing pair; only a failing family is sorted."""
+    fam = sorted(set(map(class_of, family)), key=class_key)
+    for c in fam:
+        if c.rank != rank:
+            raise ValueError("family member %s has rank %d, expected %d"
+                             % (encode_class(c), c.rank, rank))
+    a, b = next(pair for pair in itertools.combinations(fam, 2) if crosses(*pair))
+    raise IncompatibleFamilyError(
+        "family members cross: {%s} and {%s}" % (encode_class(a), encode_class(b)))
 
 
 # ---------------------------------------------------------------------------

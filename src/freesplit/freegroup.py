@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import re
 from functools import lru_cache
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .values import Value
 
@@ -362,14 +362,13 @@ def whitehead_graph(w: Word) -> Tuple[Tuple[int, ...], ...]:
     return tuple(map(tuple, mult))
 
 
-def connected_no_cutvertex(rows: Sequence[Sequence[int]]) -> bool:
-    """Connectivity and absence of cut vertices, on the full 2N-vertex set.
-
-    Letters that do not occur in the word are isolated vertices, so a word
-    omitting a generator always fails the connectivity half.  This matches
-    the graph's use as a nonsimplicity certificate.  Vertex sets are
-    bitsets over the vertex indices.
-    """
+def _certificate(rows: Sequence[Sequence[int]]) -> Optional[bool]:
+    """Whitehead's verdict on a cyclically reduced word, read off its graph's rows:
+    True when the graph on the 2N letters (an absent letter is isolated) is
+    disconnected, so the word lies in a proper free factor (Stallings);
+    False when it is connected with no cut vertex, so it lies in none
+    (Whitehead's cut-vertex lemma); None when it has a cut vertex, which
+    settles nothing short of a minimal word.  Vertex sets are bitsets."""
     adj = [sum(1 << b for b, m in enumerate(row) if m) for row in rows]
 
     def connected(subset: int) -> bool:
@@ -383,7 +382,15 @@ def connected_no_cutvertex(rows: Sequence[Sequence[int]]) -> bool:
         return seen == subset
 
     full = (1 << len(adj)) - 1
-    return connected(full) and all(connected(full ^ (1 << b)) for b in range(len(adj)))
+    if not connected(full):
+        return True
+    return False if all(connected(full ^ (1 << b)) for b in range(len(adj))) else None
+
+
+def connected_no_cutvertex(rows: Sequence[Sequence[int]]) -> bool:
+    """Whether the graph is connected on all 2N vertices with no cut vertex,
+    the nonsimplicity certificate (:func:`_certificate` False)."""
+    return _certificate(rows) is False
 
 
 @lru_cache(maxsize=None)
@@ -426,28 +433,25 @@ def _cut_capacities(mult: List[List[int]]) -> List[int]:
     return cap
 
 
-def _descend(rank: int, letters: Sequence[int]) -> Tuple[Tuple[int, ...], List[List[int]]]:
+def _descend(rank: int, letters: Sequence[int]) -> Iterator[Tuple[Tuple[int, ...], list]]:
     """Greedy cyclic-length descent under Whitehead moves, from a nontrivial word.
 
-    At each step every move (A, a) is scored from the Whitehead graph of
-    the current word: the change in cyclic length is cap(A, A') - deg(a)
+    Yields each step's cyclically reduced letters, as the rewrite leaves
+    them, with their Whitehead-graph rows, and then scores every move (A, a)
+    from the rows: the change in cyclic length is cap(A, A') - deg(a)
     (Higgins-Lyndon), taken per multiplier a as its least cap less deg(a);
     cap >= 0, so an a with -deg(a) no better than the best so far is
     skipped.  The first a with the least score, and its first mask reaching
     it, is the least encoding among the moves with the largest strict
     decrease; only that move rewrites the word.  Cyclic length strictly
-    decreases, so the loop halts.  The steps keep the cyclic reduction
-    as the rewrite leaves it, since the rows do not depend on the rotation;
-    the result is rotated once.  Returns the minimal canonical cyclic
-    letters and the multiplicity rows of their Whitehead graph, which the
-    last step built.
-    """
+    decreases, so the descent halts at a minimal word."""
     groups = _wh_moves(rank)
     full = (1 << 2 * rank) - 1
     plus = full // 3  # the bits of x1, x2, ..., xN
     current = cyclic_reduce_letters(letters)
     while True:
         mult = _multiplicities(rank, current)
+        yield current, mult
         cap = _cut_capacities(mult)
         deg = [sum(row) for row in mult]
         best, winner = 0, None
@@ -457,7 +461,7 @@ def _descend(rank: int, letters: Sequence[int]) -> Tuple[Tuple[int, ...], List[L
                 if score < best:
                     best, winner = score, a
         if winner is None:
-            return canonical_cycle(current), mult
+            return
         target = best + deg[winner]
         mask = next(m for m in groups[winner] if cap[m] == target)
         if not mask >> winner & 1:
@@ -470,22 +474,28 @@ def _descend(rank: int, letters: Sequence[int]) -> Tuple[Tuple[int, ...], List[L
 
 def whitehead_minimize(w: Word) -> CyclicWord:
     """The cyclic word that the greedy Whitehead descent (:func:`_descend`)
-    reaches from w; its cyclic length is the least over Aut(F_N)."""
+    reaches from w, rotated once; its cyclic length is the least over Aut(F_N)."""
     if w.is_trivial():
         raise ValueError("cannot minimize the trivial word")
-    return CyclicWord._trusted(w.rank, _descend(w.rank, w.letters)[0])
+    for current, _ in _descend(w.rank, w.letters):
+        pass
+    return CyclicWord._trusted(w.rank, canonical_cycle(current))
 
 
 def is_simple(w: Word) -> bool:
     """Whether w lies in a proper free factor.
 
-    Minimizes the cyclic length greedily, then applies the Whitehead-graph
-    criterion to the graph the descent's last step built: the word is
-    simple iff that graph is disconnected or has a cut vertex.
+    Descends greedily while the Whitehead graph of the current step settles
+    nothing, and returns the first verdict that :func:`_certificate` reads.
+    A minimal word whose graph has a cut vertex is simple (Whitehead).
     """
     if w.is_trivial():
         raise ValueError("simplicity of the trivial word is undefined")
-    return not connected_no_cutvertex(_descend(w.rank, w.letters)[1])
+    for _, mult in _descend(w.rank, w.letters):
+        verdict = _certificate(mult)
+        if verdict is not None:
+            return verdict
+    return True
 
 
 # ---------------------------------------------------------------------------

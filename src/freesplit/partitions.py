@@ -344,8 +344,9 @@ def ideal_masks(rank: int, thick_only: bool = False) -> list:
     """
     _check_rank(rank)
     low = 2 if thick_only else 1
+    plus = full_mask(rank) // 3  # _separates, with the plus bits built once
     return [mask for mask in range(2, full_mask(rank), 2)
-            if low <= mask.bit_count() <= 2 * rank - low and _separates(mask, rank)]
+            if low <= mask.bit_count() <= 2 * rank - low and (mask ^ mask >> 1) & plus]
 
 
 def enumerate_ideal_edges(rank: int, thick_only: bool = False) -> list:
@@ -367,21 +368,23 @@ def enumerate_splitting_classes(rank: int) -> list:
 
 @lru_cache(maxsize=None)
 def signed_permutation_tables(rank: int) -> Tuple[Tuple[int, ...], ...]:
-    """The bit images of every 2N-bit mask under three generators of B_N.
+    """The bit images of every 2N-bit mask under two generators of B_N.
 
     B_N, the 2**N * N! signed permutations of the petals, fixes the rose.
-    Its generators here swap x1+ with x1-, swap petals 1 and 2, and cycle
-    the petals (petal i to i+1, petal N to 1).  Entry ``m`` of a table is
-    the image of mask ``m`` bit for bit; it may hold ``x1+``, so
-    ``Partition(rank, image)`` is the image partition.  Each table is
-    filled low bit first, one step per mask, on first use of the rank.
+    The generators swap petals 1 and 2, and cycle the petals, i to i+1, with
+    petal N to petal 1 sign flipped (xN+ to x1-).  Conjugating the swap by
+    powers of the cycle gives every adjacent transposition, so all of S_N;
+    the cycle times the unsigned inverse cycle flips one petal, and S_N
+    carries that flip to every petal.  Entry ``m`` of a table is the image
+    of mask ``m`` bit for bit; it may hold ``x1+``, so ``Partition(rank,
+    image)`` is the image partition.  Each table is filled low bit first,
+    one step per mask, on first use of the rank.
     """
     _check_rank(rank)
     width = 2 * rank
     bit_images = (
-        (1, 0) + tuple(range(2, width)),
         (2, 3, 0, 1) + tuple(range(4, width)),
-        tuple((b + 2) % width for b in range(width)),
+        tuple(range(2, width)) + (1, 0),
     )
     tables = []
     for images in bit_images:

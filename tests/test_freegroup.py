@@ -27,6 +27,7 @@ from freesplit.freegroup import (
     whitehead_minimize,
 )
 from freesplit.partitions import MAX_RANK
+from freesplit.verify import verify_whitehead_factor
 from whitehead_oracle import (
     ReferenceWhiteheadGraph,
     _canon,
@@ -771,16 +772,20 @@ def test_rank_one_has_no_moves_and_every_word_is_minimal():
 
 
 def test_is_simple_builds_one_whitehead_graph_per_descent_step(monkeypatch):
-    # The cut-vertex test reads the rows the descent's last step scored.
+    # The certificates read the rows each descent step builds; a settled
+    # graph ends the descent.
     built = []
     multiplicities = freegroup._multiplicities
     monkeypatch.setattr(freegroup, "_multiplicities",
                         lambda rank, cyc: built.append(cyc) or multiplicities(rank, cyc))
-    minimal = W(3, "x1x1x2x2x3x3")  # a cycle graph: minimal and not simple
+    minimal = W(3, "x1x1x2x2x3x3")  # a cycle graph: connected, no cut vertex
     assert not is_simple(minimal)
     assert len(built) == 1
     built.clear()
-    assert is_simple(W(2, "x1x2"))  # one move to x1, then one step finds no move
+    assert is_simple(W(2, "x1x2"))  # edges {x1, X2} and {x2, X1}: disconnected
+    assert len(built) == 1
+    built.clear()
+    assert is_simple(W(2, "x1x2x2"))  # a path X1 - x2 - X2 - x1: one move to x1x2
     assert len(built) == 2
 
 
@@ -817,10 +822,10 @@ def test_minimizer_matches_the_reference_on_long_words():
 
 
 def test_descent_matches_the_step_for_step_reference():
-    # Equal letters and last rows on long pushed words, on x1 x2^k (one step
-    # per letter removed; every k <= 40, then 100, 200 and 300, since each
-    # descent costs k steps over k letters) and on every word of the
-    # rewrite-every-move test.
+    # Equal letters and rows at every step on long pushed words, on x1 x2^k
+    # (one step per letter removed; every k <= 40, then 100, 200 and 300,
+    # since each descent costs k steps over k letters) and on every word of
+    # the rewrite-every-move test.
     inputs = [(rank, letters) for rank in (3, 4, 5)
               for letters in pushed_words(rank, 24, 8, seed=10 + rank)]
     inputs += [(2, (1,) + (2,) * k) for k in [*range(1, 41), 100, 200, 300]]
@@ -829,7 +834,68 @@ def test_descent_matches_the_step_for_step_reference():
     assert len(inputs) == 24 + 43 + 2254
     for rank, letters in inputs:
         expected = reference_descend(rank, letters)
-        assert freegroup._descend(rank, letters) == expected, (rank, letters)
+        assert list(freegroup._descend(rank, letters)) == expected, (rank, letters)
+
+
+def short_words():
+    """Every nontrivial reduced word of rank 1 up to 8 letters, rank 2 up to
+    7, rank 3 up to 5 and rank 4 up to 4."""
+    return [(rank, letters) for rank, max_len in ((1, 8), (2, 7), (3, 5), (4, 4))
+            for letters in all_reduced(rank, max_len)]
+
+
+def descend_then_cut_vertex(rank, letters):
+    """Simplicity by descending to the minimum, then testing its graph for
+    connectivity and cut vertices: the rule that certificates shortcut."""
+    minimal = reference_descend(rank, letters)[-1][0]
+    return not reference_connected_no_cutvertex(ReferenceWhiteheadGraph(rank, minimal))
+
+
+def test_is_simple_matches_the_rule_at_the_minimum():
+    # Every short word, and long pushed words at ranks 3-5, which mostly
+    # descend some steps before a graph settles them, either way.
+    inputs = short_words()
+    inputs += [(rank, letters) for rank in (3, 4, 5)
+               for letters in pushed_words(rank, 24, 40, seed=30 + rank)]
+    assert len(inputs) == 12274 + 120
+    rule, verdicts = {}, {}
+    for rank, letters in inputs:
+        key = (rank, _canon(letters))  # the rule reads the conjugacy class only
+        if key not in rule:
+            rule[key] = descend_then_cut_vertex(rank, letters)
+        assert is_simple(Word(rank, letters)) == rule[key], (rank, letters)
+        verdicts[rule[key]] = verdicts.get(rule[key], 0) + 1
+    assert min(verdicts.values()) >= 500, verdicts
+
+
+def test_is_simple_matches_the_oracle_on_short_words():
+    # Rank 2 meets the oracle in criterion 6 and the closed forms up to 8
+    # letters; at rank 3 the oracle's search is sampled, 100 cyclic classes.
+    rng = random.Random(33)
+    inputs = [(rank, letters) for rank, letters in short_words() if rank != 2]
+    classes = sorted({_canon(letters) for rank, letters in inputs if rank == 3})
+    sample = set(rng.sample(classes, 100))
+    moves = {rank: letter_moves(rank) for rank in (1, 3, 4)}
+    verdicts = {}
+    for rank, letters in inputs:
+        key = _canon(letters)
+        if rank == 3 and key not in sample:
+            continue
+        if (rank, key) not in verdicts:
+            verdicts[rank, key] = oracle_is_simple(key, rank, moves[rank])
+        assert is_simple(Word(rank, letters)) == verdicts[rank, key], (rank, letters)
+    assert len(verdicts) == 16 + 100 + 780
+
+
+def test_whitehead_factor_builds_no_cut_table(monkeypatch):
+    # Every element the verifier tests is settled by its first graph.
+    calls = []
+    cut_capacities = freegroup._cut_capacities
+    monkeypatch.setattr(freegroup, "_cut_capacities",
+                        lambda mult: calls.append(1) or cut_capacities(mult))
+    for mutated in (False, True):
+        verify_whitehead_factor(mutated=mutated)
+    assert calls == []
 
 
 def test_simplicity_invariance_rank2_words():

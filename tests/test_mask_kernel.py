@@ -3,9 +3,10 @@
 Exhaustive at ranks 3 and 4: every predicate on every ordered pair of
 ideal edges, the blow-up of every boundary family, and the group that the
 signed-permutation tables generate.  Blow-ups are also compared on the 328
-rank-3 4-cliques, on the 1,000 seeded families of acceptance criterion 8
-at ranks 3 to 5, and on seeded families at ranks 3 to 7 whose petals are
-named by either partition, with a member repeated, in shuffled order.
+rank-3 4-cliques, on 2,000 seeded rank-4 4-cliques, on the 1,000 seeded
+families of acceptance criterion 8 at ranks 3 to 5, and on seeded families
+at ranks 3 to 7 whose petals are named by either partition, with a member
+repeated, in shuffled order.
 """
 
 import itertools
@@ -121,6 +122,15 @@ def test_blow_up_matches_the_oracle_on_every_rank3_four_clique():
         assert blow_up(family, 3) == oracle.blow_up(family, 3)
 
 
+def test_blow_up_matches_the_oracle_on_seeded_rank4_four_cliques():
+    graph = build_star_graph(4)
+    cliques = enumerate_cliques(graph, 4)
+    assert len(cliques) == 40777
+    for indices in random.Random(4).sample(cliques, 2000):
+        family = [graph.vertices[i] for i in indices]
+        assert blow_up(family, 4) == oracle.blow_up(family, 4)
+
+
 @pytest.mark.parametrize("rank", [3, 4, 5, 6, 7])
 def test_blow_up_matches_the_oracle_on_renamed_repeated_and_shuffled_members(rank):
     # Seeded compatible families of up to 3N - 3 classes, about half the
@@ -152,7 +162,7 @@ def test_blow_up_matches_the_oracle_on_renamed_repeated_and_shuffled_members(ran
 
 
 def _group_of_tables(rank):
-    """Every element of the group the three tables generate, as its table."""
+    """Every element of the group the tables generate, as its table."""
     tables = signed_permutation_tables(rank)
     identity = tuple(range(1 << 2 * rank))
     group, todo = {identity}, [identity]
@@ -166,9 +176,31 @@ def _group_of_tables(rank):
     return group
 
 
-@pytest.mark.parametrize("rank", [3, 4])
+def _closure_of_bit_images(rank):
+    """Every element of the group the tables generate, as its bit images."""
+    generators = [tuple(table[1 << b].bit_length() - 1 for b in range(2 * rank))
+                  for table in signed_permutation_tables(rank)]
+    identity = tuple(range(2 * rank))
+    group, todo = {identity}, [identity]
+    while todo:
+        element = todo.pop()
+        for images in generators:
+            image = tuple(images[b] for b in element)
+            if image not in group:
+                group.add(image)
+                todo.append(image)
+    return group
+
+
+@pytest.mark.parametrize("rank", [3, 4, 5])
 def test_signed_permutation_tables_generate_the_oracle_group(rank):
+    # Two tables; their bit images close to a group of order |B_N|, 3,840 at
+    # rank 5.  At ranks 3 and 4 the group of whole tables is the oracle's.
     order = 2 ** rank * math.factorial(rank)
+    assert len(signed_permutation_tables(rank)) == 2
+    assert len(_closure_of_bit_images(rank)) == order
+    if rank > 4:
+        return
     masks = range(2, full_mask(rank), 2)
     group = _group_of_tables(rank)
     assert len(group) == order

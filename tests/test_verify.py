@@ -358,7 +358,7 @@ def test_a_table_that_is_no_signed_permutation_stops_the_run(monkeypatch):
     assert len(broken) == 12
     for table in broken + [tuple(identity)]:
         monkeypatch.setattr(partitions, "signed_permutation_tables",
-                            lambda rank: (real[0], table, real[2]))
+                            lambda rank: (real[0], table))
         with pytest.raises(RuntimeError, match="table 1 is no signed permutation"):
             verify_boundary_types(3)
 

@@ -19,7 +19,7 @@ a plainer step kernel: multiplicities from ``_bit`` per letter pair, every
 cut-table entry built by a comprehension, and the winning mask found by
 ``list(...).index``.  It shares the move table and the rewrite with the
 library, so a test comparing the two checks that every step scores and
-picks the same move.
+picks the same move.  It returns every step's letters and rows.
 
 ``ReferenceWhiteheadGraph`` is the Whitehead graph as a sorted tuple of
 letter-pair edges, built from a dict of pair counts, and
@@ -175,13 +175,17 @@ def _reference_cut_capacities(mult):
 
 
 def reference_descend(rank, letters):
-    """The descent loop step for step, returning (canonical letters, last rows)."""
+    """The descent loop step for step, as the list of its steps: each step's
+    cyclically reduced letters, as the rewrite leaves them, and the rows of
+    their Whitehead graph.  The last step's letters are minimal."""
     groups = freegroup._wh_moves(rank)
     full = (1 << 2 * rank) - 1
     plus = full // 3
     current = freegroup.cyclic_reduce_letters(letters)
+    steps = []
     while True:
         mult = _reference_multiplicities(rank, current)
+        steps.append((current, mult))
         cap = _reference_cut_capacities(mult)
         deg = [sum(row) for row in mult]
         best, winner = 0, None
@@ -191,7 +195,7 @@ def reference_descend(rank, letters):
                 if score < best:
                     best, winner = score, a
         if winner is None:
-            return freegroup.canonical_cycle(current), mult
+            return steps
         masks = groups[winner]
         mask = masks[list(map(cap.__getitem__, masks)).index(best + deg[winner])]
         if not mask >> winner & 1:
