@@ -368,8 +368,10 @@ def _certificate(rows: Sequence[Sequence[int]]) -> Optional[bool]:
     disconnected, so the word lies in a proper free factor (Stallings);
     False when it is connected with no cut vertex, so it lies in none
     (Whitehead's cut-vertex lemma); None when it has a cut vertex, which
-    settles nothing short of a minimal word.  Vertex sets are bitsets."""
-    adj = [sum(1 << b for b, m in enumerate(row) if m) for row in rows]
+    settles nothing short of a minimal word.  Vertex sets are bitsets, and
+    each row's neighbour bitset is read off it at C level by ``compress``."""
+    bits = [1 << b for b in range(len(rows))]
+    adj = [sum(itertools.compress(bits, row)) for row in rows]
 
     def connected(subset: int) -> bool:
         seen = todo = subset & -subset
@@ -437,14 +439,18 @@ def _descend(rank: int, letters: Sequence[int]) -> Iterator[Tuple[Tuple[int, ...
     """Greedy cyclic-length descent under Whitehead moves, from a nontrivial word.
 
     Yields each step's cyclically reduced letters, as the rewrite leaves
-    them, with their Whitehead-graph rows, and then scores every move (A, a)
+    them, with their Whitehead-graph rows, and then scores the moves (A, a)
     from the rows: the change in cyclic length is cap(A, A') - deg(a)
-    (Higgins-Lyndon), taken per multiplier a as its least cap less deg(a);
-    cap >= 0, so an a with -deg(a) no better than the best so far is
-    skipped.  The first a with the least score, and its first mask reaching
-    it, is the least encoding among the moves with the largest strict
-    decrease; only that move rewrites the word.  Cyclic length strictly
-    decreases, so the descent halts at a minimal word."""
+    (Higgins-Lyndon), taken per multiplier a as its least cap less deg(a).
+    Only the multipliers xi are scored.  Xi's masks are the complements of
+    xi's, except that xi's group holds V - {Xi} and Xi's holds V - {xi},
+    both of score 0; a cut and its complement have equal capacity and
+    deg(Xi) = deg(xi), so a negative score of Xi is also xi's, which comes
+    first.  cap >= 0, so an xi with -deg(xi) no better than the best so far
+    is skipped.  The first xi with the least score, and its first mask
+    reaching it, is the least encoding among the moves with the largest
+    strict decrease; only that move rewrites the word.  Cyclic length
+    strictly decreases, so the descent halts at a minimal word."""
     groups = _wh_moves(rank)
     full = (1 << 2 * rank) - 1
     plus = full // 3  # the bits of x1, x2, ..., xN
@@ -453,9 +459,10 @@ def _descend(rank: int, letters: Sequence[int]) -> Iterator[Tuple[Tuple[int, ...
         mult = _multiplicities(rank, current)
         yield current, mult
         cap = _cut_capacities(mult)
-        deg = [sum(row) for row in mult]
+        deg = list(map(sum, mult))
         best, winner = 0, None
-        for a, masks in enumerate(groups):
+        for a in range(0, 2 * rank, 2):
+            masks = groups[a]
             if masks and -deg[a] < best:
                 score = min(map(cap.__getitem__, masks)) - deg[a]
                 if score < best:

@@ -36,6 +36,7 @@ from whitehead_oracle import (
     all_reduced,
     factor_product_closure,
     letter_moves,
+    move_table,
     oracle_is_simple,
     reference_connected_no_cutvertex,
     reference_descend,
@@ -713,6 +714,26 @@ def test_half_cut_table_counts_the_edges_leaving_every_mask(rank, max_len):
             assert cap[mask ^ full if mask & top else mask] == leaving, (letters, mask)
 
 
+def test_each_inverse_multiplier_scores_as_its_generator():
+    # The descent scores only the multipliers xi: over every move (A, a) of
+    # the oracle's list, scored from the edge-dict graph as the edges
+    # leaving A less deg(a), the least score over Xi's moves is xi's.
+    negative = 0
+    for rank, max_len in ((1, 8), (2, 7), (3, 5), (4, 3)):
+        moves = whitehead_moves(rank)
+        for letters in all_cyclically_reduced(rank, max_len):
+            graph = ReferenceWhiteheadGraph(rank, letters)
+            degree = {a: graph.degree(a) for a in graph.vertices()}
+            least = {}
+            for cut, a in moves:
+                score = sum(m for (u, v), m in graph.edges if (u in cut) != (v in cut)) - degree[a]
+                least[a] = min(least.get(a, score), score)
+            for i in range(1, rank + 1):
+                assert least.get(-i) == least.get(i), (rank, letters, i)
+                negative += least.get(i, 0) < 0
+    assert negative > 1000, negative
+
+
 def test_two_distinct_edges_at_the_stable_letter():
     # For g in the factor product not conjugate into the factor, the stable
     # letter has edges to the inverse of the first letter of w and to the
@@ -789,14 +810,16 @@ def test_is_simple_builds_one_whitehead_graph_per_descent_step(monkeypatch):
     assert len(built) == 2
 
 
-def pushed_words(rank, length, count, seed):
+def pushed_words(rank, length, count, seed, moves=None):
     """Cyclic words of exactly ``length`` letters in the orbits of short words.
 
     Each start uses every generator twice with random signs and order; random
-    Whitehead moves that do not shorten it push it up to ``length`` letters.
+    Whitehead moves (from ``moves``, by default all of them) that do not
+    shorten it push it up to ``length`` letters.
     """
     rng = random.Random(seed)
-    moves = letter_moves(rank)
+    if moves is None:
+        moves = letter_moves(rank)
     out = []
     while len(out) < count:
         start = [i * rng.choice((1, -1)) for i in range(1, rank + 1) for _ in range(2)]
@@ -813,6 +836,20 @@ def pushed_words(rank, length, count, seed):
     return out
 
 
+def sampled_moves(rank, count, seed):
+    """``count`` random Whitehead substitutions, for ranks whose full move
+    list (57,330 moves at rank 7) is too large to build in a test."""
+    rng = random.Random(seed)
+    letters = [l for i in range(1, rank + 1) for l in (i, -i)]
+    moves = []
+    while len(moves) < count:
+        a = rng.choice(letters)
+        cut = {l for l in letters if abs(l) != abs(a) and rng.random() < 0.5}
+        if cut:
+            moves.append(move_table(rank, cut | {a}, a))
+    return moves
+
+
 def test_minimizer_matches_the_reference_on_long_words():
     for rank, count in ((4, 3), (5, 2)):
         moves = letter_moves(rank)
@@ -822,16 +859,20 @@ def test_minimizer_matches_the_reference_on_long_words():
 
 
 def test_descent_matches_the_step_for_step_reference():
-    # Equal letters and rows at every step on long pushed words, on x1 x2^k
-    # (one step per letter removed; every k <= 40, then 100, 200 and 300,
-    # since each descent costs k steps over k letters) and on every word of
-    # the rewrite-every-move test.
+    # Equal letters and rows at every step on long pushed words, up to ranks
+    # 6 and 7, the top of the whitehead guard, on x1 x2^k (one step per
+    # letter removed; every k <= 40, then 100, 200 and 300, since each
+    # descent costs k steps over k letters) and on every word of the
+    # rewrite-every-move test.
     inputs = [(rank, letters) for rank in (3, 4, 5)
               for letters in pushed_words(rank, 24, 8, seed=10 + rank)]
+    inputs += [(rank, letters) for rank in (6, 7)
+               for letters in pushed_words(rank, 28, 3, seed=10 + rank,
+                                           moves=sampled_moves(rank, 200, seed=rank))]
     inputs += [(2, (1,) + (2,) * k) for k in [*range(1, 41), 100, 200, 300]]
     inputs += [(rank, letters) for rank, max_len in ((2, 8), (3, 5))
                for letters in canonical_words(rank, max_len)]
-    assert len(inputs) == 24 + 43 + 2254
+    assert len(inputs) == 24 + 6 + 43 + 2254
     for rank, letters in inputs:
         expected = reference_descend(rank, letters)
         assert list(freegroup._descend(rank, letters)) == expected, (rank, letters)
@@ -885,6 +926,32 @@ def test_is_simple_matches_the_oracle_on_short_words():
             verdicts[rank, key] = oracle_is_simple(key, rank, moves[rank])
         assert is_simple(Word(rank, letters)) == verdicts[rank, key], (rank, letters)
     assert len(verdicts) == 16 + 100 + 780
+
+
+class CountedReads(list):
+    """A cut table that counts its reads."""
+
+    reads = 0
+
+    def __getitem__(self, mask):
+        self.reads += 1
+        return list.__getitem__(self, mask)
+
+
+def test_a_descent_step_scores_the_generator_multipliers_only(monkeypatch):
+    # A step reads at most N(2^(2N-2) - 1) caps while scoring, one group of
+    # masks per generator, and the winner's group once more to find its mask.
+    tables = []
+    cut_capacities = freegroup._cut_capacities
+    monkeypatch.setattr(freegroup, "_cut_capacities",
+                        lambda mult: tables.append(CountedReads(cut_capacities(mult))) or tables[-1])
+    for rank in (3, 4):
+        group = 2 ** (2 * rank - 2) - 1
+        for letters in pushed_words(rank, 24, 4, seed=60 + rank):
+            tables.clear()
+            whitehead_minimize(Word(rank, letters))
+            assert len(tables) >= 2, (rank, letters)
+            assert max(t.reads for t in tables) <= rank * group + group, (rank, letters)
 
 
 def test_whitehead_factor_builds_no_cut_table(monkeypatch):

@@ -95,28 +95,30 @@ def whitehead_moves(rank):
     return [(cut, a) for _, cut, a in moves]
 
 
+def move_table(rank, cut, a):
+    """The Whitehead substitution (A, a) as a letter-to-run table."""
+    table = {}
+    for g in range(1, rank + 1):
+        if g == abs(a):
+            img = (g,)
+        else:
+            pos, neg = g in cut, -g in cut
+            if pos and not neg:
+                img = (g, a)
+            elif neg and not pos:
+                img = (-a, g)
+            elif pos and neg:
+                img = (-a, g, a)
+            else:
+                img = (g,)
+        table[g] = img
+        table[-g] = tuple(-x for x in reversed(img))
+    return table
+
+
 def letter_moves(rank):
     """Every nonidentity Whitehead substitution as a letter-to-run table, in encoding order."""
-    moves = []
-    for cut, a in whitehead_moves(rank):
-        table = {}
-        for g in range(1, rank + 1):
-            if g == abs(a):
-                img = (g,)
-            else:
-                pos, neg = g in cut, -g in cut
-                if pos and not neg:
-                    img = (g, a)
-                elif neg and not pos:
-                    img = (-a, g)
-                elif pos and neg:
-                    img = (-a, g, a)
-                else:
-                    img = (g,)
-            table[g] = img
-            table[-g] = tuple(-x for x in reversed(img))
-        moves.append(table)
-    return moves
+    return [move_table(rank, cut, a) for cut, a in whitehead_moves(rank)]
 
 
 def side_twist_images(rank, side, z):
